@@ -28,7 +28,6 @@ from .approximation import (
     Mollifier,
     MollifiedFamily,
     TruncatedSystem,
-    family_member,
     lp_distance,
     mollified_family,
     mollifier,

@@ -28,7 +28,6 @@ __all__ = [
     "radial_tangential_derivative_check",
     "mollifier",
     "mollify_value",
-    "family_member",
     "mollified_family",
     "select_lambda0",
     "lp_distance",
@@ -168,9 +167,9 @@ def _bump_kernel(u2: np.ndarray) -> np.ndarray:
 class Mollifier:
     """The compactly supported bump C exp(1/(|x|^2-1)) scaled to radius eps.
 
-    norm_constant is computed once per dimension with the same ball rule used
-    for convolutions, so the rule integrates the kernel to exactly 1 and
-    mollifying a constant field reproduces it to round-off.
+    norm_constant is computed with the same ball rule used for convolutions,
+    so the rule integrates the kernel to exactly 1 and mollifying a constant
+    field reproduces it to round-off.
     """
 
     d: int
@@ -199,19 +198,14 @@ class Mollifier:
         return np.einsum("q,...qi->...i", self.kernel_weights, vals)
 
 
-_NORM_CACHE: dict[tuple[int, int, int], float] = {}
-
-
 def mollifier(d: int, eps: float, n_radial: int | None = None,
               n_angular: int | None = None) -> Mollifier:
     """Build a mollifier of radius eps with the dimension's default ball rule."""
     if eps <= 0:
         raise ValueError("mollifier radius eps must be positive")
     rule = unit_ball_rule(d, n_radial, n_angular)
-    key = (d, rule.nodes.shape[0])
     eta = _bump_kernel(np.sum(rule.nodes**2, axis=-1))
-    raw = float(np.sum(rule.weights * eta))
-    norm = _NORM_CACHE.setdefault(key, 1.0 / raw)
+    norm = 1.0 / float(np.sum(rule.weights * eta))
     return Mollifier(d=d, eps=eps, norm_constant=norm, quadrature=rule,
                      kernel_weights=rule.weights * eta * norm)
 
@@ -409,11 +403,6 @@ def _build_member(fam: MollifiedFamily, eps: float) -> CoefficientSystem:
         jacobian_analytic=False, origin_policy=OriginPolicy(),
         params={**dict(base.params), "eps": eps, "lambda0": fam.lambda0,
                 "truncation_radius": radius})
-
-
-def family_member(fam: MollifiedFamily, eps: float) -> CoefficientSystem:
-    """Functional alias for fam.member(eps)."""
-    return fam.member(eps)
 
 
 # ---------------------------------------------------------------------------

@@ -357,7 +357,7 @@ def run(command: str, config_path, seed: int | None = None,
     try:
         rows, extra_files, unreliable = _COMMAND_IMPL[config.command](
             config, system, max(1, int(workers)))
-    except FlowlabError as exc:
+    except (FlowlabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         _write_log(out_dir, config, t_start, status=f"failed: {exc}")
         return EXIT_CONFIG

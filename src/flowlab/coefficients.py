@@ -144,18 +144,6 @@ class CoefficientSystem:
                     f"{self.origin_policy.r_min:g} (got |x|={np.min(r):.3e})")
         return self.jacobian_fn(k, x)
 
-    def jacobian_clamped(self, k: int, x: np.ndarray) -> np.ndarray:
-        """DX_k at x, with points inside r_min moved out to the r_min sphere.
-
-        Exact origin points are moved along e_1. Used by the integrator; the
-        caller is responsible for counting how often the clamp engaged.
-        """
-        x = np.asarray(x, dtype=float)
-        r_min = self.origin_policy.r_min
-        if not self.origin_policy.singular:
-            return self.jacobian_fn(k, x)
-        return self.jacobian_fn(k, clamp_to_radius(x, r_min))
-
     def drift(self, x: np.ndarray) -> np.ndarray:
         return self.value(0, x)
 
@@ -253,11 +241,22 @@ def sym_eig_range(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return v, v
     if d == 2:
         tr = a[..., 0, 0] + a[..., 1, 1]
-        det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+        det = det_spd(a)
         disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
         return 0.5 * (tr - disc), 0.5 * (tr + disc)
     w = np.linalg.eigvalsh(a)
     return w[..., 0], w[..., -1]
+
+
+def det_spd(a: np.ndarray) -> np.ndarray:
+    """Determinant of square matrices, batched (..., d, d); closed form for
+    d <= 2."""
+    d = a.shape[-1]
+    if d == 1:
+        return a[..., 0, 0]
+    if d == 2:
+        return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+    return np.linalg.det(a)
 
 
 def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -266,7 +265,7 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if d == 1:
         return b / a[..., 0, 0:1]
     if d == 2:
-        det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+        det = det_spd(a)
         z0 = (a[..., 1, 1] * b[..., 0] - a[..., 0, 1] * b[..., 1]) / det
         z1 = (a[..., 0, 0] * b[..., 1] - a[..., 1, 0] * b[..., 0]) / det
         return np.stack([z0, z1], axis=-1)
@@ -636,45 +635,20 @@ def _smooth_step(t: np.ndarray) -> np.ndarray:
 
 
 def _batched(fn):
-    """Normalize a (k, x)->array field function to arbitrary leading shapes."""
-    def wrapped(k, x):
+    """Normalize a field function of (..., x) to arbitrary leading shapes.
+
+    fn takes x last, of shape (n, d), and returns an array or a tuple of
+    arrays with leading axis n; the wrapper accepts x of shape (..., d).
+    """
+    def wrapped(*args):
+        *head, x = args
         x = np.asarray(x, dtype=float)
         if x.ndim == 2:
-            return fn(k, x)
-        if x.ndim == 1:
-            return fn(k, x[None])[0]
+            return fn(*head, x)
         lead = x.shape[:-1]
-        out = fn(k, x.reshape(-1, x.shape[-1]))
-        return out.reshape(lead + out.shape[1:])
-    return wrapped
-
-
-def _batched_pair(fn):
-    """Like _batched for an x -> (drift, sigma) function."""
-    def wrapped(x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 2:
-            return fn(x)
-        if x.ndim == 1:
-            drift, sigma = fn(x[None])
-            return drift[0], sigma[0]
-        lead = x.shape[:-1]
-        drift, sigma = fn(x.reshape(-1, x.shape[-1]))
-        return (drift.reshape(lead + drift.shape[1:]),
-                sigma.reshape(lead + sigma.shape[1:]))
-    return wrapped
-
-
-def _batched_mats(fn):
-    """Like _batched for an x -> stacked-matrices function."""
-    def wrapped(x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 2:
-            return fn(x)
-        if x.ndim == 1:
-            return fn(x[None])[0]
-        lead = x.shape[:-1]
-        out = fn(x.reshape(-1, x.shape[-1]))
+        out = fn(*head, x.reshape(-1, x.shape[-1]))
+        if isinstance(out, tuple):
+            return tuple(o.reshape(lead + o.shape[1:]) for o in out)
         return out.reshape(lead + out.shape[1:])
     return wrapped
 
@@ -799,8 +773,8 @@ def _example21(d: int = 2, q1: float = 0.8, q2: float = 0.5, q3: float = 0.5,
     return CoefficientSystem(
         name="example21", d=d, m=d, value_fn=_batched(value),
         jacobian_fn=_batched(jacobian),
-        fields_fn=_batched_pair(fields),
-        jacobians_fn=_batched_mats(jacobians),
+        fields_fn=_batched(fields),
+        jacobians_fn=_batched(jacobians),
         constants=constants, jacobian_analytic=True,
         origin_policy=OriginPolicy(
             r_min=r_min,

@@ -136,6 +136,8 @@ class BatchEuler:
     Exploded paths freeze at their exit state; paths hitting non-finite
     coefficients are marked failed and freeze likewise. The per-step clamp of
     Jacobian evaluation points onto the r_min sphere is counted per path.
+    The fields at the pre-step state are evaluated once per step and shared
+    between the step and any observer through fields().
     """
 
     def __init__(self, system: CoefficientSystem, x0: np.ndarray,
@@ -165,6 +167,15 @@ class BatchEuler:
         self.exit_step = np.full(n, -1, dtype=int)
         self.clamped = np.zeros(n, dtype=int)
         self.step_index = 0
+        self._fields_step = -1
+        self._fields = None
+
+    def fields(self) -> tuple[np.ndarray, np.ndarray]:
+        """(drift, sigma) at the current state x, evaluated once per step."""
+        if self._fields_step != self.step_index:
+            self._fields = self.system.fields(self.x)
+            self._fields_step = self.step_index
+        return self._fields
 
     def steps(self):
         """Yield (s, x_s, v_s, dw_s, active) before each step is applied."""
@@ -188,7 +199,7 @@ class BatchEuler:
     def _advance(self, s: int, dw: np.ndarray):
         sys_, cfg = self.system, self.cfg
         x, v = self.x, self.v
-        drift, sig = sys_.fields(x)
+        drift, sig = self.fields()
         x_new = x + np.einsum("nim,nm->ni", sig, dw) + drift * cfg.h
 
         if sys_.origin_policy.singular:
@@ -316,7 +327,7 @@ def log_exponential_check(system: CoefficientSystem, traj: Trajectory,
         raise ValueError("representation check requires p >= 2")
     if traj.exploded:
         raise ValueError("trajectory exploded; representation not applicable")
-    r_min = cfg.r_min if cfg is not None else 1e-6
+    r_min = (cfg or IntegratorConfig()).r_min
     n = len(traj.xs) - 1
     m_acc = q_acc = a_acc = 0.0
     for s in range(n):

@@ -4,10 +4,29 @@ weight vs common-random-number finite differences), approximation-family
 convergence gaps, integration-by-parts residuals, occupation-measure ratio
 checks, and Holder-modulus tables.
 
+Every path-batch estimator runs on one driver, `_map_paths`: it cuts the
+paths into fixed ranges of CHUNK_PATHS (read at call time), draws each
+range's increments with one `increments_block` call, maps the estimator's
+per-path `run(dws)` over the ranges, and concatenates what `run` returns in
+path-index order. An estimator keeps only its per-path computation and its
+reduction. Paths are dropped by one rule, `_kept`: a path counts unless it
+failed or exploded in any of its drivers (the Krylov check drops only failed
+paths; the BEL gradient also drops paths gated by the condition number).
+Observers that need the coefficient fields at the pre-step state read
+`BatchEuler.fields()`, the per-step cache the Euler step itself uses, so the
+fields are evaluated once per step.
+
 All estimators are deterministic functions of (inputs, master_seed): paths
 are keyed by path index, chunk boundaries are fixed, and reductions run in
-path-index order, so results are bit-identical across reruns and worker
-counts.
+path-index order, so results are bit-identical across reruns, worker counts
+and chunk sizes.
+
+perfbench/traced_cli.py traces a run by patching names, so these stay: the
+module globals `ThreadPoolExecutor` and `increments_block` (looked up at call
+time), the public functions in `__all__`, `BatchEuler.advance` as the only
+stepping entry, the `CoefficientSystem.fields` and `jacobians_stacked`
+methods, and the `BatchEuler` attributes `n`, `v`, `step_index`, `n_steps`,
+`clamped`, `exploded` and `failed`.
 """
 
 from __future__ import annotations
@@ -21,6 +40,7 @@ import numpy as np
 from .approximation import MollifiedFamily
 from .coefficients import (
     CoefficientSystem,
+    det_spd,
     solve_spd,
     sym_eig_range,
     theta_g,
@@ -94,16 +114,36 @@ PAYOFFS = {
 }
 
 
-def _chunk_ranges(n_paths: int, chunk: int = CHUNK_PATHS):
-    return [(a, min(a + chunk, n_paths)) for a in range(0, n_paths, chunk)]
+def _map_paths(run, n_paths: int, cfg: IntegratorConfig, m: int,
+               master_seed: int, workers: int = 1) -> tuple:
+    """Map run(dws) over fixed path ranges and concatenate its outputs.
 
-def _run_chunks(fn, n_paths: int, workers: int = 1, chunk: int = CHUNK_PATHS):
-    """Map fn over fixed path ranges; order of results is by path index."""
-    ranges = _chunk_ranges(n_paths, chunk)
+    dws is the (n, n_steps, m) increment block of one range; run returns a
+    tuple of per-path arrays with leading axis n. Ranges are mapped on a
+    thread pool when workers > 1; outputs are joined in path-index order.
+    """
+    ranges = [(a, min(a + CHUNK_PATHS, n_paths))
+              for a in range(0, n_paths, CHUNK_PATHS)]
+
+    def chunk(ab):
+        a, b = ab
+        return run(increments_block(master_seed, a, b - a, cfg.n_steps, cfg.h,
+                                    m))
+
     if workers > 1 and len(ranges) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda ab: fn(*ab), ranges))
-    return [fn(a, b) for a, b in ranges]
+            parts = list(pool.map(chunk, ranges))
+    else:
+        parts = [chunk(ab) for ab in ranges]
+    return tuple(np.concatenate(cols) for cols in zip(*parts))
+
+
+def _kept(*drivers: BatchEuler) -> np.ndarray:
+    """Paths that neither failed nor exploded in any of the drivers."""
+    ok = np.ones(drivers[0].n, dtype=bool)
+    for drv in drivers:
+        ok &= ~drv.failed & ~drv.exploded
+    return ok
 
 
 def _tile(vec, n: int) -> np.ndarray:
@@ -136,23 +176,19 @@ def derivative_moment(system: CoefficientSystem, x, v, p: float, t: float,
     the estimate is still returned with a window_exceeded note.
     """
     cfg_t = cfg.with_horizon(t)
-    n_steps = cfg_t.n_steps
 
-    def run(a, b):
-        n = b - a
-        dws = increments_block(master_seed, a, n, n_steps, cfg_t.h, system.m)
+    def run(dws):
+        n = len(dws)
         drv = BatchEuler(system, _tile(x, n), _tile(v, n), dws, cfg_t).run()
-        ok = ~drv.failed & ~drv.exploded
         vals = np.sum(drv.v**2, axis=-1) ** (p / 2.0)
-        return vals, ok, int(np.sum(drv.clamped)), int(np.sum(drv.exploded))
+        return vals, _kept(drv), drv.clamped, drv.exploded
 
-    parts = _run_chunks(run, n_paths, workers)
-    samples = np.concatenate([p_[0] for p_ in parts])
-    ok = np.concatenate([p_[1] for p_ in parts])
+    samples, ok, clamped, exploded = _map_paths(
+        run, n_paths, cfg_t, system.m, master_seed, workers)
     window = MomentWindow.for_system(system, p)
     notes = {
-        "clamped_steps": sum(p_[2] for p_ in parts),
-        "n_exploded": sum(p_[3] for p_ in parts),
+        "clamped_steps": int(np.sum(clamped)),
+        "n_exploded": int(np.sum(exploded)),
         "window_T0": window.T0,
         "window_exceeded": t > window.T0 + 1e-12,
     }
@@ -193,9 +229,8 @@ def flow_moment_bound_check(system: CoefficientSystem, x, lam: float, T: float,
     check_steps = [max(1, round((j + 1) * n_steps / n_checkpoints))
                    for j in range(n_checkpoints)]
 
-    def run(a, b):
-        n = b - a
-        dws = increments_block(master_seed, a, n, n_steps, cfg_t.h, system.m)
+    def run(dws):
+        n = len(dws)
         drv = BatchEuler(system, _tile(x, n), _tile(np.zeros(system.d), n),
                          dws, cfg_t)
         vals = np.empty((n, n_checkpoints))
@@ -205,12 +240,9 @@ def flow_moment_bound_check(system: CoefficientSystem, x, lam: float, T: float,
             for j, cs in enumerate(check_steps):
                 if s + 1 == cs:
                     vals[:, j] = (1.0 + np.sum(drv.x**2, axis=-1)) ** lam
-        ok = ~drv.failed & ~drv.exploded
-        return vals, ok
+        return vals, _kept(drv)
 
-    parts = _run_chunks(run, n_paths, workers)
-    vals = np.concatenate([p_[0] for p_ in parts])
-    ok = np.concatenate([p_[1] for p_ in parts])
+    vals, ok = _map_paths(run, n_paths, cfg_t, system.m, master_seed, workers)
     theta = theta_g(system, lam, box=theta_box, n_points=theta_points)
     base = (1.0 + float(np.sum(np.asarray(x, dtype=float) ** 2))) ** lam
     rows = []
@@ -243,16 +275,14 @@ def bel_gradient(system: CoefficientSystem, x, v, f, t: float, n_paths: int,
     if t <= 0:
         raise ValueError("t must be positive")
     cfg_t = cfg.with_horizon(t)
-    n_steps = cfg_t.n_steps
 
-    def run(a, b):
-        n = b - a
-        dws = increments_block(master_seed, a, n, n_steps, cfg_t.h, system.m)
+    def run(dws):
+        n = len(dws)
         drv = BatchEuler(system, _tile(x, n), _tile(v, n), dws, cfg_t)
         s_acc = np.zeros(n)
         gated = np.zeros(n, dtype=bool)
-        for _, xs, vs, dw, active in drv.steps():
-            sig = system.sigma(xs)
+        for _, _, vs, dw, active in drv.steps():
+            sig = drv.fields()[1]
             a_mat = np.einsum("nik,njk->nij", sig, sig)
             lo, hi = sym_eig_range(a_mat)
             bad = ~(lo > 0.0) | (hi > cond_max * lo)
@@ -262,16 +292,15 @@ def bel_gradient(system: CoefficientSystem, x, v, f, t: float, n_paths: int,
                 y = np.einsum("nik,ni->nk", sig, z)
                 contrib = np.einsum("nk,nk->n", y, dw)
             s_acc += np.where(active & ~bad, contrib, 0.0)
-        ok = ~drv.failed & ~drv.exploded & ~gated
+        ok = _kept(drv) & ~gated
         with np.errstate(invalid="ignore"):
             samples = np.where(ok, f(drv.x) * s_acc / t, 0.0)
-        return samples, ok, int(np.sum(gated)), int(np.sum(drv.clamped))
+        return samples, ok, gated, drv.clamped
 
-    parts = _run_chunks(run, n_paths, workers)
-    samples = np.concatenate([p_[0] for p_ in parts])
-    ok = np.concatenate([p_[1] for p_ in parts])
-    notes = {"gate_failures": sum(p_[2] for p_ in parts),
-             "clamped_steps": sum(p_[3] for p_ in parts)}
+    samples, ok, gated, clamped = _map_paths(
+        run, n_paths, cfg_t, system.m, master_seed, workers)
+    notes = {"gate_failures": int(np.sum(gated)),
+             "clamped_steps": int(np.sum(clamped))}
     return _finish(samples, ok, n_paths, cfg_t.h, notes)
 
 
@@ -284,23 +313,18 @@ def fd_gradient(system: CoefficientSystem, x, v, f, t: float, n_paths: int,
     if delta <= 0:
         raise ValueError("bump size delta must be positive")
     cfg_t = cfg.with_horizon(t)
-    n_steps = cfg_t.n_steps
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
 
-    def run(a, b):
-        n = b - a
-        dws = increments_block(master_seed, a, n, n_steps, cfg_t.h, system.m)
+    def run(dws):
+        n = len(dws)
         zero_v = np.zeros((n, system.d))
         up = BatchEuler(system, _tile(x + delta * v, n), zero_v, dws, cfg_t).run()
         dn = BatchEuler(system, _tile(x - delta * v, n), zero_v, dws, cfg_t).run()
-        ok = ~up.failed & ~up.exploded & ~dn.failed & ~dn.exploded
-        samples = (f(up.x) - f(dn.x)) / (2.0 * delta)
-        return samples, ok
+        return (f(up.x) - f(dn.x)) / (2.0 * delta), _kept(up, dn)
 
-    parts = _run_chunks(run, n_paths, workers)
-    samples = np.concatenate([p_[0] for p_ in parts])
-    ok = np.concatenate([p_[1] for p_ in parts])
+    samples, ok = _map_paths(run, n_paths, cfg_t, system.m, master_seed,
+                             workers)
     return _finish(samples, ok, n_paths, cfg_t.h, {"delta": delta})
 
 
@@ -336,9 +360,8 @@ def family_convergence(fam: MollifiedFamily, eps_list, x, v, T: float,
     n_steps = cfg_t.n_steps
     n_pairs = len(members) - 1
 
-    def run(a, b):
-        n = b - a
-        dws = increments_block(master_seed, a, n, n_steps, cfg_t.h, fam.base.m)
+    def run(dws):
+        n = len(dws)
         drivers = [BatchEuler(mem, _tile(x, n), _tile(v, n), dws, cfg_t)
                    for mem in members]
         sup_f = np.zeros((n, n_pairs))
@@ -351,15 +374,10 @@ def family_convergence(fam: MollifiedFamily, eps_list, x, v, T: float,
                 gap_v = np.linalg.norm(drivers[j].v - drivers[j + 1].v, axis=-1)
                 sup_f[:, j] = np.maximum(sup_f[:, j], gap_f)
                 sup_v[:, j] = np.maximum(sup_v[:, j], gap_v)
-        ok = np.ones(n, dtype=bool)
-        for drv in drivers:
-            ok &= ~drv.failed & ~drv.exploded
-        return sup_f, sup_v, ok
+        return sup_f, sup_v, _kept(*drivers)
 
-    parts = _run_chunks(run, n_paths, workers)
-    sup_f = np.concatenate([p_[0] for p_ in parts])
-    sup_v = np.concatenate([p_[1] for p_ in parts])
-    ok = np.concatenate([p_[2] for p_ in parts])
+    sup_f, sup_v, ok = _map_paths(run, n_paths, cfg_t, fam.base.m,
+                                  master_seed, workers)
     rows = []
     for j in range(n_pairs):
         gf, gv = sup_f[ok, j], sup_v[ok, j]
@@ -496,13 +514,11 @@ def krylov_check(system: CoefficientSystem, x, T: float, R: float,
     if f_norm is None:
         raise ValueError("custom f requires its cylinder L^{d+1} norm f_norm")
     cfg_t = cfg.with_horizon(T)
-    n_steps = cfg_t.n_steps
     x_arr = np.asarray(x, dtype=float)
     power = 1.0 / (d + 1)
 
-    def run(a, b):
-        n = b - a
-        dws = increments_block(master_seed, a, n, n_steps, cfg_t.h, system.m)
+    def run(dws):
+        n = len(dws)
         drv = BatchEuler(system, _tile(x_arr, n), np.zeros((n, d)), dws, cfg_t)
         lhs_acc = np.zeros(n)
         a_acc = np.zeros(n)
@@ -514,24 +530,20 @@ def krylov_check(system: CoefficientSystem, x, T: float, R: float,
             live = inside & active
             if not np.any(live):
                 break
-            sig = system.sigma(xs)
+            drift, sig = drv.fields()
             a_mat = np.einsum("nik,njk->nij", sig, sig)
-            det = _det_spd(a_mat)
+            det = det_spd(a_mat)
             fv = f(s * cfg_t.h, recentered)
             lhs_acc += np.where(live, fv * det**power * cfg_t.h, 0.0)
             a_acc += np.where(live,
                               np.trace(a_mat, axis1=-2, axis2=-1) * cfg_t.h, 0.0)
             b_acc += np.where(live,
-                              np.linalg.norm(system.value(0, xs), axis=-1)
+                              np.linalg.norm(drift, axis=-1)
                               * cfg_t.h, 0.0)
-        ok = ~drv.failed
-        return lhs_acc, a_acc, b_acc, ok
+        return lhs_acc, a_acc, b_acc, ~drv.failed
 
-    parts = _run_chunks(run, n_paths, workers)
-    lhs_all = np.concatenate([p_[0] for p_ in parts])
-    a_all = np.concatenate([p_[1] for p_ in parts])
-    b_all = np.concatenate([p_[2] for p_ in parts])
-    ok = np.concatenate([p_[3] for p_ in parts])
+    lhs_all, a_all, b_all, ok = _map_paths(run, n_paths, cfg_t, system.m,
+                                           master_seed, workers)
     lhs = float(np.mean(lhs_all[ok]))
     lhs_se = float(np.std(lhs_all[ok], ddof=1) / math.sqrt(np.sum(ok)))
     a_hat = float(np.mean(a_all[ok]))
@@ -541,15 +553,6 @@ def krylov_check(system: CoefficientSystem, x, T: float, R: float,
     return KrylovReport(lhs=lhs, lhs_std_error=lhs_se, a_hat=a_hat,
                         b_hat=b_hat, f_norm=f_norm, rhs_shape=shape,
                         ratio=ratio, cd=cd, n_paths=n_paths)
-
-
-def _det_spd(a: np.ndarray) -> np.ndarray:
-    d = a.shape[-1]
-    if d == 1:
-        return a[..., 0, 0]
-    if d == 2:
-        return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
-    return np.linalg.det(a)
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +577,6 @@ def holder_modulus(system: CoefficientSystem, pairs, p: float, t: float,
     pairs so that ratio comparisons are low-noise.
     """
     cfg_t = cfg.with_horizon(t)
-    n_steps = cfg_t.n_steps
     rows = []
     for x, y in pairs:
         x = np.asarray(x, dtype=float)
@@ -583,20 +585,15 @@ def holder_modulus(system: CoefficientSystem, pairs, p: float, t: float,
         if sep == 0.0:
             raise ValueError("pair points must be distinct")
 
-        def run(a, b):
-            n = b - a
-            dws = increments_block(master_seed, a, n, n_steps, cfg_t.h,
-                                   system.m)
+        def run(dws):
+            n = len(dws)
             zero_v = np.zeros((n, system.d))
             fx = BatchEuler(system, _tile(x, n), zero_v, dws, cfg_t).run()
             fy = BatchEuler(system, _tile(y, n), zero_v, dws, cfg_t).run()
-            ok = ~fx.failed & ~fx.exploded & ~fy.failed & ~fy.exploded
-            gap = np.linalg.norm(fx.x - fy.x, axis=-1) ** p
-            return gap, ok
+            return np.linalg.norm(fx.x - fy.x, axis=-1) ** p, _kept(fx, fy)
 
-        parts = _run_chunks(run, n_paths, workers)
-        gaps = np.concatenate([p_[0] for p_ in parts])
-        ok = np.concatenate([p_[1] for p_ in parts])
+        gaps, ok = _map_paths(run, n_paths, cfg_t, system.m, master_seed,
+                              workers)
         good = gaps[ok] / sep**p
         rows.append(HolderRow(
             x=tuple(map(float, x)), y=tuple(map(float, y)), separation=sep,
@@ -615,12 +612,10 @@ def exp_representation_gaps(system: CoefficientSystem, x, v, p: float,
     """Per-path relative gap between |v_T|^p and its exponential
     reconstruction, batched version of the single-trajectory check."""
     cfg_t = cfg.with_horizon(T)
-    n_steps = cfg_t.n_steps
     v0_norm = float(np.linalg.norm(v))
 
-    def run(a, b):
-        n = b - a
-        dws = increments_block(master_seed, a, n, n_steps, cfg_t.h, system.m)
+    def run(dws):
+        n = len(dws)
         drv = BatchEuler(system, _tile(x, n), _tile(v, n), dws, cfg_t)
         m_acc = np.zeros(n)
         q_acc = np.zeros(n)
@@ -633,14 +628,11 @@ def exp_representation_gaps(system: CoefficientSystem, x, v, p: float,
             a_acc += da
         direct = np.sum(drv.v**2, axis=-1) ** (p / 2.0)
         recon = v0_norm**p * np.exp(m_acc - 0.5 * q_acc + a_acc)
-        ok = ~drv.failed & ~drv.exploded
         with np.errstate(divide="ignore", invalid="ignore"):
             rel = np.abs(direct - recon) / np.abs(direct)
-        return rel, ok
+        return rel, _kept(drv)
 
-    parts = _run_chunks(run, n_paths, workers)
-    rel = np.concatenate([p_[0] for p_ in parts])
-    ok = np.concatenate([p_[1] for p_ in parts])
+    rel, ok = _map_paths(run, n_paths, cfg_t, system.m, master_seed, workers)
     return rel[ok]
 
 

@@ -153,6 +153,15 @@ def test_mollifier_mass(d, eps):
     assert abs(mol.mass() - 1.0) < 1e-6
 
 
+@pytest.mark.parametrize("order", [((16, 32), (32, 16)),
+                                   ((32, 16), (16, 32))])
+def test_mollifier_mass_independent_of_build_order(order):
+    # both rules have 512 nodes; each must be normalized by its own sum
+    for n_radial, n_angular in order:
+        mol = mollifier(2, 0.1, n_radial, n_angular)
+        assert abs(mol.mass() - 1.0) < 1e-12
+
+
 def test_mollify_constant_field_exact():
     s = builtin("constant", sigma=3.0, d=2)
     ts = truncate(s, 5.0)

@@ -179,6 +179,24 @@ def test_run_converge_command(tmp_path):
     assert "eps=0.2" in lines[1]
 
 
+def test_run_command_value_error_exits_config_and_logs(tmp_path, capsys):
+    # eps_list outside (0, eps0) is only detected inside the command
+    path = write(tmp_path, "c.json", {
+        "command": "converge",
+        "system": {"name": "example21"},
+        "integrator": {"h": 1e-2, "T": 1.0},
+        "mc": {"n_paths": 64, "master_seed": 3},
+        "converge": {"eps_list": [0.5, 0.1], "x": [0.3, 0.0],
+                     "v": [1.0, 0.0], "T": 0.03, "eps0": 0.25},
+    })
+    out = tmp_path / "o"
+    assert run("converge", path, out=str(out)) == 2
+    assert "eps must lie in" in capsys.readouterr().err
+    log = (out / "run.log").read_text()
+    assert "status: failed: eps must lie in" in log
+    assert not (out / "result.csv").exists()
+
+
 def test_run_ibp_command(tmp_path):
     path = write(tmp_path, "i.json", {
         "command": "ibp",

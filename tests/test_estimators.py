@@ -20,6 +20,7 @@ from flowlab import (
     make_system,
     mollified_family,
 )
+import flowlab.estimators as est_module
 from flowlab.estimators import (
     PAYOFFS,
     SmoothBump,
@@ -84,6 +85,36 @@ def test_derivative_moment_deterministic_across_workers_and_reruns():
     r3 = derivative_moment(s, **args, workers=1)
     assert (r1.value, r1.std_error) == (r2.value, r2.std_error)
     assert (r1.value, r1.std_error) == (r3.value, r3.std_error)
+
+
+def _deterministic_cases():
+    gbm = builtin("geometric_bm", d=1)
+    ex = builtin("example21")
+    x, v, f = [0.3, 0.0], [1.0, 0.0], PAYOFFS["sin"]
+    common = dict(n_paths=60, cfg=cfg(h=2e-2), master_seed=5)
+    return {
+        "derivative_moment": lambda w: derivative_moment(
+            gbm, [1.0], [1.0], p=2.0, t=0.2, workers=w, **common),
+        "bel_gradient": lambda w: bel_gradient(
+            ex, x, v, f, t=0.2, workers=w, **common),
+        "fd_gradient": lambda w: fd_gradient(
+            ex, x, v, f, t=0.2, delta=1e-2, workers=w, **common),
+        "krylov_check": lambda w: krylov_check(
+            ex, x, T=0.2, R=1.0, workers=w, **common),
+    }
+
+
+@pytest.mark.parametrize("chunk", [7, est_module.CHUNK_PATHS])
+@pytest.mark.parametrize("estimator", ["derivative_moment", "bel_gradient",
+                                       "fd_gradient", "krylov_check"])
+def test_estimators_deterministic_across_workers_chunks_and_reruns(
+        estimator, chunk, monkeypatch):
+    run = _deterministic_cases()[estimator]
+    reference = run(1)
+    monkeypatch.setattr(est_module, "CHUNK_PATHS", chunk)
+    assert run(1) == reference
+    assert run(4) == reference
+    assert run(1) == reference
 
 
 # ---------------------------------------------------------------------------
