@@ -14,7 +14,6 @@ from .coefficients import (
     AssumptionConstants,
     CoefficientSystem,
     OriginPolicy,
-    clamp_to_radius,
     fd_jacobian,
 )
 from .errors import RadiusTooSmallError
@@ -308,16 +307,20 @@ def mollified_family(base: CoefficientSystem, lambda0: float | None = None,
 _CONV_BLOCK_POINTS = 100_000
 
 
-def _in_blocks(fn, x: np.ndarray, q: int, item_shape: tuple) -> np.ndarray:
-    """Apply fn to x (n, d) in blocks bounding the (block*q) work-array size."""
+def _in_blocks(fn, x: np.ndarray, q: int):
+    """Apply fn to x (n, d) in blocks bounding the (block*q) work-array size.
+
+    fn returns an array or a tuple of arrays with leading axis n; the blocks'
+    outputs are joined in point order.
+    """
     n = x.shape[0]
     block = max(1, _CONV_BLOCK_POINTS // max(q, 1))
     if n <= block:
         return fn(x)
-    out = np.empty((n,) + item_shape)
-    for a in range(0, n, block):
-        out[a:a + block] = fn(x[a:a + block])
-    return out
+    parts = [fn(x[a:a + block]) for a in range(0, n, block)]
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(cols) for cols in zip(*parts))
+    return np.concatenate(parts)
 
 
 def _build_member(fam: MollifiedFamily, eps: float) -> CoefficientSystem:
@@ -325,7 +328,6 @@ def _build_member(fam: MollifiedFamily, eps: float) -> CoefficientSystem:
     radius = fam.truncation_radius(eps)
     ts = truncate(base, radius)
     mol = mollifier(base.d, eps, fam.n_radial, fam.n_angular)
-    r_min = base.origin_policy.r_min
     d = base.d
     n_q = mol.quadrature.nodes.shape[0]
 
@@ -334,7 +336,7 @@ def _build_member(fam: MollifiedFamily, eps: float) -> CoefficientSystem:
 
     def _value_flat(k, x2):
         return _in_blocks(lambda blk: mol.convolve(lambda p: ts.value(k, p), blk),
-                          x2, n_q, (d,))
+                          x2, n_q)
 
     def value(k, x):
         x = np.asarray(x, dtype=float)
@@ -353,25 +355,14 @@ def _build_member(fam: MollifiedFamily, eps: float) -> CoefficientSystem:
     def fields(x):
         x = np.asarray(x, dtype=float)
         lead = x.shape[:-1]
-        x2 = x.reshape(-1, d)
-        n = x2.shape[0]
-        block = max(1, _CONV_BLOCK_POINTS // n_q)
-        drift = np.empty((n, d))
-        sigma = np.empty((n, d, base.m))
-        for a in range(0, n, block):
-            drift[a:a + block], sigma[a:a + block] = _fields_block(
-                x2[a:a + block])
+        drift, sigma = _in_blocks(_fields_block, x.reshape(-1, d), n_q)
         return (drift.reshape(lead + (d,)),
                 sigma.reshape(lead + (d, base.m)))
 
-    def base_jacs_clamped(pts):
-        if r_min > 0.0:
-            pts = clamp_to_radius(pts, r_min)
-        return base.jacobians_stacked(pts)
-
     def _jacs_block(blk):
-        shifted = blk[:, None, :] - offsets
-        return np.einsum("q,nqkij->nkij", kernel_w, base_jacs_clamped(shifted))
+        shifted = base.origin_policy.clamp(blk[:, None, :] - offsets)
+        return np.einsum("q,nqkij->nkij", kernel_w,
+                         base.jacobians_stacked(shifted))
 
     def jacobians(x):
         x = np.asarray(x, dtype=float)
@@ -384,8 +375,7 @@ def _build_member(fam: MollifiedFamily, eps: float) -> CoefficientSystem:
         smooth_zone = r + eps < radius
         out = np.empty((x2.shape[0], base.m + 1, d, d))
         if np.any(smooth_zone):
-            out[smooth_zone] = _in_blocks(_jacs_block, x2[smooth_zone], n_q,
-                                          (base.m + 1, d, d))
+            out[smooth_zone] = _in_blocks(_jacs_block, x2[smooth_zone], n_q)
         edge = ~smooth_zone
         if np.any(edge):
             for k in range(base.m + 1):

@@ -58,8 +58,7 @@ class ExperimentConfig:
     def integrator(self) -> IntegratorConfig:
         icfg = self.resolved["integrator"]
         return IntegratorConfig(h=icfg["h"], T=icfg["T"],
-                                guard_radius=icfg["guard_radius"],
-                                r_min=icfg["r_min"])
+                                guard_radius=icfg["guard_radius"])
 
     @property
     def n_paths(self) -> int:

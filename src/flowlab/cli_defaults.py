@@ -16,7 +16,6 @@ _DEFAULTS = {
         "h": 1e-3,
         "T": 1.0,
         "guard_radius": 1e6,
-        "r_min": 1e-6,
     },
     "mc": {
         "n_paths": 100000,

@@ -88,8 +88,11 @@ class AssumptionConstants:
 class OriginPolicy:
     """How to treat declared singular points of the Jacobians.
 
-    Jacobian queries strictly inside radius r_min raise SingularPointError;
-    the integrator clamps to the r_min sphere instead (and counts the clamp).
+    Jacobian queries strictly inside radius r_min raise SingularPointError.
+    clamp() is the one place that moves evaluation points out of that ball:
+    `BatchEuler.jacobians()` (which counts the clamps), the exponential
+    representation check and the mollified members' base Jacobians all
+    evaluate at clamp(x), so r_min here is the only clamp radius.
     """
 
     r_min: float = 0.0
@@ -98,6 +101,10 @@ class OriginPolicy:
     @property
     def singular(self) -> bool:
         return self.r_min > 0.0
+
+    def clamp(self, x: np.ndarray) -> np.ndarray:
+        """x with points inside the r_min ball pushed onto its sphere."""
+        return clamp_to_radius(x, self.r_min) if self.singular else x
 
 
 @dataclass(frozen=True)
@@ -163,8 +170,8 @@ class CoefficientSystem:
     def jacobians_stacked(self, x: np.ndarray) -> np.ndarray:
         """All Jacobians as (..., m+1, d, d) with the drift at index 0.
 
-        No singular-set guard: integrator paths clamp their evaluation points
-        first; use jacobian() for guarded single-field access.
+        No singular-set guard: callers evaluate at origin_policy.clamp(x);
+        use jacobian() for guarded single-field access.
         """
         x = np.asarray(x, dtype=float)
         if self.jacobians_fn is not None:
@@ -536,7 +543,7 @@ def _check_c3(system: CoefficientSystem, spec: CheckSpec) -> ConditionReport:
                 return ConditionReport("c3", "skipped", None, 0.0,
                                        {"reason": "all nodes singular"},
                                        skipped_points=skipped)
-            kp_vals = _kp_values(system, nodes, p)
+            kp_vals = kp_max(system, nodes, p).kp
             with np.errstate(over="ignore"):
                 integrand = np.exp(np.minimum(kap * kp_vals, 700.0))
             levels.append(float(np.sum(weights * integrand)))
@@ -550,16 +557,6 @@ def _check_c3(system: CoefficientSystem, spec: CheckSpec) -> ConditionReport:
         spec.quad_budget - worst_final,
         {"levels": estimates, "budget": spec.quad_budget,
          "diverging": growing}, skipped_points=skipped)
-
-
-def _kp_values(system: CoefficientSystem, pts: np.ndarray, p: float) -> np.ndarray:
-    """Batch K_p over points known to avoid the singular set."""
-    j0 = system.jacobian(0, pts)
-    mat = p * (j0 + np.swapaxes(j0, -1, -2))
-    for k in range(1, system.m + 1):
-        jk = system.jacobian(k, pts)
-        mat = mat + (2.0 * p - 1.0) * p * np.einsum("...ji,...jk->...ik", jk, jk)
-    return np.linalg.eigvalsh(mat)[..., -1]
 
 
 def _check_c4(system: CoefficientSystem, spec: CheckSpec) -> ConditionReport:
@@ -602,7 +599,7 @@ def _check_c4aa(system: CoefficientSystem, spec: CheckSpec) -> ConditionReport:
     empirical = {}
     try:
         for p in spec.p_list:
-            kp_vals = _kp_values(system, pts, p)
+            kp_vals = kp_max(system, pts, p).kp
             empirical[p] = float(np.max(kp_vals / np.log1p(r * r)))
     except SingularPointError:
         return ConditionReport("c4aa", "skipped", None, 0.0,

@@ -13,12 +13,12 @@ at the pre-step state:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import ndtri
 
-from .coefficients import CoefficientSystem, clamp_to_radius
+from .coefficients import CoefficientSystem
 from .errors import IntegrationError, ZeroDerivativeStateError
 
 __all__ = [
@@ -41,8 +41,6 @@ class IntegratorConfig:
     h: float = 1e-3
     T: float = 1.0
     guard_radius: float = 1e6
-    r_min: float = 1e-6
-    scheme: str = "euler_maruyama"
 
     def __post_init__(self):
         if self.h <= 0:
@@ -51,16 +49,13 @@ class IntegratorConfig:
             raise ValueError("horizon T must be at least one step")
         if self.guard_radius <= 0:
             raise ValueError("guard_radius must be positive")
-        if self.scheme != "euler_maruyama":
-            raise ValueError("only the euler_maruyama scheme is implemented")
 
     @property
     def n_steps(self) -> int:
         return int(round(self.T / self.h))
 
     def with_horizon(self, t: float) -> "IntegratorConfig":
-        return IntegratorConfig(h=self.h, T=t, guard_radius=self.guard_radius,
-                                r_min=self.r_min, scheme=self.scheme)
+        return replace(self, T=t)
 
 
 @dataclass(frozen=True)
@@ -134,10 +129,12 @@ class BatchEuler:
     """Steps a batch of paths (common step grid) through the coupled system.
 
     Exploded paths freeze at their exit state; paths hitting non-finite
-    coefficients are marked failed and freeze likewise. The per-step clamp of
-    Jacobian evaluation points onto the r_min sphere is counted per path.
-    The fields at the pre-step state are evaluated once per step and shared
-    between the step and any observer through fields().
+    coefficients are marked failed and freeze likewise. The fields and the
+    Jacobians at the pre-step state are each evaluated once per step and
+    shared between the step and any observer through fields() and
+    jacobians(). Jacobians are evaluated at the system's
+    origin_policy.clamp(x); each active path inside the clamp ball counts
+    one clamp per step.
     """
 
     def __init__(self, system: CoefficientSystem, x0: np.ndarray,
@@ -169,6 +166,7 @@ class BatchEuler:
         self.step_index = 0
         self._fields_step = -1
         self._fields = None
+        self._jacobians = None
 
     def fields(self) -> tuple[np.ndarray, np.ndarray]:
         """(drift, sigma) at the current state x, evaluated once per step."""
@@ -176,6 +174,17 @@ class BatchEuler:
             self._fields = self.system.fields(self.x)
             self._fields_step = self.step_index
         return self._fields
+
+    def jacobians(self) -> np.ndarray:
+        """(n, m+1, d, d) Jacobians at clamp(x), evaluated once per step."""
+        if self._jacobians is None:
+            policy = self.system.origin_policy
+            if policy.singular:
+                r = np.linalg.norm(self.x, axis=-1)
+                self.clamped[self.active & (r < policy.r_min)] += 1
+            self._jacobians = self.system.jacobians_stacked(
+                policy.clamp(self.x))
+        return self._jacobians
 
     def steps(self):
         """Yield (s, x_s, v_s, dw_s, active) before each step is applied."""
@@ -201,16 +210,9 @@ class BatchEuler:
         x, v = self.x, self.v
         drift, sig = self.fields()
         x_new = x + np.einsum("nim,nm->ni", sig, dw) + drift * cfg.h
-
-        if sys_.origin_policy.singular:
-            r = np.linalg.norm(x, axis=-1)
-            need_clamp = self.active & (r < cfg.r_min)
-            if np.any(need_clamp):
-                self.clamped[need_clamp] += 1
-            x_eval = clamp_to_radius(x, cfg.r_min)
-        else:
-            x_eval = x
-        jall = sys_.jacobians_stacked(x_eval)
+        jall = self.jacobians()
+        # valid for the pre-step x only; dropping it now frees it with jall
+        self._jacobians = None
         # same term order as the x update (diffusion sum, then drift) so the
         # two components of a scalar linear system share the exact factor
         v_new = v.copy()
@@ -285,26 +287,25 @@ def multi_start(system: CoefficientSystem, x0_list, v0: np.ndarray,
     return [integrate(system, x0, v0, path, cfg) for x0 in x0_list]
 
 
-def exp_representation_terms(system: CoefficientSystem, x: np.ndarray,
-                             v: np.ndarray, dw: np.ndarray, h: float, p: float,
-                             r_min: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def exp_representation_terms(jall: np.ndarray, v: np.ndarray, dw: np.ndarray,
+                             h: float, p: float
+                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One-step increments (dM, dQ, da) of the exponential representation.
 
-    dM = p sum_k <DX_k v, v>/|v|^2 dW^k, dQ its squared integrand times h, and
-    da = (p/2) Hbar_p(x)(v,v)/|v|^2 h where Hbar_p collects twice the drift
-    Jacobian form plus the diffusion Gram and alignment terms.
+    jall holds the (..., m+1, d, d) Jacobians at the pre-step state, drift
+    first. dM = p sum_k <DX_k v, v>/|v|^2 dW^k, dQ its squared integrand
+    times h, and da = (p/2) Hbar_p(x)(v,v)/|v|^2 h where Hbar_p collects
+    twice the drift Jacobian form plus the diffusion Gram and alignment terms.
     """
     v2 = np.sum(v * v, axis=-1)
     if np.any(v2 <= 0.0):
         raise ZeroDerivativeStateError(
             "derivative state |v| = 0; exponential representation undefined")
-    x_eval = clamp_to_radius(x, r_min) if system.origin_policy.singular else x
-    jall = system.jacobians_stacked(x_eval)
     j0v = np.einsum("...ij,...j->...i", jall[..., 0, :, :], v)
     hbar = 2.0 * np.sum(j0v * v, axis=-1)
     dm = np.zeros(v2.shape)
     dq = np.zeros(v2.shape)
-    for k in range(1, system.m + 1):
+    for k in range(1, jall.shape[-3]):
         jkv = np.einsum("...ij,...j->...i", jall[..., k, :, :], v)
         g = np.sum(jkv * v, axis=-1) / v2
         dm = dm + p * g * dw[..., k - 1]
@@ -315,30 +316,24 @@ def exp_representation_terms(system: CoefficientSystem, x: np.ndarray,
 
 
 def log_exponential_check(system: CoefficientSystem, traj: Trajectory,
-                          p: float,
-                          cfg: IntegratorConfig | None = None) -> tuple[float, float]:
+                          p: float) -> tuple[float, float]:
     """Compare |v_T|^p against its stochastic-exponential reconstruction.
 
-    Accumulates the discrete martingale, its bracket and the drift functional
-    along the recorded trajectory and returns
+    Evaluates the Jacobians at every recorded pre-step state in one batch
+    (clamped like the Euler step), sums the discrete martingale, its bracket
+    and the drift functional along the trajectory and returns
     (direct, |v_0|^p exp(M - Q/2 + a)).
     """
     if p < 2:
         raise ValueError("representation check requires p >= 2")
     if traj.exploded:
         raise ValueError("trajectory exploded; representation not applicable")
-    r_min = (cfg or IntegratorConfig()).r_min
-    n = len(traj.xs) - 1
-    m_acc = q_acc = a_acc = 0.0
-    for s in range(n):
-        dm, dq, da = exp_representation_terms(
-            system, traj.xs[s], traj.vs[s], traj.path.increments[s],
-            traj.path.h, p, r_min)
-        m_acc += float(dm)
-        q_acc += float(dq)
-        a_acc += float(da)
+    xs, vs = traj.xs[:-1], traj.vs[:-1]
+    jall = system.jacobians_stacked(system.origin_policy.clamp(xs))
+    dm, dq, da = exp_representation_terms(
+        jall, vs, traj.path.increments[:len(xs)], traj.path.h, p)
     v0 = float(np.linalg.norm(traj.vs[0]))
     vt = float(np.linalg.norm(traj.vs[-1]))
     direct = vt**p
-    reconstructed = v0**p * np.exp(m_acc - 0.5 * q_acc + a_acc)
+    reconstructed = v0**p * np.exp(np.sum(dm) - 0.5 * np.sum(dq) + np.sum(da))
     return direct, float(reconstructed)

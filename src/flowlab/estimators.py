@@ -12,9 +12,10 @@ path-index order. An estimator keeps only its per-path computation and its
 reduction. Paths are dropped by one rule, `_kept`: a path counts unless it
 failed or exploded in any of its drivers (the Krylov check drops only failed
 paths; the BEL gradient also drops paths gated by the condition number).
-Observers that need the coefficient fields at the pre-step state read
-`BatchEuler.fields()`, the per-step cache the Euler step itself uses, so the
-fields are evaluated once per step.
+Observers that need the coefficient fields or Jacobians at the pre-step
+state read `BatchEuler.fields()` or `BatchEuler.jacobians()`, the per-step
+caches the Euler step itself uses, so each is evaluated once per step (the
+Jacobians at the system's `origin_policy.clamp(x)`).
 
 All estimators are deterministic functions of (inputs, master_seed): paths
 are keyed by path index, chunk boundaries are fixed, and reductions run in
@@ -620,9 +621,9 @@ def exp_representation_gaps(system: CoefficientSystem, x, v, p: float,
         m_acc = np.zeros(n)
         q_acc = np.zeros(n)
         a_acc = np.zeros(n)
-        for _, xs, vs, dw, _ in drv.steps():
-            dm, dq, da = exp_representation_terms(system, xs, vs, dw, cfg_t.h,
-                                                  p, cfg_t.r_min)
+        for _, _, vs, dw, _ in drv.steps():
+            dm, dq, da = exp_representation_terms(drv.jacobians(), vs, dw,
+                                                  cfg_t.h, p)
             m_acc += dm
             q_acc += dq
             a_acc += da

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -62,6 +66,12 @@ def test_parse_rejects_unknown_keys(tmp_path):
     path2 = write(tmp_path, "bad2.json", cfg)
     with pytest.raises(ConfigError, match="n_pathz"):
         parse_config(path2)
+    # the clamp radius belongs to the system, not the integrator
+    cfg = gradient_config()
+    cfg["integrator"]["r_min"] = 1e-6
+    path3 = write(tmp_path, "bad3.json", cfg)
+    with pytest.raises(ConfigError, match="r_min"):
+        parse_config(path3)
 
 
 def test_parse_reports_position_on_syntax_error(tmp_path):
@@ -267,3 +277,35 @@ def test_main_entry_point(tmp_path):
     code = main(["gradient", str(path), "--out", str(tmp_path / "m"),
                  "--workers", "2"])
     assert code == 0
+
+
+# ---------------------------------------------------------------------------
+# tracing
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_traced_cli_counts_one_pass_per_step(tmp_path):
+    # perfbench/traced_cli.py patches flowlab functions by name; a renamed
+    # one would silently lose its span, so a short traced run must count
+    # one step, one field pass and one Jacobian pass per step
+    path = write(tmp_path, "ex21.json", {
+        "command": "gradient",
+        "system": {"name": "example21", "params": {}},
+        "integrator": {"h": 1e-2, "T": 0.1},
+        "mc": {"n_paths": 16},
+        "gradient": {"x": [0.3, 0.0], "v": [1.0, 0.0], "t": 0.1,
+                     "method": "bel"},
+    })
+    spans = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "traced_cli.py"),
+         str(spans), "--", "gradient", str(path), "--out",
+         str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(spans.read_text())["counts"]
+    for name in ("engine.step.calls", "coefficients.fields.calls",
+                 "coefficients.jacobians.calls"):
+        assert counts.get(name) == 10, (name, counts.get(name))

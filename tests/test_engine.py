@@ -127,12 +127,17 @@ def test_guard_ball_exit_truncates_trajectory():
     assert np.linalg.norm(traj.xs[-1]) > 0.45
 
 
-def test_clamp_counter_example21_near_origin():
-    s = builtin("example21")
-    c = IntegratorConfig(h=1e-3, T=0.01, r_min=1e-6)
+@pytest.mark.parametrize("params,x0", [
+    ({}, [0.0, 0.0]),
+    ({"r_min": 1e-3}, [5e-4, 0.0]),
+], ids=["origin", "declared_radius"])
+def test_clamp_counter_example21_near_origin(params, x0):
+    # the clamp radius is the system's declared r_min: a start inside that
+    # ball forces at least the first-step clamp
+    s = builtin("example21", **params)
+    c = IntegratorConfig(h=1e-3, T=0.01)
     path = sample_path(0, 0, c.n_steps, c.h, 2)
-    # starting exactly at the origin forces at least the first-step clamp
-    traj = integrate(s, np.zeros(2), np.array([1.0, 0.0]), path, c)
+    traj = integrate(s, np.array(x0), np.array([1.0, 0.0]), path, c)
     assert traj.clamped >= 1
     assert np.all(np.isfinite(traj.vs))
 
@@ -207,7 +212,7 @@ def test_log_exponential_zero_jacobians_exact():
     c = cfg(h=1e-2, T=0.3)
     path = sample_path(21, 0, c.n_steps, c.h, 2)
     traj = integrate(s, np.zeros(2), np.array([0.6, 0.8]), path, c)
-    direct, recon = log_exponential_check(s, traj, p=4.0, cfg=c)
+    direct, recon = log_exponential_check(s, traj, p=4.0)
     assert direct == pytest.approx(1.0, abs=1e-12)
     assert recon == pytest.approx(direct, abs=1e-12)
 
@@ -218,7 +223,7 @@ def test_log_exponential_gbm_small_gap():
     for idx in range(5):
         path = sample_path(42, idx, c.n_steps, c.h, 1)
         traj = integrate(s, np.ones(1), np.ones(1), path, c)
-        direct, recon = log_exponential_check(s, traj, p=2.0, cfg=c)
+        direct, recon = log_exponential_check(s, traj, p=2.0)
         assert abs(direct - recon) / direct < 5.0 * c.h
 
 
@@ -227,7 +232,7 @@ def test_log_exponential_ou_closed_forms():
     c = cfg(h=1e-3, T=1.0)
     path = sample_path(4, 0, c.n_steps, c.h, 1)
     traj = integrate(s, np.zeros(1), np.ones(1), path, c)
-    direct, recon = log_exponential_check(s, traj, p=2.0, cfg=c)
+    direct, recon = log_exponential_check(s, traj, p=2.0)
     assert direct == pytest.approx((1.0 - c.h) ** (2 * c.n_steps), rel=1e-10)
     assert recon == pytest.approx(np.exp(-2.0), rel=1e-9)
 
@@ -239,7 +244,7 @@ def test_log_exponential_rejects_zero_derivative_state():
     path = sample_path(0, 0, c.n_steps, c.h, 1)
     traj = integrate(s, np.zeros(1), np.zeros(1), path, c)
     with pytest.raises(ZeroDerivativeStateError):
-        log_exponential_check(s, traj, p=2.0, cfg=c)
+        log_exponential_check(s, traj, p=2.0)
 
 
 def test_integrator_config_validation():
@@ -248,4 +253,4 @@ def test_integrator_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(h=0.1, T=0.05)
     with pytest.raises(ValueError):
-        IntegratorConfig(h=0.1, T=1.0, scheme="milstein")
+        IntegratorConfig(h=0.1, T=1.0, guard_radius=0.0)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from flowlab import (
+    CoefficientSystem,
     IntegratorConfig,
     MomentWindow,
     bel_gradient,
@@ -358,12 +359,23 @@ def test_holder_example21_scale_free_ratios():
 # ---------------------------------------------------------------------------
 # exponential representation at scale
 
-def test_exp_representation_gaps_gbm_smoke():
+def test_exp_representation_gaps_gbm_smoke(monkeypatch):
     s = builtin("geometric_bm", mu=0.1, sigma=0.2, d=1)
+    calls = []
+    stacked = CoefficientSystem.jacobians_stacked
+
+    def counting(self, x):
+        calls.append(len(x))
+        return stacked(self, x)
+
+    monkeypatch.setattr(CoefficientSystem, "jacobians_stacked", counting)
+    c = cfg(h=1e-3)
     gaps = exp_representation_gaps(s, [1.0], [1.0], p=2.0, T=1.0, n_paths=200,
-                                   cfg=cfg(h=1e-3))
+                                   cfg=c)
     assert gaps.size == 200
     assert np.quantile(gaps, 0.99) < 5.0 * 1e-3
+    # the representation terms and the Euler step share one Jacobian pass
+    assert len(calls) == c.n_steps
 
 
 # ---------------------------------------------------------------------------
