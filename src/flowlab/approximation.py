@@ -15,6 +15,7 @@ from .coefficients import (
     CoefficientSystem,
     OriginPolicy,
     fd_jacobian,
+    stack_fields,
 )
 from .errors import RadiusTooSmallError
 from .quadrature import BallRule, annulus_rule, tangent_basis, unit_ball_rule
@@ -72,11 +73,6 @@ def truncate(base: CoefficientSystem, R: float) -> TruncatedSystem:
         pts = np.where(inside[..., None], x, _project_to_sphere(x, R))
         return pts, inside, r
 
-    def value(k, x):
-        x = np.asarray(x, dtype=float)
-        pts, _, _ = _pull_in(x)
-        return base.value_fn(k, pts)
-
     def fields(x):
         x = np.asarray(x, dtype=float)
         pts, _, _ = _pull_in(x)
@@ -90,15 +86,6 @@ def truncate(base: CoefficientSystem, R: float) -> TruncatedSystem:
         return (R / safe_r)[..., None, None] * (
             eye - np.einsum("...i,...j->...ij", unit, unit))
 
-    def jacobian(k, x):
-        x = np.asarray(x, dtype=float)
-        pts, inside, r = _pull_in(x)
-        jb = base.jacobian_fn(k, pts)
-        if inside is None:
-            return jb
-        outer = np.einsum("...ij,...jk->...ik", jb, _projection_grad(x, r))
-        return np.where(inside[..., None, None], jb, outer)
-
     def jacobians(x):
         x = np.asarray(x, dtype=float)
         pts, inside, r = _pull_in(x)
@@ -110,10 +97,8 @@ def truncate(base: CoefficientSystem, R: float) -> TruncatedSystem:
         return np.where(inside[..., None, None, None], jall, outer)
 
     return TruncatedSystem(
-        name=f"{base.name}_trunc{R:g}", d=base.d, m=base.m, value_fn=value,
-        jacobian_fn=jacobian, fields_fn=fields, jacobians_fn=jacobians,
-        constants=base.constants,
-        jacobian_analytic=base.jacobian_analytic,
+        name=f"{base.name}_trunc{R:g}", d=base.d, m=base.m, fields_fn=fields,
+        jacobians_fn=jacobians, constants=base.constants,
         origin_policy=base.origin_policy,
         params={**dict(base.params), "R": R}, base=base, R=R)
 
@@ -334,18 +319,6 @@ def _build_member(fam: MollifiedFamily, eps: float) -> CoefficientSystem:
     offsets = mol.eps * mol.quadrature.nodes
     kernel_w = mol.kernel_weights
 
-    def _value_flat(k, x2):
-        return _in_blocks(lambda blk: mol.convolve(lambda p: ts.value(k, p), blk),
-                          x2, n_q)
-
-    def value(k, x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return mol.convolve(lambda p: ts.value(k, p), x)
-        lead = x.shape[:-1]
-        out = _value_flat(k, x.reshape(-1, d))
-        return out.reshape(lead + (d,))
-
     def _fields_block(blk):
         shifted = blk[:, None, :] - offsets
         drift, sigma = ts.fields(shifted)
@@ -371,26 +344,21 @@ def _build_member(fam: MollifiedFamily, eps: float) -> CoefficientSystem:
         r = np.linalg.norm(x2, axis=-1)
         # where |x| + eps < radius the truncation is inactive and
         # D(X * eta) = (DX) * eta; across the truncation kink fall back to
-        # finite differences of the mollified value
+        # one finite difference of all the mollified fields
         smooth_zone = r + eps < radius
         out = np.empty((x2.shape[0], base.m + 1, d, d))
         if np.any(smooth_zone):
             out[smooth_zone] = _in_blocks(_jacs_block, x2[smooth_zone], n_q)
         edge = ~smooth_zone
         if np.any(edge):
-            for k in range(base.m + 1):
-                out[edge, k] = fd_jacobian(
-                    lambda p, k=k: value(k, p), x2[edge], fam.h_fd)
+            out[edge] = fd_jacobian(lambda p: stack_fields(*fields(p)),
+                                    x2[edge], fam.h_fd)
         return out.reshape(lead + (base.m + 1, d, d))
 
-    def jacobian(k, x):
-        return jacobians(x)[..., k, :, :]
-
     return CoefficientSystem(
-        name=f"{base.name}_eps{eps:g}", d=base.d, m=base.m,
-        value_fn=value, jacobian_fn=jacobian, fields_fn=fields,
+        name=f"{base.name}_eps{eps:g}", d=base.d, m=base.m, fields_fn=fields,
         jacobians_fn=jacobians, constants=base.constants,
-        jacobian_analytic=False, origin_policy=OriginPolicy(),
+        origin_policy=OriginPolicy(),
         params={**dict(base.params), "eps": eps, "lambda0": fam.lambda0,
                 "truncation_radius": radius})
 

@@ -162,6 +162,9 @@ def parse_config(path, command: str | None = None) -> ExperimentConfig:
                                     defaults_for("output")),
         cmd: _validate_section(cmd, raw.get(cmd, {}), defaults_for(cmd)),
     }
+    n_paths = resolved["mc"]["n_paths"]
+    if not isinstance(n_paths, (int, float)) or not n_paths >= 1:
+        raise ConfigError(f"mc.n_paths must be at least 1, got {n_paths!r}")
     return ExperimentConfig(command=cmd, resolved=resolved,
                             params_hash=_hash_config(resolved))
 
@@ -179,6 +182,17 @@ def _apply_overrides(config: ExperimentConfig, seed: int | None,
 
 # ---------------------------------------------------------------------------
 # command implementations; each returns (csv_rows, extra_files, unreliable)
+
+def _check_dimensions(config: ExperimentConfig, system) -> None:
+    """A command's start point x and direction v have one entry per
+    dimension of the system."""
+    for key in ("x", "v"):
+        given = config.block.get(key)
+        if given is not None and np.shape(given) != (system.d,):
+            raise ConfigError(
+                f"{config.command}.{key} must have {system.d} entries, one per "
+                f"dimension of {system.name}, got {given!r}")
+
 
 def _flags(config: ExperimentConfig, report=None, **extra) -> dict:
     flags = {"seed": config.master_seed}
@@ -336,6 +350,8 @@ def run(command: str, config_path, seed: int | None = None,
     """
     t_start = time.perf_counter()
     try:
+        if workers < 1:
+            raise ConfigError(f"--workers must be at least 1, got {workers}")
         config = parse_config(config_path, command)
         config = _apply_overrides(config, seed, out)
         system = builtin(config.system_spec["name"],
@@ -354,8 +370,9 @@ def run(command: str, config_path, seed: int | None = None,
         json.dumps(echo, indent=2, sort_keys=True) + "\n")
 
     try:
+        _check_dimensions(config, system)
         rows, extra_files, unreliable = _COMMAND_IMPL[config.command](
-            config, system, max(1, int(workers)))
+            config, system, int(workers))
     except (FlowlabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         _write_log(out_dir, config, t_start, status=f"failed: {exc}")

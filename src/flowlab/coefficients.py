@@ -111,48 +111,50 @@ class OriginPolicy:
 class CoefficientSystem:
     """Drift X_0 and diffusion fields X_1..X_m with their Jacobians.
 
-    value_fn(k, x) returns X_k(x) for x of shape (..., d); jacobian_fn(k, x)
-    returns the (..., d, d) matrix DX_k(x). jacobian_analytic records whether
-    jacobian_fn is closed-form or finite-difference based.
+    A system is two batched callables over x of shape (..., d):
+    fields_fn(x) returns (drift, sigma) = (X_0(x), [X_1(x)..X_m(x)]) with
+    sigma of shape (..., d, m), and jacobians_fn(x) returns all Jacobians
+    DX_0..DX_m as (..., m+1, d, d). Both evaluate every field at once, as
+    the flow and its derivative flow need them. value(k, x) and
+    jacobian(k, x) are accessors that index that output; make_system adapts
+    per-field callables to this form.
     """
 
     name: str
     d: int
     m: int
-    value_fn: Callable[[int, np.ndarray], np.ndarray]
-    jacobian_fn: Callable[[int, np.ndarray], np.ndarray]
+    fields_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    jacobians_fn: Callable[[np.ndarray], np.ndarray]
     constants: AssumptionConstants
-    jacobian_analytic: bool = True
     origin_policy: OriginPolicy = OriginPolicy()
     params: Mapping[str, float] = field(default_factory=dict)
-    # optional batched fast paths sharing work across the m+1 fields;
-    # must agree with value_fn/jacobian_fn pointwise
-    fields_fn: Callable[[np.ndarray], tuple] | None = None
-    jacobians_fn: Callable[[np.ndarray], np.ndarray] | None = None
 
     def _check_k(self, k: int) -> None:
         if not 0 <= k <= self.m:
             raise IndexError(f"field index {k} outside 0..{self.m}")
 
     def value(self, k: int, x: np.ndarray) -> np.ndarray:
+        """X_k(x), read off fields(x)."""
         self._check_k(k)
-        x = np.asarray(x, dtype=float)
-        return self.value_fn(k, x)
+        drift, sigma = self.fields(x)
+        return drift if k == 0 else sigma[..., k - 1]
 
-    def jacobian(self, k: int, x: np.ndarray) -> np.ndarray:
-        """DX_k(x); raises SingularPointError inside the declared singular set."""
-        self._check_k(k)
-        x = np.asarray(x, dtype=float)
+    def _check_regular(self, x: np.ndarray) -> None:
+        """Raise SingularPointError if any of x lies in the singular set."""
         if self.origin_policy.singular:
             r = np.linalg.norm(x, axis=-1)
             if np.any(r < self.origin_policy.r_min):
                 raise SingularPointError(
                     f"{self.name}: Jacobian undefined for |x| < "
                     f"{self.origin_policy.r_min:g} (got |x|={np.min(r):.3e})")
-        return self.jacobian_fn(k, x)
 
-    def drift(self, x: np.ndarray) -> np.ndarray:
-        return self.value(0, x)
+    def jacobian(self, k: int, x: np.ndarray) -> np.ndarray:
+        """DX_k(x), read off jacobians_stacked(x); raises SingularPointError
+        inside the declared singular set."""
+        self._check_k(k)
+        x = np.asarray(x, dtype=float)
+        self._check_regular(x)
+        return self.jacobians_stacked(x)[..., k, :, :]
 
     def sigma(self, x: np.ndarray) -> np.ndarray:
         """The (..., d, m) matrix whose columns are X_1(x)..X_m(x)."""
@@ -160,24 +162,15 @@ class CoefficientSystem:
 
     def fields(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(drift, sigma) = (X_0(x), [X_1(x)..X_m(x)]) in one call."""
-        x = np.asarray(x, dtype=float)
-        if self.fields_fn is not None:
-            return self.fields_fn(x)
-        drift = self.value_fn(0, x)
-        cols = [self.value_fn(k, x) for k in range(1, self.m + 1)]
-        return drift, np.stack(cols, axis=-1)
+        return self.fields_fn(np.asarray(x, dtype=float))
 
     def jacobians_stacked(self, x: np.ndarray) -> np.ndarray:
         """All Jacobians as (..., m+1, d, d) with the drift at index 0.
 
-        No singular-set guard: callers evaluate at origin_policy.clamp(x);
-        use jacobian() for guarded single-field access.
+        No singular-set guard: callers evaluate at origin_policy.clamp(x)
+        or call _check_regular(x) first.
         """
-        x = np.asarray(x, dtype=float)
-        if self.jacobians_fn is not None:
-            return self.jacobians_fn(x)
-        mats = [self.jacobian_fn(k, x) for k in range(self.m + 1)]
-        return np.stack(mats, axis=-3)
+        return self.jacobians_fn(np.asarray(x, dtype=float))
 
 
 def clamp_to_radius(x: np.ndarray, r_min: float) -> np.ndarray:
@@ -196,17 +189,27 @@ def clamp_to_radius(x: np.ndarray, r_min: float) -> np.ndarray:
     return np.where(inside, scaled, x)
 
 
-def fd_jacobian(value_fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
+def fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
                 h: float = DEFAULT_H_FD) -> np.ndarray:
-    """Central-difference Jacobian of a vector field, batched over x (..., d)."""
+    """Central-difference Jacobian of fn, batched over x (..., d).
+
+    fn may return (..., d) for one field or (..., m+1, d) for stacked
+    fields; the derivative direction is the last axis of the result.
+    """
     x = np.asarray(x, dtype=float)
     d = x.shape[-1]
     cols = []
     for j in range(d):
         e = np.zeros(d)
         e[j] = h
-        cols.append((value_fn(x + e) - value_fn(x - e)) / (2.0 * h))
+        cols.append((fn(x + e) - fn(x - e)) / (2.0 * h))
     return np.stack(cols, axis=-1)
+
+
+def stack_fields(drift: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """(drift, sigma) as one (..., m+1, d) array with X_k in row k."""
+    return np.concatenate([drift[..., None, :], np.swapaxes(sigma, -1, -2)],
+                          axis=-2)
 
 
 def make_system(name: str, d: int, m: int,
@@ -216,18 +219,25 @@ def make_system(name: str, d: int, m: int,
                 origin_policy: OriginPolicy = OriginPolicy(),
                 params: Mapping[str, float] | None = None,
                 h_fd: float = DEFAULT_H_FD) -> CoefficientSystem:
-    """Assemble a system; a missing jacobian_fn falls back to central differences."""
-    analytic = jacobian_fn is not None
-    if jacobian_fn is None:
-        def jacobian_fn(k, x, _v=value_fn, _h=h_fd):
-            return fd_jacobian(lambda p: _v(k, p), x, _h)
+    """Assemble a system from per-field callables value_fn(k, x) and
+    jacobian_fn(k, x); a missing jacobian_fn falls back to central
+    differences of all fields at once."""
+    def fields(x):
+        drift = value_fn(0, x)
+        return drift, np.stack([value_fn(k, x) for k in range(1, m + 1)],
+                               axis=-1)
+
+    def jacobians(x):
+        if jacobian_fn is None:
+            return fd_jacobian(lambda p: stack_fields(*fields(p)), x, h_fd)
+        return np.stack([jacobian_fn(k, x) for k in range(m + 1)], axis=-3)
+
     if constants is None:
         constants = AssumptionConstants(p1=0.5, p2=1.0, p3=2 * (d + 1) + 2.0,
                                         p4=d + 2.0, p5=0.5, C1=1.0, C2=2.0,
                                         C3=2.0, R1=1.0)
-    return CoefficientSystem(name=name, d=d, m=m, value_fn=value_fn,
-                             jacobian_fn=jacobian_fn, constants=constants,
-                             jacobian_analytic=analytic,
+    return CoefficientSystem(name=name, d=d, m=m, fields_fn=fields,
+                             jacobians_fn=jacobians, constants=constants,
                              origin_policy=origin_policy,
                              params=dict(params or {}))
 
@@ -338,10 +348,12 @@ def kp_max(system: CoefficientSystem, x: np.ndarray, p: float) -> SpectralReport
     if p <= 0:
         raise ValueError("order p must be positive")
     x = np.asarray(x, dtype=float)
-    j0 = system.jacobian(0, x)
+    system._check_regular(x)
+    jall = system.jacobians_stacked(x)
+    j0 = jall[..., 0, :, :]
     mat = p * (j0 + np.swapaxes(j0, -1, -2))
     for k in range(1, system.m + 1):
-        jk = system.jacobian(k, x)
+        jk = jall[..., k, :, :]
         mat = mat + (2.0 * p - 1.0) * p * np.einsum("...ji,...jk->...ik", jk, jk)
     kp = np.linalg.eigvalsh(mat)[..., -1]
     return SpectralReport(x=x, p=p, kp=float(kp) if np.ndim(kp) == 0 else kp,
@@ -353,10 +365,10 @@ def _log_energy_expression(system: CoefficientSystem, lam: float,
     """Dg(X_0) + (1/2) sum_k (lam |Dg(X_k)|^2 + D^2g(X_k, X_k)) for
     g(x) = log(1 + |x|^2), in closed form."""
     s = 1.0 + np.sum(x * x, axis=-1)
-    x0 = system.value(0, x)
+    x0, sigma = system.fields(x)
     out = 2.0 * np.sum(x * x0, axis=-1) / s
-    for k in range(1, system.m + 1):
-        xk = system.value(k, x)
+    for k in range(system.m):
+        xk = sigma[..., k]
         dot = np.sum(x * xk, axis=-1)
         norm2 = np.sum(xk * xk, axis=-1)
         out = out + 2.0 * (lam - 1.0) * dot * dot / (s * s) + norm2 / s
@@ -480,9 +492,9 @@ def check_assumptions(system: CoefficientSystem,
     # (c2aa): |X_k(x)| <= C2 (1 + |x|^p2) for k = 0..m
     worst = np.inf
     worst_pt = None
+    norms = np.linalg.norm(stack_fields(*system.fields(pts)), axis=-1)
     for k in range(system.m + 1):
-        norm = np.linalg.norm(system.value(k, pts), axis=-1)
-        m = c.C2 * (1.0 + r**c.p2) - norm
+        m = c.C2 * (1.0 + r**c.p2) - norms[:, k]
         j = int(np.argmin(m))
         if m[j] < worst:
             worst, worst_pt = float(m[j]), pts[j]
@@ -494,17 +506,16 @@ def check_assumptions(system: CoefficientSystem,
     y_dirs, _ = sphere_points(d, spec.delta_samples)
     y_radii = np.linspace(0.0, c.delta, spec.delta_samples)
     offsets = (y_radii[:, None, None] * y_dirs[None, :, :]).reshape(-1, d)
-    empirical = {}
-    for p in spec.p_list:
-        best = -np.inf
-        for y in offsets:
-            shifted = pts + y
-            s = np.zeros(len(pts))
-            for k in range(1, system.m + 1):
-                s += np.sum(system.value(k, shifted) ** 2, axis=-1)
-            lhs = p * s + np.sum(pts * system.value(0, shifted), axis=-1)
-            best = np.maximum(best, lhs / (1.0 + r * r))
-        empirical[p] = float(np.max(best))
+    best = {p: -np.inf for p in spec.p_list}
+    for y in offsets:
+        drift, sigma = system.fields(pts + y)
+        s = np.zeros(len(pts))
+        for k in range(system.m):
+            s += np.sum(sigma[..., k] ** 2, axis=-1)
+        inner = np.sum(pts * drift, axis=-1)
+        for p in spec.p_list:
+            best[p] = np.maximum(best[p], (p * s + inner) / (1.0 + r * r))
+    empirical = {p: float(np.max(b)) for p, b in best.items()}
     worst_c = max(empirical.values())
     reports["c2"] = ConditionReport(
         "c2", "pass" if worst_c <= spec.c2_budget else "fail", None,
@@ -566,27 +577,23 @@ def _check_c4(system: CoefficientSystem, spec: CheckSpec) -> ConditionReport:
                                {"reason": "probe radius inside R1"})
     pts = _probe_points(spec, system.d, r_lo=c.R1 * 1.01)
     r = np.linalg.norm(pts, axis=-1)
+    try:
+        system._check_regular(pts)
+    except SingularPointError:
+        return ConditionReport("c4", "skipped", None, 0.0,
+                               {"reason": "no evaluable Jacobians"},
+                               skipped_points=(system.m + 1) * len(pts))
+    jall = system.jacobians_stacked(pts)
     worst = np.inf
     worst_pt = None
-    skipped = 0
     for k in range(system.m + 1):
-        try:
-            jac = system.jacobian(k, pts)
-        except SingularPointError:
-            skipped += len(pts)
-            continue
-        norm = np.linalg.norm(jac, axis=(-2, -1))
+        norm = np.linalg.norm(jall[:, k], axis=(-2, -1))
         m = c.C3 * (1.0 + r**c.p5) - norm
         j = int(np.argmin(m))
         if m[j] < worst:
             worst, worst_pt = float(m[j]), pts[j]
-    if worst_pt is None:
-        return ConditionReport("c4", "skipped", None, 0.0,
-                               {"reason": "no evaluable Jacobians"},
-                               skipped_points=skipped)
     return ConditionReport("c4", "pass" if worst >= 0 else "fail", worst_pt,
-                           worst, {"C3": c.C3, "p5": c.p5, "R1": c.R1},
-                           skipped_points=skipped)
+                           worst, {"C3": c.C3, "p5": c.p5, "R1": c.R1})
 
 
 def _check_c4aa(system: CoefficientSystem, spec: CheckSpec) -> ConditionReport:
@@ -632,22 +639,31 @@ def _smooth_step(t: np.ndarray) -> np.ndarray:
 
 
 def _batched(fn):
-    """Normalize a field function of (..., x) to arbitrary leading shapes.
+    """Normalize a field function of x to arbitrary leading shapes.
 
-    fn takes x last, of shape (n, d), and returns an array or a tuple of
-    arrays with leading axis n; the wrapper accepts x of shape (..., d).
+    fn takes x of shape (n, d) and returns an array or a tuple of arrays
+    with leading axis n; the wrapper accepts x of shape (..., d).
     """
-    def wrapped(*args):
-        *head, x = args
+    def wrapped(x):
         x = np.asarray(x, dtype=float)
         if x.ndim == 2:
-            return fn(*head, x)
+            return fn(x)
         lead = x.shape[:-1]
-        out = fn(*head, x.reshape(-1, x.shape[-1]))
+        out = fn(x.reshape(-1, x.shape[-1]))
         if isinstance(out, tuple):
             return tuple(o.reshape(lead + o.shape[1:]) for o in out)
         return out.reshape(lead + out.shape[1:])
     return wrapped
+
+
+def _constant_field(value: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """value repeated over the batch axes of x (..., d)."""
+    return np.broadcast_to(value, x.shape[:-1] + value.shape).copy()
+
+
+def _constant_jacobians(jac: np.ndarray):
+    """jacobians_fn of a system whose (m+1, d, d) Jacobians are constant."""
+    return lambda x: _constant_field(jac, x)
 
 
 def _bumps(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -700,14 +716,6 @@ def _example21(d: int = 2, q1: float = 0.8, q2: float = 0.5, q3: float = 0.5,
         outer = (g2 * r**q4)[..., None] * x
         return -inner - outer
 
-    def value(k, x):
-        r = np.linalg.norm(x, axis=-1)
-        g1, g2 = _bumps(r)
-        if k == 0:
-            return drift_vec(x, r, g1, g2)
-        return diff_coeff(r, g1, g2)[..., None] * np.broadcast_to(eye[k - 1],
-                                                                  x.shape)
-
     def fields(x):
         r = np.linalg.norm(x, axis=-1)
         g1, g2 = _bumps(r)
@@ -729,9 +737,6 @@ def _example21(d: int = 2, q1: float = 0.8, q2: float = 0.5, q3: float = 0.5,
         return coef[..., None, None, None] * np.einsum(
             "ki,...j->...kij", eye, x)
 
-    def jacobian(k, x):
-        return jacobians(x)[..., k, :, :]
-
     def jacobians(x):
         r = np.linalg.norm(x, axis=-1)
         out = np.empty(x.shape[:-1] + (d + 1, d, d))
@@ -750,9 +755,8 @@ def _example21(d: int = 2, q1: float = 0.8, q2: float = 0.5, q3: float = 0.5,
             out[shell, 1:] = _diff_jac_closed(xs_, rs, core=False)
         if np.any(mid):
             # bump transition annulus 1 < |x| < 3: no closed form published
-            xm = x[mid]
-            for k in range(d + 1):
-                out[mid, k] = fd_jacobian(lambda p: value(k, p), xm, h_fd)
+            out[mid] = fd_jacobian(lambda p: stack_fields(*fields(p)), x[mid],
+                                   h_fd)
         return out
 
     constants = AssumptionConstants(
@@ -768,11 +772,8 @@ def _example21(d: int = 2, q1: float = 0.8, q2: float = 0.5, q3: float = 0.5,
         delta=1.0)
     constants.validate(d)
     return CoefficientSystem(
-        name="example21", d=d, m=d, value_fn=_batched(value),
-        jacobian_fn=_batched(jacobian),
-        fields_fn=_batched(fields),
-        jacobians_fn=_batched(jacobians),
-        constants=constants, jacobian_analytic=True,
+        name="example21", d=d, m=d, fields_fn=_batched(fields),
+        jacobians_fn=_batched(jacobians), constants=constants,
         origin_policy=OriginPolicy(
             r_min=r_min,
             note="drift Jacobian blows up like |x|^{-q3} at the origin; "
@@ -788,24 +789,18 @@ def _ornstein_uhlenbeck(theta: float = 1.0, sigma: float = 1.0,
             "ornstein_uhlenbeck requires theta > 0 and sigma > 0",
             "theta > 0, sigma > 0")
     eye = np.eye(d)
+    jac = np.zeros((d + 1, d, d))
+    jac[0] = -theta * eye
 
-    def value(k, x):
-        if k == 0:
-            return -theta * x
-        return np.broadcast_to(sigma * eye[k - 1], x.shape).copy()
-
-    def jacobian(k, x):
-        shape = x.shape + (d,)
-        if k == 0:
-            return np.broadcast_to(-theta * eye, shape).copy()
-        return np.zeros(shape)
+    def fields(x):
+        return -theta * x, _constant_field(sigma * eye, x)
 
     constants = AssumptionConstants(
         p1=0.5, p2=1.0, p3=2 * (d + 1) + 2.0, p4=d + 2.0, p5=0.5,
         C1=sigma**2, C2=max(sigma, theta) + 1.0, C3=theta + 1.0, R1=1.0)
     return CoefficientSystem(
-        name="ornstein_uhlenbeck", d=d, m=d, value_fn=value,
-        jacobian_fn=jacobian, constants=constants,
+        name="ornstein_uhlenbeck", d=d, m=d, fields_fn=fields,
+        jacobians_fn=_constant_jacobians(jac), constants=constants,
         params={"theta": theta, "sigma": sigma, "d": d})
 
 
@@ -815,18 +810,12 @@ def _geometric_bm(mu: float = 0.1, sigma: float = 0.2,
         raise ParameterConstraintError("geometric_bm requires sigma > 0",
                                        "sigma > 0")
     eye = np.eye(d)
+    # X_k(x) = sigma x_k e_k: sigma is diagonal, DX_k = sigma e_k e_k^T
+    jac = np.concatenate([mu * eye[None],
+                          sigma * np.einsum("ki,kj->kij", eye, eye)])
 
-    def value(k, x):
-        if k == 0:
-            return mu * x
-        return sigma * x[..., k - 1:k] * eye[k - 1]
-
-    def jacobian(k, x):
-        shape = x.shape + (d,)
-        if k == 0:
-            return np.broadcast_to(mu * eye, shape).copy()
-        return np.broadcast_to(sigma * np.outer(eye[k - 1], eye[k - 1]),
-                               shape).copy()
+    def fields(x):
+        return mu * x, (sigma * x)[..., None, :] * eye
 
     # not elliptic at the origin; the checker will report (c1) failures there
     constants = AssumptionConstants(
@@ -834,8 +823,8 @@ def _geometric_bm(mu: float = 0.1, sigma: float = 0.2,
         C1=sigma**2, C2=max(abs(mu), sigma) + 1.0, C3=abs(mu) + sigma + 1.0,
         R1=1.0)
     return CoefficientSystem(
-        name="geometric_bm", d=d, m=d, value_fn=value, jacobian_fn=jacobian,
-        constants=constants, params={"mu": mu, "sigma": sigma, "d": d})
+        name="geometric_bm", d=d, m=d, fields_fn=fields,
+        jacobians_fn=_constant_jacobians(jac), constants=constants, params={"mu": mu, "sigma": sigma, "d": d})
 
 
 def _constant(sigma: float = 1.0, d: int = 1, m: int | None = None,
@@ -848,20 +837,16 @@ def _constant(sigma: float = 1.0, d: int = 1, m: int | None = None,
     eye = np.eye(d)
     b = np.zeros(d) if drift is None else np.asarray(drift, dtype=float)
 
-    def value(k, x):
-        if k == 0:
-            return np.broadcast_to(b, x.shape).copy()
-        return np.broadcast_to(sigma * eye[k - 1], x.shape).copy()
-
-    def jacobian(k, x):
-        return np.zeros(x.shape + (d,))
+    def fields(x):
+        return _constant_field(b, x), _constant_field(sigma * eye, x)
 
     constants = AssumptionConstants(
         p1=0.5, p2=0.5, p3=2 * (d + 1) + 2.0, p4=d + 2.0, p5=0.5,
         C1=sigma**2, C2=abs(sigma) + float(np.linalg.norm(b)) + 1.0, C3=1.0,
         R1=1.0)
     return CoefficientSystem(
-        name="constant", d=d, m=m, value_fn=value, jacobian_fn=jacobian,
+        name="constant", d=d, m=m, fields_fn=fields,
+        jacobians_fn=_constant_jacobians(np.zeros((m + 1, d, d))),
         constants=constants,
         params={"sigma": sigma, "d": d, "m": m,
                 "drift": tuple(float(v) for v in b)})

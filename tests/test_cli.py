@@ -207,6 +207,52 @@ def test_run_command_value_error_exits_config_and_logs(tmp_path, capsys):
     assert not (out / "result.csv").exists()
 
 
+@pytest.mark.parametrize("n_paths,workers,named", [
+    (0, 1, "mc.n_paths"),
+    (-4, 1, "mc.n_paths"),
+    (2000, 0, "--workers"),
+    (2000, -3, "--workers"),
+])
+def test_run_rejects_nonpositive_paths_and_workers(tmp_path, capsys, n_paths,
+                                                   workers, named):
+    cfg = gradient_config()
+    cfg["mc"]["n_paths"] = n_paths
+    path = write(tmp_path, "g.json", cfg)
+    out = tmp_path / "o"
+    code = main(["gradient", str(path), "--out", str(out),
+                 "--workers", str(workers)])
+    assert code == 2
+    assert named in capsys.readouterr().err
+    assert not (out / "result.csv").exists()
+
+
+# a command block on the 2-d example21 whose named key has another length
+WRONG_DIMENSION = {
+    "gradient.x": {"x": [0.3], "v": [1.0, 0.0]},
+    "moments.v": {"x": [0.3, 0.0], "v": [1.0, 0.0, 0.0]},
+    "simulate.x": {"x": 0.3, "v": [1.0, 0.0]},
+    "krylov.x": {"x": [0.3]},
+}
+
+
+@pytest.mark.parametrize("key", sorted(WRONG_DIMENSION))
+def test_run_rejects_points_of_the_wrong_dimension(tmp_path, capsys, key):
+    command = key.split(".")[0]
+    block = WRONG_DIMENSION[key]
+    path = write(tmp_path, "c.json", {
+        "command": command,
+        "system": {"name": "example21"},
+        "integrator": {"h": 1e-2, "T": 0.1},
+        "mc": {"n_paths": 8},
+        command: block,
+    })
+    out = tmp_path / "o"
+    assert run(command, path, out=str(out)) == 2
+    assert key in capsys.readouterr().err
+    assert f"status: failed: {key}" in (out / "run.log").read_text()
+    assert not (out / "result.csv").exists()
+
+
 def test_run_ibp_command(tmp_path):
     path = write(tmp_path, "i.json", {
         "command": "ibp",
@@ -285,27 +331,49 @@ def test_main_entry_point(tmp_path):
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_cli_counts_one_pass_per_step(tmp_path):
-    # perfbench/traced_cli.py patches flowlab functions by name; a renamed
-    # one would silently lose its span, so a short traced run must count
-    # one step, one field pass and one Jacobian pass per step
-    path = write(tmp_path, "ex21.json", {
+# 10 steps each: one example21 BEL flow, and four mollified members of
+# example21 stepped side by side
+TRACED_CASES = {
+    "gradient": ({
         "command": "gradient",
         "system": {"name": "example21", "params": {}},
         "integrator": {"h": 1e-2, "T": 0.1},
         "mc": {"n_paths": 16},
         "gradient": {"x": [0.3, 0.0], "v": [1.0, 0.0], "t": 0.1,
                      "method": "bel"},
-    })
+    }, {"engine.step.calls": 10, "coefficients.fields.calls": 10,
+        "coefficients.jacobians.calls": 10}),
+    "converge": ({
+        "command": "converge",
+        "system": {"name": "example21", "params": {}},
+        "integrator": {"h": 1e-2, "T": 0.1},
+        "mc": {"n_paths": 4},
+        "converge": {"eps_list": [0.2, 0.1, 0.05, 0.025], "eps0": 0.25,
+                     "x": [0.3, 0.0], "v": [1.0, 0.0], "T": 0.1},
+    }, {"engine.step.calls": 4 * 10,
+        "approximation.member.fields.calls": 4 * 10,
+        "approximation.member.jacobians.calls": 4 * 10,
+        "coefficients.fields.calls": None}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRACED_CASES))
+def test_traced_cli_counts_one_pass_per_step(tmp_path, case):
+    # perfbench/traced_cli.py patches flowlab functions by name; a renamed
+    # one would silently lose its span, so a short traced run must count
+    # one step, one field pass and one Jacobian pass per step, charged to
+    # the layer that owns the system (a member's convolution nodes are the
+    # member's work, not the base system's)
+    config, expected = TRACED_CASES[case]
+    path = write(tmp_path, f"{case}.json", config)
     spans = tmp_path / "spans.json"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "traced_cli.py"),
-         str(spans), "--", "gradient", str(path), "--out",
+         str(spans), "--", case, str(path), "--out",
          str(tmp_path / "out")],
-        env=env, capture_output=True, text=True, timeout=60)
+        env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     counts = json.loads(spans.read_text())["counts"]
-    for name in ("engine.step.calls", "coefficients.fields.calls",
-                 "coefficients.jacobians.calls"):
-        assert counts.get(name) == 10, (name, counts.get(name))
+    for name, count in expected.items():
+        assert counts.get(name) == count, (name, counts.get(name))

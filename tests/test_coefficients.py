@@ -5,6 +5,7 @@ import pytest
 
 from flowlab import (
     CheckSpec,
+    CoefficientSystem,
     NearSingularDiffusionError,
     ParameterConstraintError,
     SingularPointError,
@@ -12,6 +13,7 @@ from flowlab import (
     check_assumptions,
     diffusion_matrix,
     kp_max,
+    make_system,
     right_inverse_apply,
     theta_g,
 )
@@ -174,6 +176,23 @@ def test_kp_singular_point_raises():
         kp_max(s, np.array([1e-9, 0.0]), 2.0)
 
 
+def test_kp_max_evaluates_all_jacobians_in_one_pass(monkeypatch):
+    # K_p combines DX_0..DX_m at the same points, so it reads them from one
+    # batched evaluation rather than one evaluation per field
+    calls = []
+    stacked = CoefficientSystem.jacobians_stacked
+
+    def counting(self, x):
+        calls.append(np.shape(x))
+        return stacked(self, x)
+
+    monkeypatch.setattr(CoefficientSystem, "jacobians_stacked", counting)
+    pts = np.array([[0.3, 0.0], [1.5, -0.5], [2.0, 2.0], [4.0, 1.0]])
+    rep = kp_max(builtin("example21"), pts, 2.0)
+    assert calls == [(4, 2)]
+    assert rep.kp.shape == (4,)
+
+
 # ---------------------------------------------------------------------------
 # theta_g
 
@@ -266,6 +285,68 @@ def test_example21_rejects_other_violations():
     with pytest.raises(ParameterConstraintError) as err:
         builtin("example21", q2=2.0, q4=1.0)
     assert err.value.constraint == "q4 + 2 > 2*q2"
+
+
+@pytest.mark.parametrize("name,params", [
+    ("example21", {}),
+    ("ornstein_uhlenbeck", {"d": 2}),
+    ("geometric_bm", {"d": 2}),
+    ("constant", {"d": 2, "drift": (0.5, -1.0)}),
+])
+def test_per_field_access_reads_the_batched_output(name, params):
+    s = builtin(name, **params)
+    x = np.random.default_rng(2).uniform(-4.0, 4.0, size=(64, s.d))
+    drift, sigma = s.fields(x)
+    jall = s.jacobians_stacked(x)
+    assert drift.shape == (64, s.d) and sigma.shape == (64, s.d, s.m)
+    assert jall.shape == (64, s.m + 1, s.d, s.d)
+    np.testing.assert_array_equal(s.value(0, x), drift)
+    for k in range(s.m + 1):
+        if k:
+            np.testing.assert_array_equal(s.value(k, x), sigma[..., k - 1])
+        np.testing.assert_array_equal(s.jacobian(k, x), jall[:, k])
+        # a single point has no batch axis
+        np.testing.assert_array_equal(s.jacobian(k, x[5]), jall[5, k])
+        np.testing.assert_array_equal(s.value(k, x[5]), s.value(k, x)[5])
+
+
+def test_example21_annulus_jacobians_are_central_differences():
+    # the bump annulus 1 < |x| < 3 has no closed form: one central
+    # difference of the stacked fields, equal to the per-field difference
+    s = builtin("example21")
+    rng = np.random.default_rng(4)
+    u = rng.normal(size=(50, 2))
+    x = u / np.linalg.norm(u, axis=-1, keepdims=True) \
+        * rng.uniform(1.05, 2.95, size=(50, 1))
+    jall = s.jacobians_stacked(x)
+    for k in range(s.m + 1):
+        fd = fd_jacobian(lambda p: s.value(k, p), x, s.params["h_fd"])
+        np.testing.assert_array_equal(jall[:, k], fd)
+
+
+def test_make_system_adapts_per_field_callables():
+    rng = np.random.default_rng(6)
+    a = rng.normal(size=(3, 2, 2))
+
+    def value(k, x):
+        return np.sin(x @ a[k].T)
+
+    def jacobian(k, x):
+        return np.cos(x @ a[k].T)[..., None] * a[k]
+
+    analytic = make_system("sines", 2, 2, value, jacobian)
+    fd = make_system("sines_fd", 2, 2, value)
+    x = rng.normal(size=(10, 2))
+    drift, sigma = fd.fields(x)
+    np.testing.assert_array_equal(drift, value(0, x))
+    for k in range(3):
+        if k:
+            np.testing.assert_array_equal(sigma[..., k - 1], value(k, x))
+        np.testing.assert_array_equal(analytic.jacobian(k, x), jacobian(k, x))
+        np.testing.assert_array_equal(
+            fd.jacobian(k, x), fd_jacobian(lambda p: value(k, p), x))
+        np.testing.assert_allclose(fd.jacobian(k, x), jacobian(k, x),
+                                   atol=1e-9)
 
 
 def test_ornstein_uhlenbeck_fields():
