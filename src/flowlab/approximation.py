@@ -14,7 +14,6 @@ from .coefficients import (
     AssumptionConstants,
     CoefficientSystem,
     OriginPolicy,
-    fd_jacobian,
     stack_fields,
 )
 from .errors import RadiusTooSmallError
@@ -124,17 +123,18 @@ def radial_tangential_derivative_check(
     unit = x / r
     proj = ts.R * unit
     tangents = tangent_basis(unit)
-    radial_norm = 0.0
-    tangential_error = 0.0
-    for k in range(ts.m + 1):
-        fd_rad = (ts.value(k, x + h * unit) - ts.value(k, x - h * unit)) / (2 * h)
-        radial_norm = max(radial_norm, float(np.linalg.norm(fd_rad)))
-        jac_proj = ts.base.jacobian(k, proj)
-        for t in tangents:
-            fd_tan = (ts.value(k, x + h * t) - ts.value(k, x - h * t)) / (2 * h)
-            expected = (ts.R / r) * (jac_proj @ t)
-            tangential_error = max(tangential_error,
-                                   float(np.linalg.norm(fd_tan - expected)))
+    # central differences along the ray (row 0) and the tangents, all
+    # fields from one evaluation at the 2d stencil points
+    dirs = np.concatenate([unit[None, :], tangents])        # (d, d)
+    vals = stack_fields(*ts.fields(x + h * np.concatenate([dirs, -dirs])))
+    fd = (vals[:len(dirs)] - vals[len(dirs):]) / (2 * h)   # (d, m+1, d)
+    ts.base._check_regular(proj)
+    jac_proj = ts.base.jacobians_stacked(proj)              # (m+1, d, d)
+    # DX_k(pi_R x) t for each tangent t as a batch of matrix-vector products
+    expected = (ts.R / r) * (jac_proj @ tangents[:, None, :, None])[..., 0]
+    radial_norm = float(np.max(np.linalg.norm(fd[0], axis=-1)))
+    tangential_error = float(np.max(
+        np.linalg.norm(fd[1:] - expected, axis=-1), initial=0.0))
     return radial_norm, tangential_error
 
 
@@ -145,6 +145,9 @@ def _bump_kernel(u2: np.ndarray) -> np.ndarray:
     """exp(1/(|u|^2 - 1)) on |u| < 1, without the normalizing constant."""
     inside = u2 < 1.0
     return np.where(inside, np.exp(1.0 / np.where(inside, u2 - 1.0, -1.0)), 0.0)
+
+
+_CONV_BLOCK_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -173,13 +176,37 @@ class Mollifier:
         nodes, weights = self.quadrature.scaled(self.eps)
         return float(np.sum(weights * self.kernel(nodes)))
 
-    def convolve(self, fn, x: np.ndarray) -> np.ndarray:
-        """(f * eta_eps)(x) for a vector field fn, batched over x (..., d)."""
+    def convolve(self, fn, x: np.ndarray):
+        """(f * eta_eps)(x) = sum_q w_q f(x - eps y_q), batched over x (..., d).
+
+        fn maps shifted points (n, q, d) to an array or a tuple of arrays,
+        each with the node axis q right after the point axis n; every output
+        is contracted over q and shaped x.shape[:-1] + its trailing axes.
+        Points go through fn in blocks of at most _CONV_BLOCK_POINTS shifted
+        points, which bounds the work arrays.
+        """
         x = np.asarray(x, dtype=float)
+        flat = x.reshape(-1, x.shape[-1])
         offsets = self.eps * self.quadrature.nodes          # (q, d)
-        shifted = x[..., None, :] - offsets                 # (..., q, d)
-        vals = fn(shifted)                                  # (..., q, d)
-        return np.einsum("q,...qi->...i", self.kernel_weights, vals)
+        w = self.kernel_weights
+
+        def block(pts):
+            vals = fn(pts[:, None, :] - offsets)
+            if isinstance(vals, tuple):
+                return tuple(np.einsum("q,nq...->n...", w, v) for v in vals)
+            return np.einsum("q,nq...->n...", w, vals)
+
+        size = max(1, _CONV_BLOCK_POINTS // len(w))
+        parts = [block(flat[a:a + size])
+                 for a in range(0, max(len(flat), 1), size)]
+
+        def join(cols):
+            out = np.concatenate(cols)
+            return out.reshape(x.shape[:-1] + out.shape[1:])
+
+        if isinstance(parts[0], tuple):
+            return tuple(join(cols) for cols in zip(*parts))
+        return join(parts)
 
 
 def mollifier(d: int, eps: float, n_radial: int | None = None,
@@ -238,6 +265,14 @@ class MollifiedFamily:
     """eps-indexed family of smooth systems: truncate at radius eps^{-lambda0}
     (never below R1+1), then convolve with the radius-eps mollifier.
 
+    A member's fields are Mollifier.convolve of the truncated fields, and its
+    Jacobians are the same convolution of the truncated Jacobians (base
+    Jacobians evaluated at origin_policy.clamp, chain rule through the ray
+    projection outside the sphere): D(X * eta) = (DX) * eta for locally
+    Lipschitz X. That is the exact derivative of the quadrature field
+    wherever no shifted node lies on the sphere, so there is no finite
+    difference, also where the mollifier straddles the truncation kink.
+
     Members are cached per eps; concurrent builders may race benignly since
     members are pure functions of the inputs.
     """
@@ -247,7 +282,6 @@ class MollifiedFamily:
     eps0: float
     n_radial: int | None = None
     n_angular: int | None = None
-    h_fd: float = 1e-5
     _cache: dict[float, CoefficientSystem] = field(default_factory=dict,
                                                    repr=False)
 
@@ -289,76 +323,17 @@ def mollified_family(base: CoefficientSystem, lambda0: float | None = None,
                            n_radial=n_radial, n_angular=n_angular)
 
 
-_CONV_BLOCK_POINTS = 100_000
-
-
-def _in_blocks(fn, x: np.ndarray, q: int):
-    """Apply fn to x (n, d) in blocks bounding the (block*q) work-array size.
-
-    fn returns an array or a tuple of arrays with leading axis n; the blocks'
-    outputs are joined in point order.
-    """
-    n = x.shape[0]
-    block = max(1, _CONV_BLOCK_POINTS // max(q, 1))
-    if n <= block:
-        return fn(x)
-    parts = [fn(x[a:a + block]) for a in range(0, n, block)]
-    if isinstance(parts[0], tuple):
-        return tuple(np.concatenate(cols) for cols in zip(*parts))
-    return np.concatenate(parts)
-
-
 def _build_member(fam: MollifiedFamily, eps: float) -> CoefficientSystem:
     base = fam.base
     radius = fam.truncation_radius(eps)
     ts = truncate(base, radius)
     mol = mollifier(base.d, eps, fam.n_radial, fam.n_angular)
-    d = base.d
-    n_q = mol.quadrature.nodes.shape[0]
-
-    offsets = mol.eps * mol.quadrature.nodes
-    kernel_w = mol.kernel_weights
-
-    def _fields_block(blk):
-        shifted = blk[:, None, :] - offsets
-        drift, sigma = ts.fields(shifted)
-        return (np.einsum("q,nqi->ni", kernel_w, drift),
-                np.einsum("q,nqim->nim", kernel_w, sigma))
-
-    def fields(x):
-        x = np.asarray(x, dtype=float)
-        lead = x.shape[:-1]
-        drift, sigma = _in_blocks(_fields_block, x.reshape(-1, d), n_q)
-        return (drift.reshape(lead + (d,)),
-                sigma.reshape(lead + (d, base.m)))
-
-    def _jacs_block(blk):
-        shifted = base.origin_policy.clamp(blk[:, None, :] - offsets)
-        return np.einsum("q,nqkij->nkij", kernel_w,
-                         base.jacobians_stacked(shifted))
-
-    def jacobians(x):
-        x = np.asarray(x, dtype=float)
-        lead = x.shape[:-1]
-        x2 = x.reshape(-1, d)
-        r = np.linalg.norm(x2, axis=-1)
-        # where |x| + eps < radius the truncation is inactive and
-        # D(X * eta) = (DX) * eta; across the truncation kink fall back to
-        # one finite difference of all the mollified fields
-        smooth_zone = r + eps < radius
-        out = np.empty((x2.shape[0], base.m + 1, d, d))
-        if np.any(smooth_zone):
-            out[smooth_zone] = _in_blocks(_jacs_block, x2[smooth_zone], n_q)
-        edge = ~smooth_zone
-        if np.any(edge):
-            out[edge] = fd_jacobian(lambda p: stack_fields(*fields(p)),
-                                    x2[edge], fam.h_fd)
-        return out.reshape(lead + (base.m + 1, d, d))
-
     return CoefficientSystem(
-        name=f"{base.name}_eps{eps:g}", d=base.d, m=base.m, fields_fn=fields,
-        jacobians_fn=jacobians, constants=base.constants,
-        origin_policy=OriginPolicy(),
+        name=f"{base.name}_eps{eps:g}", d=base.d, m=base.m,
+        fields_fn=lambda x: mol.convolve(ts.fields, x),
+        jacobians_fn=lambda x: mol.convolve(
+            lambda p: ts.jacobians_stacked(ts.origin_policy.clamp(p)), x),
+        constants=base.constants, origin_policy=OriginPolicy(),
         params={**dict(base.params), "eps": eps, "lambda0": fam.lambda0,
                 "truncation_radius": radius})
 

@@ -5,8 +5,8 @@ Every run writes three files into the output directory: config.echo.json
 (the fully resolved config with its canonical hash), result.csv (fixed
 column order, shortest round-trip decimals), and run.log (timings and
 failure counts; the only file allowed to differ between reruns). Exit codes:
-0 success, 2 config/parameter validation error, 3 run completed but flagged
-unreliable.
+0 success, 1 unexpected error (run.log records it), 2 config/parameter
+validation error, 3 run completed but flagged unreliable.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,6 +39,7 @@ from .errors import ConfigError, FlowlabError, ParameterConstraintError
 __all__ = ["ExperimentConfig", "parse_config", "run", "main"]
 
 EXIT_OK = 0
+EXIT_UNEXPECTED = 1
 EXIT_CONFIG = 2
 EXIT_UNRELIABLE = 3
 
@@ -180,18 +182,37 @@ def _apply_overrides(config: ExperimentConfig, seed: int | None,
                             params_hash=_hash_config(resolved))
 
 
+def _check_philox_keys(config: ExperimentConfig) -> None:
+    """mc.master_seed and simulate.path_index key the Philox stream, which
+    takes integers in [0, 2^64)."""
+    keys = [("mc", "master_seed")]
+    if config.command == "simulate":
+        keys.append(("simulate", "path_index"))
+    for section, key in keys:
+        value = config.resolved[section][key]
+        if type(value) is not int or not 0 <= value < 2**64:
+            raise ConfigError(f"{section}.{key} must be an integer in "
+                              f"[0, 2**64), got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # command implementations; each returns (csv_rows, extra_files, unreliable)
 
 def _check_dimensions(config: ExperimentConfig, system) -> None:
     """A command's start point x and direction v have one entry per
-    dimension of the system."""
+    dimension of the system, and ibp's coordinate i is one of them."""
     for key in ("x", "v"):
         given = config.block.get(key)
         if given is not None and np.shape(given) != (system.d,):
             raise ConfigError(
                 f"{config.command}.{key} must have {system.d} entries, one per "
                 f"dimension of {system.name}, got {given!r}")
+    if config.command == "ibp":
+        i = config.block["i"]
+        if type(i) is not int or not 0 <= i < system.d:
+            raise ConfigError(
+                f"ibp.i must be a coordinate index in 0..{system.d - 1} of "
+                f"{system.name}, got {i!r}")
 
 
 def _flags(config: ExperimentConfig, report=None, **extra) -> dict:
@@ -354,6 +375,7 @@ def run(command: str, config_path, seed: int | None = None,
             raise ConfigError(f"--workers must be at least 1, got {workers}")
         config = parse_config(config_path, command)
         config = _apply_overrides(config, seed, out)
+        _check_philox_keys(config)
         system = builtin(config.system_spec["name"],
                          **config.system_spec["params"])
     except (ConfigError, ParameterConstraintError, ValueError, OSError) as exc:
@@ -377,6 +399,14 @@ def run(command: str, config_path, seed: int | None = None,
         print(f"error: {exc}", file=sys.stderr)
         _write_log(out_dir, config, t_start, status=f"failed: {exc}")
         return EXIT_CONFIG
+    except Exception as exc:
+        # last resort, so that every failure after the echo ends in run.log
+        # (with the traceback) and a documented exit code
+        message = f"{type(exc).__name__}: {exc}"
+        print(f"error: {message}", file=sys.stderr)
+        _write_log(out_dir, config, t_start, status=f"failed: {message}",
+                   detail=traceback.format_exc())
+        return EXIT_UNEXPECTED
 
     csv_text = est.CSV_HEADER + "\n" + "\n".join(rows) + "\n"
     _atomic_write(out_dir / "result.csv", csv_text)
@@ -394,7 +424,7 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def _write_log(out_dir: Path, config: ExperimentConfig, t_start: float,
-               status: str) -> None:
+               status: str, detail: str = "") -> None:
     elapsed = time.perf_counter() - t_start
     lines = [
         f"command: {config.command}",
@@ -404,7 +434,7 @@ def _write_log(out_dir: Path, config: ExperimentConfig, t_start: float,
         f"elapsed_seconds: {elapsed:.3f}",
         f"finished_at: {time.strftime('%Y-%m-%dT%H:%M:%S')}",
     ]
-    (out_dir / "run.log").write_text("\n".join(lines) + "\n")
+    (out_dir / "run.log").write_text("\n".join(lines) + "\n" + detail)
 
 
 def main(argv=None) -> int:

@@ -15,7 +15,7 @@ from flowlab import (
     select_lambda0,
     truncate,
 )
-from flowlab.coefficients import AssumptionConstants
+from flowlab.coefficients import AssumptionConstants, fd_jacobian, stack_fields
 
 from systems import linear_system
 
@@ -98,7 +98,6 @@ def test_truncated_jacobian_matches_finite_differences_outside():
     s = builtin("example21")
     ts = truncate(s, 5.0)
     rng = np.random.default_rng(0)
-    from flowlab.coefficients import fd_jacobian
     for _ in range(10):
         x = rng.normal(size=2)
         x *= (5.5 + 3.0 * rng.random()) / np.linalg.norm(x)
@@ -281,21 +280,30 @@ def test_family_member_example21_value_near_origin():
     assert gaps[1] < gaps[0]
 
 
-def test_family_member_jacobian_smooth_vs_transition():
-    # inside the smooth zone the Jacobian is the mollified base derivative;
-    # compare against finite differences of the member value itself
+# example21 member at eps = 0.1 truncated at R = 4: one point far inside the
+# sphere, and points whose mollifier support straddles it on either side
+MEMBER_EPS, MEMBER_R = 0.1, 4.0
+MEMBER_PROBES = {"smooth": np.array([0.6, 0.2]), **{
+    f"{label}@{angle}": radius * np.array([np.cos(angle), np.sin(angle)])
+    for label, radius in (("R-eps/2", MEMBER_R - MEMBER_EPS / 2),
+                          ("R-0.01", MEMBER_R - 0.01),
+                          ("R+0.01", MEMBER_R + 0.01),
+                          ("R+eps/2", MEMBER_R + MEMBER_EPS / 2))
+    for angle in (0.3, 2.0, 4.4)}}
+
+
+@pytest.mark.parametrize("probe", list(MEMBER_PROBES))
+def test_family_member_jacobian_smooth_vs_transition(probe):
+    # the member Jacobian is the convolution of the truncated Jacobians, the
+    # exact derivative of the quadrature field also across the truncation
+    # sphere; compare against central differences of the member fields
     s = builtin("example21")
     fam = mollified_family(s, eps0=0.25, n_radial=16, n_angular=32)
-    member = fam.member(0.1)
-    x = np.array([0.6, 0.2])
-    jac = member.jacobian(1, x)
-    fd = np.empty((2, 2))
-    h = 1e-5
-    for j in range(2):
-        e = np.zeros(2)
-        e[j] = h
-        fd[:, j] = (member.value(1, x + e) - member.value(1, x - e)) / (2 * h)
-    np.testing.assert_allclose(jac, fd, atol=5e-6)
+    assert fam.truncation_radius(MEMBER_EPS) == MEMBER_R
+    member = fam.member(MEMBER_EPS)
+    x = MEMBER_PROBES[probe]
+    fd = fd_jacobian(lambda p: stack_fields(*member.fields(p)), x, 1e-7)
+    np.testing.assert_allclose(member.jacobians_stacked(x), fd, atol=1e-6)
 
 
 def test_family_ellipticity_floor_example21():

@@ -253,6 +253,70 @@ def test_run_rejects_points_of_the_wrong_dimension(tmp_path, capsys, key):
     assert not (out / "result.csv").exists()
 
 
+# keys of the Philox stream out of [0, 2^64), as config values or via --seed
+PHILOX_KEYS = {
+    "master_seed=-1": ("gradient", {"mc": {"n_paths": 8, "master_seed": -1}},
+                       [], "mc.master_seed"),
+    "master_seed=2**64": ("gradient",
+                          {"mc": {"n_paths": 8, "master_seed": 2**64}}, [],
+                          "mc.master_seed"),
+    "--seed=-5": ("gradient", {"mc": {"n_paths": 8}}, ["--seed", "-5"],
+                  "mc.master_seed"),
+    "path_index=-1": ("simulate", {"simulate": {"x": [0.0], "v": [1.0],
+                                                "path_index": -1}}, [],
+                      "simulate.path_index"),
+    "path_index=2**64": ("simulate", {"simulate": {"x": [0.0], "v": [1.0],
+                                                   "path_index": 2**64}}, [],
+                         "simulate.path_index"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PHILOX_KEYS))
+def test_run_rejects_philox_keys_out_of_range(tmp_path, capsys, case):
+    command, overrides, flags, named = PHILOX_KEYS[case]
+    cfg = gradient_config(command=command, **overrides)
+    if command != "gradient":
+        del cfg["gradient"]
+    path = write(tmp_path, "c.json", cfg)
+    out = tmp_path / "o"
+    assert main([command, str(path), "--out", str(out), *flags]) == 2
+    assert named in capsys.readouterr().err
+    # rejected before the echo is written, so nothing is left behind
+    assert not out.exists()
+
+
+def test_run_rejects_ibp_coordinate_out_of_range(tmp_path, capsys):
+    path = write(tmp_path, "i.json", {
+        "command": "ibp",
+        "system": {"name": "additive_noise", "params": {"sigma": 1.0, "d": 1}},
+        "integrator": {"h": 1e-2, "T": 1.0},
+        "ibp": {"t": 0.05, "n_grid": 11, "i": 5, "n_omega": 1},
+    })
+    out = tmp_path / "o"
+    assert run("ibp", path, out=str(out)) == 2
+    assert "ibp.i" in capsys.readouterr().err
+    assert "status: failed: ibp.i" in (out / "run.log").read_text()
+    assert not (out / "result.csv").exists()
+
+
+def test_run_unexpected_error_exits_one_and_logs(tmp_path, capsys):
+    # a string where a number belongs fails deep inside the command
+    path = write(tmp_path, "m.json", {
+        "command": "moments",
+        "system": {"name": "ornstein_uhlenbeck", "params": {"d": 1}},
+        "integrator": {"h": 1e-2, "T": 0.1},
+        "mc": {"n_paths": 8},
+        "moments": {"x": [0.0], "v": [1.0], "t": "0.1"},
+    })
+    out = tmp_path / "o"
+    assert run("moments", path, out=str(out)) == 1
+    assert "error: TypeError" in capsys.readouterr().err
+    log = (out / "run.log").read_text()
+    assert "status: failed: TypeError" in log
+    assert "Traceback" in log
+    assert not (out / "result.csv").exists()
+
+
 def test_run_ibp_command(tmp_path):
     path = write(tmp_path, "i.json", {
         "command": "ibp",
@@ -331,8 +395,9 @@ def test_main_entry_point(tmp_path):
 ROOT = Path(__file__).resolve().parent.parent
 
 
-# 10 steps each: one example21 BEL flow, and four mollified members of
-# example21 stepped side by side
+# 10 steps each: one example21 BEL flow, four mollified members of example21
+# stepped side by side, and two members started where their mollifiers
+# straddle the truncation sphere |x| = 4 (no finite difference there)
 TRACED_CASES = {
     "gradient": ({
         "command": "gradient",
@@ -354,6 +419,16 @@ TRACED_CASES = {
         "approximation.member.fields.calls": 4 * 10,
         "approximation.member.jacobians.calls": 4 * 10,
         "coefficients.fields.calls": None}),
+    "converge_kink": ({
+        "command": "converge",
+        "system": {"name": "example21", "params": {}},
+        "integrator": {"h": 1e-2, "T": 0.1},
+        "mc": {"n_paths": 4},
+        "converge": {"eps_list": [0.05, 0.025], "eps0": 0.25,
+                     "x": [3.97, 0.0], "v": [1.0, 0.0], "T": 0.1},
+    }, {"engine.step.calls": 2 * 10,
+        "approximation.member.jacobians.calls": 2 * 10,
+        "approximation.member.edge_fd.points": None}),
 }
 
 
@@ -365,12 +440,13 @@ def test_traced_cli_counts_one_pass_per_step(tmp_path, case):
     # the layer that owns the system (a member's convolution nodes are the
     # member's work, not the base system's)
     config, expected = TRACED_CASES[case]
-    path = write(tmp_path, f"{case}.json", config)
+    command = config["command"]
+    path = write(tmp_path, f"{command}.json", config)
     spans = tmp_path / "spans.json"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "traced_cli.py"),
-         str(spans), "--", case, str(path), "--out",
+         str(spans), "--", command, str(path), "--out",
          str(tmp_path / "out")],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
