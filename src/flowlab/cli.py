@@ -32,7 +32,12 @@ from .cli_defaults import (
     SECTION_KEYS,
     defaults_for,
 )
-from .coefficients import CheckSpec, builtin, check_assumptions
+from .coefficients import (
+    CheckSpec,
+    builtin,
+    builtin_parameters,
+    check_assumptions,
+)
 from .engine import IntegratorConfig, integrate, sample_path
 from .errors import ConfigError, FlowlabError, ParameterConstraintError
 
@@ -95,11 +100,21 @@ def _hash_config(resolved: dict) -> str:
     return hashlib.sha256(_canonical(hashable).encode()).hexdigest()[:16]
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _validate_section(name: str, given: dict, defaults: dict) -> dict:
     known = SECTION_KEYS.get(name, set(defaults))
-    for key in given:
+    for key, value in given.items():
         if key not in known:
             raise ConfigError(f"unknown key {name}.{key!r}")
+        default = defaults.get(key)
+        # a numeric default, or None ("auto"), marks a key that takes a number
+        numeric = default is None or _is_number(default)
+        if numeric and not (_is_number(value)
+                            or value is None and default is None):
+            raise ConfigError(f"{name}.{key} must be a number, got {value!r}")
     merged = dict(defaults)
     merged.update(given)
     missing = [k for k, v in merged.items() if isinstance(v, str) and v == REQUIRED]
@@ -150,6 +165,8 @@ def parse_config(path, command: str | None = None) -> ExperimentConfig:
     for key in system_raw:
         if key not in ("name", "params"):
             raise ConfigError(f"unknown key system.{key!r}")
+    if not isinstance(system_raw.get("params", {}), dict):
+        raise ConfigError("system.params must be a JSON object")
 
     resolved = {
         "schema": SCHEMA_VERSION,
@@ -165,7 +182,7 @@ def parse_config(path, command: str | None = None) -> ExperimentConfig:
         cmd: _validate_section(cmd, raw.get(cmd, {}), defaults_for(cmd)),
     }
     n_paths = resolved["mc"]["n_paths"]
-    if not isinstance(n_paths, (int, float)) or not n_paths >= 1:
+    if not n_paths >= 1:
         raise ConfigError(f"mc.n_paths must be at least 1, got {n_paths!r}")
     return ExperimentConfig(command=cmd, resolved=resolved,
                             params_hash=_hash_config(resolved))
@@ -193,6 +210,20 @@ def _check_philox_keys(config: ExperimentConfig) -> None:
         if type(value) is not int or not 0 <= value < 2**64:
             raise ConfigError(f"{section}.{key} must be an integer in "
                               f"[0, 2**64), got {value!r}")
+
+
+def _check_system_params(config: ExperimentConfig) -> None:
+    """system.params holds only keyword parameters of the named builtin,
+    and a number wherever the parameter's default is one."""
+    name, params = config.system_spec["name"], config.system_spec["params"]
+    accepted = builtin_parameters(name)
+    for key, value in params.items():
+        if key not in accepted:
+            raise ConfigError(f"unknown key system.params.{key} of {name!r}; "
+                              f"choose from {tuple(accepted)}")
+        if _is_number(accepted[key]) and not _is_number(value):
+            raise ConfigError(f"system.params.{key} must be a number, got "
+                              f"{value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +407,7 @@ def run(command: str, config_path, seed: int | None = None,
         config = parse_config(config_path, command)
         config = _apply_overrides(config, seed, out)
         _check_philox_keys(config)
+        _check_system_params(config)
         system = builtin(config.system_spec["name"],
                          **config.system_spec["params"])
     except (ConfigError, ParameterConstraintError, ValueError, OSError) as exc:

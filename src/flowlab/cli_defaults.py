@@ -1,7 +1,8 @@
 """Config schema: command names, per-section known keys, and defaults.
 
 A default of REQUIRED marks a key the user must supply; everything else is
-materialized into the echoed config (None means "auto").
+materialized into the echoed config (None means "auto"). A key whose default
+is a number, or None, takes a number.
 """
 
 SCHEMA_VERSION = "flowlab-config-v1"

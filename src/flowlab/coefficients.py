@@ -8,6 +8,7 @@ NumPy-vectorized over leading batch axes.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
@@ -31,6 +32,7 @@ __all__ = [
     "ConditionReport",
     "make_system",
     "builtin",
+    "builtin_parameters",
     "diffusion_matrix",
     "right_inverse_apply",
     "kp_max",
@@ -90,9 +92,10 @@ class OriginPolicy:
 
     Jacobian queries strictly inside radius r_min raise SingularPointError.
     clamp() is the one place that moves evaluation points out of that ball:
-    `BatchEuler.jacobians()` (which counts the clamps), the exponential
-    representation check and the mollified members' base Jacobians all
-    evaluate at clamp(x), so r_min here is the only clamp radius.
+    `BatchEuler.jacobians()` (the Euler step counts the clamps), the
+    exponential representation check and the mollified members' base
+    Jacobians all evaluate at clamp(x), so r_min here is the only clamp
+    radius.
     """
 
     r_min: float = 0.0
@@ -867,15 +870,25 @@ _BUILTIN_FACTORIES = {
 }
 
 
+def _builtin_factory(name: str):
+    try:
+        return _BUILTIN_FACTORIES[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown builtin {name!r}; choose from {BUILTIN_NAMES}") from None
+
+
 def builtin(name: str, **params) -> CoefficientSystem:
     """Construct a built-in coefficient system by name.
 
     example21 validates its exponent inequalities and raises
     ParameterConstraintError naming the violated one.
     """
-    try:
-        factory = _BUILTIN_FACTORIES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown builtin {name!r}; choose from {BUILTIN_NAMES}") from None
-    return factory(**params)
+    return _builtin_factory(name)(**params)
+
+
+def builtin_parameters(name: str) -> dict:
+    """The keyword parameters that builtin(name, ...) accepts, with their
+    defaults."""
+    return {key: param.default for key, param in
+            inspect.signature(_builtin_factory(name)).parameters.items()}

@@ -130,11 +130,18 @@ class BatchEuler:
 
     Exploded paths freeze at their exit state; paths hitting non-finite
     coefficients are marked failed and freeze likewise. The fields and the
-    Jacobians at the pre-step state are each evaluated once per step and
-    shared between the step and any observer through fields() and
+    Jacobians at the pre-step state are each evaluated at most once per step
+    and shared between the step and any observer through fields() and
     jacobians(). Jacobians are evaluated at the system's
     origin_policy.clamp(x); each active path inside the clamp ball counts
-    one clamp per step.
+    one clamp per step, whether or not the Jacobians are evaluated.
+
+    v_t is linear in v_0, so a batch started from v_0 = 0 keeps v = 0 for
+    all time. Such a batch is derivative-free: the step evaluates no
+    Jacobians and leaves v as it is. Only the fields can then fail a path;
+    Jacobians that are not finite where the fields are do not, since a
+    run from v_0 = 0 never reads them (with v_0 != 0 they make v
+    non-finite and the path is marked failed).
     """
 
     def __init__(self, system: CoefficientSystem, x0: np.ndarray,
@@ -155,6 +162,7 @@ class BatchEuler:
         self.cfg = cfg
         self.x = x0.copy()
         self.v = v0.copy()
+        self.derivative_free = not np.any(self.v)
         self.dws = dws
         self.n = n
         self.n_steps = dws.shape[1]
@@ -178,12 +186,8 @@ class BatchEuler:
     def jacobians(self) -> np.ndarray:
         """(n, m+1, d, d) Jacobians at clamp(x), evaluated once per step."""
         if self._jacobians is None:
-            policy = self.system.origin_policy
-            if policy.singular:
-                r = np.linalg.norm(self.x, axis=-1)
-                self.clamped[self.active & (r < policy.r_min)] += 1
             self._jacobians = self.system.jacobians_stacked(
-                policy.clamp(self.x))
+                self.system.origin_policy.clamp(self.x))
         return self._jacobians
 
     def steps(self):
@@ -208,20 +212,29 @@ class BatchEuler:
     def _advance(self, s: int, dw: np.ndarray):
         sys_, cfg = self.system, self.cfg
         x, v = self.x, self.v
+        policy = sys_.origin_policy
+        if policy.singular:
+            r = np.linalg.norm(x, axis=-1)
+            self.clamped[self.active & (r < policy.r_min)] += 1
         drift, sig = self.fields()
         x_new = x + np.einsum("nim,nm->ni", sig, dw) + drift * cfg.h
-        jall = self.jacobians()
-        # valid for the pre-step x only; dropping it now frees it with jall
+        finite = np.isfinite(x_new).all(axis=-1)
+        if self.derivative_free:
+            v_new = v
+        else:
+            jall = self.jacobians()
+            # same term order as the x update (diffusion sum, then drift) so
+            # the two components of a scalar linear system share the exact
+            # factor
+            v_new = v.copy()
+            for k in range(1, sys_.m + 1):
+                v_new = v_new + np.einsum("nij,nj->ni", jall[:, k], v) \
+                    * dw[:, k - 1:k]
+            v_new = v_new + np.einsum("nij,nj->ni", jall[:, 0], v) * cfg.h
+            finite &= np.isfinite(v_new).all(axis=-1)
+        # valid for the pre-step x only (an observer may have cached them);
+        # dropping them now frees them when the step ends
         self._jacobians = None
-        # same term order as the x update (diffusion sum, then drift) so the
-        # two components of a scalar linear system share the exact factor
-        v_new = v.copy()
-        for k in range(1, sys_.m + 1):
-            v_new = v_new + np.einsum("nij,nj->ni", jall[:, k], v) \
-                * dw[:, k - 1:k]
-        v_new = v_new + np.einsum("nij,nj->ni", jall[:, 0], v) * cfg.h
-
-        finite = np.isfinite(x_new).all(axis=-1) & np.isfinite(v_new).all(axis=-1)
         newly_failed = self.active & ~finite
         out = np.linalg.norm(np.where(finite[:, None], x_new, 0.0), axis=-1) \
             > cfg.guard_radius

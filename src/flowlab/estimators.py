@@ -14,8 +14,12 @@ failed or exploded in any of its drivers (the Krylov check drops only failed
 paths; the BEL gradient also drops paths gated by the condition number).
 Observers that need the coefficient fields or Jacobians at the pre-step
 state read `BatchEuler.fields()` or `BatchEuler.jacobians()`, the per-step
-caches the Euler step itself uses, so each is evaluated once per step (the
-Jacobians at the system's `origin_policy.clamp(x)`).
+caches the Euler step itself uses, so each is evaluated at most once per
+step (the Jacobians at the system's `origin_policy.clamp(x)`). The step
+evaluates Jacobians only when `v` can be non-zero: the estimators that start
+from `v = 0` (`fd_gradient`, `holder_modulus`, `flow_moment_bound_check`,
+`krylov_check`) make no Jacobian call, and clamps are counted on every step
+either way.
 
 All estimators are deterministic functions of (inputs, master_seed): paths
 are keyed by path index, chunk boundaries are fixed, and reductions run in

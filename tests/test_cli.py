@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import flowlab.estimators as est_module
 from flowlab.cli import main, parse_config, run
 from flowlab.errors import ConfigError
 
@@ -299,14 +300,52 @@ def test_run_rejects_ibp_coordinate_out_of_range(tmp_path, capsys):
     assert not (out / "result.csv").exists()
 
 
-def test_run_unexpected_error_exits_one_and_logs(tmp_path, capsys):
-    # a string where a number belongs fails deep inside the command
+# keys that name no parameter of the builtin, or values of the wrong type
+BAD_KEYS = {
+    "system.params.bogus": {"system": {"name": "ornstein_uhlenbeck",
+                                       "params": {"bogus": 1}}},
+    "system.params=list": {"system": {"name": "ornstein_uhlenbeck",
+                                      "params": [1]}},
+    "system.params.theta=str": {"system": {"name": "ornstein_uhlenbeck",
+                                           "params": {"theta": "1"}}},
+    "integrator.h=str": {"integrator": {"h": "0.01", "T": 0.1}},
+    "integrator.h=bool": {"integrator": {"h": True, "T": 0.1}},
+    "mc.n_paths=bool": {"mc": {"n_paths": True}},
+    "moments.t=str": {"moments": {"x": [0.0], "v": [1.0], "t": "0.1"}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_KEYS))
+def test_run_rejects_unknown_params_and_non_numbers(tmp_path, capsys, case):
+    config = {
+        "command": "moments",
+        "system": {"name": "ornstein_uhlenbeck", "params": {"d": 1}},
+        "integrator": {"h": 1e-2, "T": 0.1},
+        "mc": {"n_paths": 8},
+        "moments": {"x": [0.0], "v": [1.0]},
+    }
+    config.update(BAD_KEYS[case])
+    path = write(tmp_path, "m.json", config)
+    out = tmp_path / "o"
+    assert main(["moments", str(path), "--out", str(out)]) == 2
+    assert case.split("=")[0] in capsys.readouterr().err
+    # rejected before the echo is written, so nothing is left behind
+    assert not out.exists()
+
+
+def test_run_unexpected_error_exits_one_and_logs(tmp_path, capsys,
+                                                 monkeypatch):
+    # an error no validation anticipates, raised inside the command
+    def broken(*args, **kwargs):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(est_module, "derivative_moment", broken)
     path = write(tmp_path, "m.json", {
         "command": "moments",
         "system": {"name": "ornstein_uhlenbeck", "params": {"d": 1}},
         "integrator": {"h": 1e-2, "T": 0.1},
         "mc": {"n_paths": 8},
-        "moments": {"x": [0.0], "v": [1.0], "t": "0.1"},
+        "moments": {"x": [0.0], "v": [1.0], "t": 0.1},
     })
     out = tmp_path / "o"
     assert run("moments", path, out=str(out)) == 1
@@ -408,6 +447,17 @@ TRACED_CASES = {
                      "method": "bel"},
     }, {"engine.step.calls": 10, "coefficients.fields.calls": 10,
         "coefficients.jacobians.calls": 10}),
+    # two flows from v = 0: fields every step, Jacobians never
+    "fd": ({
+        "command": "gradient",
+        "system": {"name": "example21", "params": {}},
+        "integrator": {"h": 1e-2, "T": 0.1},
+        "mc": {"n_paths": 16},
+        "gradient": {"x": [0.3, 0.0], "v": [1.0, 0.0], "t": 0.1,
+                     "method": "fd"},
+    }, {"engine.step.calls": 2 * 10, "engine.step.vzero": 2 * 10,
+        "coefficients.fields.calls": 2 * 10,
+        "coefficients.jacobians.calls": None}),
     "converge": ({
         "command": "converge",
         "system": {"name": "example21", "params": {}},

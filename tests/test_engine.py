@@ -127,19 +127,39 @@ def test_guard_ball_exit_truncates_trajectory():
     assert np.linalg.norm(traj.xs[-1]) > 0.45
 
 
-@pytest.mark.parametrize("params,x0", [
-    ({}, [0.0, 0.0]),
-    ({"r_min": 1e-3}, [5e-4, 0.0]),
-], ids=["origin", "declared_radius"])
-def test_clamp_counter_example21_near_origin(params, x0):
+@pytest.mark.parametrize("params,x0,v0", [
+    ({}, [0.0, 0.0], [1.0, 0.0]),
+    ({"r_min": 1e-3}, [5e-4, 0.0], [1.0, 0.0]),
+    ({}, [0.0, 0.0], [0.0, 0.0]),
+], ids=["origin", "declared_radius", "origin_derivative_free"])
+def test_clamp_counter_example21_near_origin(params, x0, v0):
     # the clamp radius is the system's declared r_min: a start inside that
-    # ball forces at least the first-step clamp
+    # ball forces at least the first-step clamp, also on a derivative-free
+    # run that evaluates no Jacobians
     s = builtin("example21", **params)
     c = IntegratorConfig(h=1e-3, T=0.01)
     path = sample_path(0, 0, c.n_steps, c.h, 2)
-    traj = integrate(s, np.array(x0), np.array([1.0, 0.0]), path, c)
+    traj = integrate(s, np.array(x0), np.array(v0), path, c)
     assert traj.clamped >= 1
     assert np.all(np.isfinite(traj.vs))
+
+
+def test_derivative_free_batch_ignores_nonfinite_jacobians():
+    # v_0 = 0 keeps v = 0, so Jacobians that are not finite where the fields
+    # are cannot fail a path; from v_0 = e_1 they make v non-finite
+    s = make_system("inf_jacobian", 2, 2,
+                    lambda k, x: np.full(np.shape(x), 0.5 * k),
+                    lambda k, x: np.full(np.shape(x) + (2,), np.inf))
+    c = cfg(h=1e-2, T=0.05)
+    dws = increments_block(3, 0, 4, c.n_steps, c.h, 2)
+    x0 = np.tile([0.3, -0.1], (4, 1))
+    free = BatchEuler(s, x0, np.zeros((4, 2)), dws, c).run()
+    assert not free.failed.any()
+    assert np.array_equal(free.v, np.zeros((4, 2)))
+    assert np.isfinite(free.x).all()
+    tangent = BatchEuler(s, x0, np.tile([1.0, 0.0], (4, 1)), dws, c).run()
+    assert tangent.failed.all()
+    assert np.array_equal(tangent.exit_step, np.ones(4, dtype=int))
 
 
 def test_bitwise_reproducibility_and_batch_consistency():

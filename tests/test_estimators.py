@@ -357,6 +357,42 @@ def test_holder_example21_scale_free_ratios():
 
 
 # ---------------------------------------------------------------------------
+# derivative-free estimators
+
+DERIVATIVE_FREE = {
+    "fd_gradient": lambda s, c: fd_gradient(
+        s, [0.3, 0.0], [1.0, 0.0], PAYOFFS["sin"], t=0.01, n_paths=8,
+        delta=1e-3, cfg=c),
+    "holder_modulus": lambda s, c: holder_modulus(
+        s, [([0.3, 0.0], [0.3, 0.05])], p=2.0, t=0.01, n_paths=8, cfg=c),
+    "flow_moment_bound_check": lambda s, c: flow_moment_bound_check(
+        s, [0.3, 0.0], lam=1.0, T=0.01, n_paths=8, cfg=c, n_checkpoints=2,
+        theta_box=2.0, theta_points=16),
+    "krylov_check": lambda s, c: krylov_check(
+        s, [0.3, 0.0], T=0.01, R=2.0, n_paths=8, cfg=c),
+}
+
+
+@pytest.mark.parametrize("estimator", sorted(DERIVATIVE_FREE))
+def test_derivative_free_estimators_make_no_jacobian_calls(monkeypatch,
+                                                           estimator):
+    # these estimators step from v = 0, which v keeps; the Jacobians could
+    # only multiply zeros
+    counts = {"fields": 0, "jacobians_stacked": 0}
+    for name in counts:
+        method = getattr(CoefficientSystem, name)
+
+        def counting(self, x, name=name, method=method):
+            counts[name] += 1
+            return method(self, x)
+
+        monkeypatch.setattr(CoefficientSystem, name, counting)
+    DERIVATIVE_FREE[estimator](builtin("example21"), cfg(h=1e-3))
+    assert counts["fields"] >= 10
+    assert counts["jacobians_stacked"] == 0
+
+
+# ---------------------------------------------------------------------------
 # exponential representation at scale
 
 def test_exp_representation_gaps_gbm_smoke(monkeypatch):
