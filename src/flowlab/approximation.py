@@ -5,7 +5,6 @@ diagnostics between systems.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +16,13 @@ from .coefficients import (
     stack_fields,
 )
 from .errors import RadiusTooSmallError
-from .quadrature import BallRule, annulus_rule, tangent_basis, unit_ball_rule
+from .quadrature import (
+    BallRule,
+    annulus_rule,
+    ball_volume,
+    tangent_basis,
+    unit_ball_rule,
+)
 
 __all__ = [
     "TruncatedSystem",
@@ -373,8 +378,6 @@ def lp_distance(a: CoefficientSystem, b: CoefficientSystem, k: int,
     else:
         gap = a.jacobian(k, nodes) - b.jacobian(k, nodes)
         integrand = np.sum(gap * gap, axis=(-2, -1)) ** (p / 2.0)
-    d = a.d
-    ball_vol = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
     return LpDistance(value=float(np.sum(weights * integrand)), p=p, radius=R,
                       excised_radius=r_lo,
-                      excised_volume=ball_vol * r_lo**d, mode=mode)
+                      excised_volume=ball_volume(a.d, r_lo), mode=mode)

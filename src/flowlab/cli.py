@@ -27,6 +27,7 @@ from . import estimators as est
 from .approximation import mollified_family
 from .cli_defaults import (
     COMMANDS,
+    NUMBER_LISTS,
     REQUIRED,
     SCHEMA_VERSION,
     SECTION_KEYS,
@@ -110,11 +111,19 @@ def _validate_section(name: str, given: dict, defaults: dict) -> dict:
         if key not in known:
             raise ConfigError(f"unknown key {name}.{key!r}")
         default = defaults.get(key)
-        # a numeric default, or None ("auto"), marks a key that takes a number
-        numeric = default is None or _is_number(default)
-        if numeric and not (_is_number(value)
-                            or value is None and default is None):
-            raise ConfigError(f"{name}.{key} must be a number, got {value!r}")
+        if key in NUMBER_LISTS:
+            kind = "a list of numbers"
+            typed = isinstance(value, list) and all(map(_is_number, value))
+        elif default is None or _is_number(default):
+            kind = "a number"
+            typed = _is_number(value) or value is None and default is None
+        elif isinstance(default, str) and default != REQUIRED:
+            kind = "a string"
+            typed = isinstance(value, str)
+        else:
+            continue
+        if not typed:
+            raise ConfigError(f"{name}.{key} must be {kind}, got {value!r}")
     merged = dict(defaults)
     merged.update(given)
     missing = [k for k, v in merged.items() if isinstance(v, str) and v == REQUIRED]

@@ -2,7 +2,10 @@
 
 A default of REQUIRED marks a key the user must supply; everything else is
 materialized into the echoed config (None means "auto"). A key whose default
-is a number, or None, takes a number.
+is a number, or None, takes a number, and a key whose default is a string
+takes a string. REQUIRED carries no type, so list-valued keys are named in
+NUMBER_LISTS; the points x and v are checked against the system's dimension
+once it is built.
 """
 
 SCHEMA_VERSION = "flowlab-config-v1"
@@ -71,6 +74,8 @@ _DEFAULTS = {
         "R": 2.0,
     },
 }
+
+NUMBER_LISTS = {"eps_list", "p_list"}
 
 SECTION_KEYS = {name: set(keys) for name, keys in _DEFAULTS.items()}
 

@@ -313,19 +313,28 @@ def right_inverse_apply(system: CoefficientSystem, x: np.ndarray,
     Satisfies X(x) Y(x)(xi) = xi whenever A(x) is well conditioned; rejects
     points where cond(A) exceeds cond_max.
     """
-    x = np.asarray(x, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    sig = system.sigma(x)
-    a = np.einsum("...ik,...jk->...ij", sig, sig)
-    lo, hi = sym_eig_range(a)
-    bad = ~(np.asarray(lo) > 0.0) | (np.asarray(hi) > cond_max * np.asarray(lo))
+    sig = system.sigma(np.asarray(x, dtype=float))
+    y, bad, lo = gated_right_inverse(sig, np.asarray(xi, dtype=float),
+                                     cond_max)
     if np.any(bad):
         raise NearSingularDiffusionError(
             f"{system.name}: diffusion nearly singular "
             f"(smallest eigenvalue {float(np.min(lo)):.3e}, cond gate {cond_max:g})",
             smallest_eigenvalue=float(np.min(lo)))
-    z = solve_spd(a, xi)
-    return np.einsum("...ik,...i->...k", sig, z)
+    return y
+
+
+def gated_right_inverse(sig: np.ndarray, xi: np.ndarray,
+                        cond_max: float = DEFAULT_COND_MAX) -> tuple:
+    """(Sigma^T A^{-1} xi, gated, smallest eigenvalue of A) for A = Sigma
+    Sigma^T, batched; gated marks where A is not positive definite or
+    cond(A) exceeds cond_max, and the right inverse there is meaningless."""
+    a = np.einsum("...ik,...jk->...ij", sig, sig)
+    lo, hi = sym_eig_range(a)
+    gated = ~(lo > 0.0) | (hi > cond_max * lo)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        y = np.einsum("...ik,...i->...k", sig, solve_spd(a, xi))
+    return y, gated, lo
 
 
 @dataclass(frozen=True)

@@ -120,13 +120,14 @@ class Trajectory:
     clamped: int
     path: BrownianPath
 
-    @property
-    def states(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        return list(zip(self.xs, self.vs))
-
 
 class BatchEuler:
     """Steps a batch of paths (common step grid) through the coupled system.
+
+    The starts x0 (n, d), directions v0 (n, d) and increments dws
+    (n, n_steps, m) broadcast along the path axis: one start, one direction
+    (or v0 = 0.0) or one (n_steps, m) noise path serves the whole batch, and
+    sizes that do not broadcast raise ValueError.
 
     Exploded paths freeze at their exit state; paths hitting non-finite
     coefficients are marked failed and freeze likewise. The fields and the
@@ -148,13 +149,11 @@ class BatchEuler:
                  v0: np.ndarray, dws: np.ndarray, cfg: IntegratorConfig):
         x0 = np.atleast_2d(np.asarray(x0, dtype=float))
         v0 = np.atleast_2d(np.asarray(v0, dtype=float))
-        n = x0.shape[0]
-        if v0.shape[0] == 1 and n > 1:
-            v0 = np.broadcast_to(v0, x0.shape).copy()
-        if dws.ndim == 2:
-            dws = dws[None]
-        if dws.shape[0] == 1 and n > 1:
-            dws = np.broadcast_to(dws, (n,) + dws.shape[1:])
+        (n,) = np.broadcast_shapes(x0.shape[:-1], v0.shape[:-1],
+                                   dws.shape[:-2])
+        x0 = np.broadcast_to(x0, (n, system.d))
+        v0 = np.broadcast_to(v0, (n, system.d))
+        dws = np.broadcast_to(dws, (n,) + dws.shape[-2:])
         if dws.shape[2] != system.m:
             raise ValueError(f"path noise dimension {dws.shape[2]} does not "
                              f"match system m={system.m}")
@@ -266,7 +265,7 @@ def integrate(system: CoefficientSystem, x0: np.ndarray, v0: np.ndarray,
     if path.m != system.m:
         raise ValueError(f"path noise dimension {path.m} does not match "
                          f"system m={system.m}")
-    driver = BatchEuler(system, x0[None], v0[None], path.increments[None], cfg)
+    driver = BatchEuler(system, x0, v0, path.increments, cfg)
     xs = np.empty((path.n_steps + 1, system.d))
     vs = np.empty((path.n_steps + 1, system.d))
     xs[0], vs[0] = x0, v0

@@ -21,6 +21,10 @@ from `v = 0` (`fd_gradient`, `holder_modulus`, `flow_moment_bound_check`,
 `krylov_check`) make no Jacobian call, and clamps are counted on every step
 either way.
 
+`_mean_se(samples, ok)` is the one reduction: every mean and standard error
+over paths is taken by it over the kept paths. With no kept path the value
+is nan; with fewer than two the standard error is nan.
+
 All estimators are deterministic functions of (inputs, master_seed): paths
 are keyed by path index, chunk boundaries are fixed, and reductions run in
 path-index order, so results are bit-identical across reruns, worker counts
@@ -42,12 +46,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approximation import MollifiedFamily
+from .approximation import MollifiedFamily, _bump_kernel
 from .coefficients import (
     CoefficientSystem,
     det_spd,
-    solve_spd,
-    sym_eig_range,
+    gated_right_inverse,
     theta_g,
     ThetaBound,
 )
@@ -58,6 +61,7 @@ from .engine import (
     gaussian_increments,
     increments_block,
 )
+from .quadrature import ball_volume
 
 __all__ = [
     "EstimateReport",
@@ -151,8 +155,15 @@ def _kept(*drivers: BatchEuler) -> np.ndarray:
     return ok
 
 
-def _tile(vec, n: int) -> np.ndarray:
-    return np.tile(np.asarray(vec, dtype=float), (n, 1))
+def _mean_se(samples: np.ndarray, ok: np.ndarray) -> tuple[float, float]:
+    """Mean and standard error of the kept samples; the mean is nan with no
+    kept path and the standard error is nan with fewer than two."""
+    good = samples[ok]
+    if good.size == 0:
+        return math.nan, math.nan
+    se = float(np.std(good, ddof=1) / math.sqrt(good.size)) if good.size > 1 \
+        else math.nan
+    return float(np.mean(good)), se
 
 
 def _finish(samples: np.ndarray, ok: np.ndarray, n_paths: int, h: float,
@@ -161,12 +172,7 @@ def _finish(samples: np.ndarray, ok: np.ndarray, n_paths: int, h: float,
     notes = dict(notes)
     notes["n_excluded"] = n_bad
     notes["unreliable"] = n_bad > UNRELIABLE_FRACTION * n_paths
-    good = samples[ok]
-    if good.size == 0:
-        return EstimateReport(math.nan, math.nan, n_paths, h, notes)
-    value = float(np.mean(good))
-    se = float(np.std(good, ddof=1) / math.sqrt(good.size)) if good.size > 1 else 0.0
-    return EstimateReport(value, se, n_paths, h, notes)
+    return EstimateReport(*_mean_se(samples, ok), n_paths, h, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +189,7 @@ def derivative_moment(system: CoefficientSystem, x, v, p: float, t: float,
     cfg_t = cfg.with_horizon(t)
 
     def run(dws):
-        n = len(dws)
-        drv = BatchEuler(system, _tile(x, n), _tile(v, n), dws, cfg_t).run()
+        drv = BatchEuler(system, x, v, dws, cfg_t).run()
         vals = np.sum(drv.v**2, axis=-1) ** (p / 2.0)
         return vals, _kept(drv), drv.clamped, drv.exploded
 
@@ -235,10 +240,8 @@ def flow_moment_bound_check(system: CoefficientSystem, x, lam: float, T: float,
                    for j in range(n_checkpoints)]
 
     def run(dws):
-        n = len(dws)
-        drv = BatchEuler(system, _tile(x, n), _tile(np.zeros(system.d), n),
-                         dws, cfg_t)
-        vals = np.empty((n, n_checkpoints))
+        drv = BatchEuler(system, x, 0.0, dws, cfg_t)
+        vals = np.empty((drv.n, n_checkpoints))
         for s in range(n_steps):
             drv.advance()
             # a step may serve several checkpoints when n_steps is small
@@ -253,9 +256,7 @@ def flow_moment_bound_check(system: CoefficientSystem, x, lam: float, T: float,
     rows = []
     for j, cs in enumerate(check_steps):
         t_j = cs * cfg_t.h
-        good = vals[ok, j]
-        lhs = float(np.mean(good))
-        se = float(np.std(good, ddof=1) / math.sqrt(good.size))
+        lhs, se = _mean_se(vals[:, j], ok)
         rhs = base * math.exp(lam * theta.value * t_j)
         rows.append(BoundCheckpoint(t=t_j, lhs=lhs, std_error=se, rhs=rhs,
                                     passed=lhs <= rhs + 3.0 * se))
@@ -282,19 +283,13 @@ def bel_gradient(system: CoefficientSystem, x, v, f, t: float, n_paths: int,
     cfg_t = cfg.with_horizon(t)
 
     def run(dws):
-        n = len(dws)
-        drv = BatchEuler(system, _tile(x, n), _tile(v, n), dws, cfg_t)
-        s_acc = np.zeros(n)
-        gated = np.zeros(n, dtype=bool)
+        drv = BatchEuler(system, x, v, dws, cfg_t)
+        s_acc = np.zeros(drv.n)
+        gated = np.zeros(drv.n, dtype=bool)
         for _, _, vs, dw, active in drv.steps():
-            sig = drv.fields()[1]
-            a_mat = np.einsum("nik,njk->nij", sig, sig)
-            lo, hi = sym_eig_range(a_mat)
-            bad = ~(lo > 0.0) | (hi > cond_max * lo)
+            y, bad, _ = gated_right_inverse(drv.fields()[1], vs, cond_max)
             gated |= bad & active
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                z = solve_spd(a_mat, vs)
-                y = np.einsum("nik,ni->nk", sig, z)
+            with np.errstate(invalid="ignore", over="ignore"):
                 contrib = np.einsum("nk,nk->n", y, dw)
             s_acc += np.where(active & ~bad, contrib, 0.0)
         ok = _kept(drv) & ~gated
@@ -322,10 +317,8 @@ def fd_gradient(system: CoefficientSystem, x, v, f, t: float, n_paths: int,
     v = np.asarray(v, dtype=float)
 
     def run(dws):
-        n = len(dws)
-        zero_v = np.zeros((n, system.d))
-        up = BatchEuler(system, _tile(x + delta * v, n), zero_v, dws, cfg_t).run()
-        dn = BatchEuler(system, _tile(x - delta * v, n), zero_v, dws, cfg_t).run()
+        up = BatchEuler(system, x + delta * v, 0.0, dws, cfg_t).run()
+        dn = BatchEuler(system, x - delta * v, 0.0, dws, cfg_t).run()
         return (f(up.x) - f(dn.x)) / (2.0 * delta), _kept(up, dn)
 
     samples, ok = _map_paths(run, n_paths, cfg_t, system.m, master_seed,
@@ -366,11 +359,9 @@ def family_convergence(fam: MollifiedFamily, eps_list, x, v, T: float,
     n_pairs = len(members) - 1
 
     def run(dws):
-        n = len(dws)
-        drivers = [BatchEuler(mem, _tile(x, n), _tile(v, n), dws, cfg_t)
-                   for mem in members]
-        sup_f = np.zeros((n, n_pairs))
-        sup_v = np.zeros((n, n_pairs))
+        drivers = [BatchEuler(mem, x, v, dws, cfg_t) for mem in members]
+        sup_f = np.zeros((len(dws), n_pairs))
+        sup_v = np.zeros((len(dws), n_pairs))
         for _ in range(n_steps):
             for drv in drivers:
                 drv.advance()
@@ -385,13 +376,9 @@ def family_convergence(fam: MollifiedFamily, eps_list, x, v, T: float,
                                   master_seed, workers)
     rows = []
     for j in range(n_pairs):
-        gf, gv = sup_f[ok, j], sup_v[ok, j]
-        rows.append(ConvergenceRow(
-            eps=eps_list[j], eps_next=eps_list[j + 1],
-            gap_flow=float(np.mean(gf)),
-            se_flow=float(np.std(gf, ddof=1) / math.sqrt(gf.size)),
-            gap_derivative=float(np.mean(gv)),
-            se_derivative=float(np.std(gv, ddof=1) / math.sqrt(gv.size))))
+        rows.append(ConvergenceRow(eps_list[j], eps_list[j + 1],
+                                   *_mean_se(sup_f[:, j], ok),
+                                   *_mean_se(sup_v[:, j], ok)))
     return rows
 
 
@@ -409,20 +396,15 @@ class SmoothBump:
         self.d = d
 
     def value(self, x: np.ndarray) -> np.ndarray:
-        u2 = np.sum((x - self.center) ** 2, axis=-1) / self.radius**2
-        inside = u2 < 1.0
-        return np.where(inside,
-                        np.exp(1.0 / np.where(inside, u2 - 1.0, -1.0)), 0.0)
+        return _bump_kernel(np.sum((x - self.center) ** 2, axis=-1)
+                            / self.radius**2)
 
     def partial(self, x: np.ndarray, i: int) -> np.ndarray:
         z = x - self.center
         u2 = np.sum(z * z, axis=-1) / self.radius**2
-        inside = u2 < 1.0
-        denom = np.where(inside, u2 - 1.0, -1.0)
-        return np.where(
-            inside,
-            np.exp(1.0 / denom) * (-1.0 / denom**2)
-            * (2.0 * z[..., i] / self.radius**2), 0.0)
+        denom = np.where(u2 < 1.0, u2 - 1.0, -1.0)
+        return _bump_kernel(u2) * (-1.0 / denom**2) \
+            * (2.0 * z[..., i] / self.radius**2)
 
 
 @dataclass(frozen=True)
@@ -460,9 +442,8 @@ def ibp_residual(system: CoefficientSystem, t: float, box: float, n_grid: int,
     residuals = []
     for omega in range(n_omega):
         dws = gaussian_increments(master_seed, omega, n_steps, cfg_t.h,
-                                  system.m)[None]
-        drv = BatchEuler(system, starts, _tile(e_i, len(starts)), dws,
-                         cfg_t).run()
+                                  system.m)
+        drv = BatchEuler(system, starts, e_i, dws, cfg_t).run()
         worst = 0.0
         for j in range(d):
             r = abs(weight * float(np.sum(dphi_vals * drv.x[:, j]))
@@ -486,22 +467,13 @@ class KrylovReport:
     f_norm: float
     rhs_shape: float
     ratio: float
-    cd: float
     n_paths: int
-
-    @property
-    def rhs(self) -> float:
-        return self.cd * self.rhs_shape
-
-
-def _ball_volume(d: int, radius: float) -> float:
-    return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0) * radius**d
 
 
 def krylov_check(system: CoefficientSystem, x, T: float, R: float,
                  n_paths: int, cfg: IntegratorConfig, f=None,
                  f_norm: float | None = None, master_seed: int = 0,
-                 workers: int = 1, cd: float = 1.0) -> KrylovReport:
+                 workers: int = 1) -> KrylovReport:
     """Occupation-measure estimate against its growth-shaped majorant.
 
     lhs estimates E int_0^{T ^ tau_R} f(t, F_t - x) det(A(F_t))^{1/(d+1)} dt
@@ -515,7 +487,7 @@ def krylov_check(system: CoefficientSystem, x, T: float, R: float,
     if f is None:
         f = lambda ts, xs: np.ones(xs.shape[:-1])
         if f_norm is None:
-            f_norm = (T * _ball_volume(d, R)) ** (1.0 / (d + 1))
+            f_norm = (T * ball_volume(d, R)) ** (1.0 / (d + 1))
     if f_norm is None:
         raise ValueError("custom f requires its cylinder L^{d+1} norm f_norm")
     cfg_t = cfg.with_horizon(T)
@@ -523,12 +495,11 @@ def krylov_check(system: CoefficientSystem, x, T: float, R: float,
     power = 1.0 / (d + 1)
 
     def run(dws):
-        n = len(dws)
-        drv = BatchEuler(system, _tile(x_arr, n), np.zeros((n, d)), dws, cfg_t)
-        lhs_acc = np.zeros(n)
-        a_acc = np.zeros(n)
-        b_acc = np.zeros(n)
-        inside = np.ones(n, dtype=bool)
+        drv = BatchEuler(system, x_arr, 0.0, dws, cfg_t)
+        lhs_acc = np.zeros(drv.n)
+        a_acc = np.zeros(drv.n)
+        b_acc = np.zeros(drv.n)
+        inside = np.ones(drv.n, dtype=bool)
         for s, xs, _, _, active in drv.steps():
             recentered = xs - x_arr
             inside &= np.linalg.norm(recentered, axis=-1) <= R
@@ -549,15 +520,14 @@ def krylov_check(system: CoefficientSystem, x, T: float, R: float,
 
     lhs_all, a_all, b_all, ok = _map_paths(run, n_paths, cfg_t, system.m,
                                            master_seed, workers)
-    lhs = float(np.mean(lhs_all[ok]))
-    lhs_se = float(np.std(lhs_all[ok], ddof=1) / math.sqrt(np.sum(ok)))
-    a_hat = float(np.mean(a_all[ok]))
-    b_hat = float(np.mean(b_all[ok]))
+    lhs, lhs_se = _mean_se(lhs_all, ok)
+    a_hat = _mean_se(a_all, ok)[0]
+    b_hat = _mean_se(b_all, ok)[0]
     shape = math.exp(T) * (a_hat + b_hat**2) ** (d / (2.0 * (d + 1))) * f_norm
     ratio = lhs / shape if shape > 0.0 else math.nan
     return KrylovReport(lhs=lhs, lhs_std_error=lhs_se, a_hat=a_hat,
                         b_hat=b_hat, f_norm=f_norm, rhs_shape=shape,
-                        ratio=ratio, cd=cd, n_paths=n_paths)
+                        ratio=ratio, n_paths=n_paths)
 
 
 # ---------------------------------------------------------------------------
@@ -582,28 +552,26 @@ def holder_modulus(system: CoefficientSystem, pairs, p: float, t: float,
     pairs so that ratio comparisons are low-noise.
     """
     cfg_t = cfg.with_horizon(t)
+    pairs = [(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+             for x, y in pairs]
+    seps = [float(np.linalg.norm(x - y)) for x, y in pairs]
+    if 0.0 in seps:
+        raise ValueError("pair points must be distinct")
+
+    def run(dws):
+        gaps, kept = [], []
+        for x, y in pairs:
+            fx = BatchEuler(system, x, 0.0, dws, cfg_t).run()
+            fy = BatchEuler(system, y, 0.0, dws, cfg_t).run()
+            gaps.append(np.linalg.norm(fx.x - fy.x, axis=-1) ** p)
+            kept.append(_kept(fx, fy))
+        return np.stack(gaps, axis=-1), np.stack(kept, axis=-1)
+
+    gaps, ok = _map_paths(run, n_paths, cfg_t, system.m, master_seed, workers)
     rows = []
-    for x, y in pairs:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        sep = float(np.linalg.norm(x - y))
-        if sep == 0.0:
-            raise ValueError("pair points must be distinct")
-
-        def run(dws):
-            n = len(dws)
-            zero_v = np.zeros((n, system.d))
-            fx = BatchEuler(system, _tile(x, n), zero_v, dws, cfg_t).run()
-            fy = BatchEuler(system, _tile(y, n), zero_v, dws, cfg_t).run()
-            return np.linalg.norm(fx.x - fy.x, axis=-1) ** p, _kept(fx, fy)
-
-        gaps, ok = _map_paths(run, n_paths, cfg_t, system.m, master_seed,
-                              workers)
-        good = gaps[ok] / sep**p
-        rows.append(HolderRow(
-            x=tuple(map(float, x)), y=tuple(map(float, y)), separation=sep,
-            ratio=float(np.mean(good)),
-            std_error=float(np.std(good, ddof=1) / math.sqrt(good.size))))
+    for j, ((x, y), sep) in enumerate(zip(pairs, seps)):
+        rows.append(HolderRow(tuple(map(float, x)), tuple(map(float, y)), sep,
+                              *_mean_se(gaps[:, j] / sep**p, ok[:, j])))
     return rows
 
 
@@ -620,11 +588,10 @@ def exp_representation_gaps(system: CoefficientSystem, x, v, p: float,
     v0_norm = float(np.linalg.norm(v))
 
     def run(dws):
-        n = len(dws)
-        drv = BatchEuler(system, _tile(x, n), _tile(v, n), dws, cfg_t)
-        m_acc = np.zeros(n)
-        q_acc = np.zeros(n)
-        a_acc = np.zeros(n)
+        drv = BatchEuler(system, x, v, dws, cfg_t)
+        m_acc = np.zeros(drv.n)
+        q_acc = np.zeros(drv.n)
+        a_acc = np.zeros(drv.n)
         for _, _, vs, dw, _ in drv.steps():
             dm, dq, da = exp_representation_terms(drv.jacobians(), vs, dw,
                                                   cfg_t.h, p)

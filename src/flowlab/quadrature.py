@@ -8,6 +8,7 @@ All rules are returned for the unit ball and rescaled by callers.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,7 @@ __all__ = [
     "BallRule",
     "unit_ball_rule",
     "annulus_rule",
+    "ball_volume",
     "sphere_points",
     "midpoint_ball_rule",
     "tangent_basis",
@@ -106,21 +108,11 @@ def unit_ball_rule(d: int, n_radial: int | None = None,
         n_radial = 64 if n_radial is None else n_radial
         x, w = _gauss_legendre(n_radial, -1.0, 1.0)
         return BallRule(1, x[:, None], w)
-    if d == 2:
-        n_radial = 32 if n_radial is None else n_radial
+    if d in (2, 3):
+        if n_radial is None:
+            n_radial = 32 if d == 2 else 24
         n_angular = 64 if n_angular is None else n_angular
-        r, wr = _gauss_legendre(n_radial, 0.0, 1.0)
-        dirs, wd = sphere_points(2, n_angular)
-        nodes = r[:, None, None] * dirs[None, :, :]
-        weights = (wr * r)[:, None] * wd[None, :]
-        return BallRule(2, nodes.reshape(-1, 2), weights.reshape(-1))
-    if d == 3:
-        n_radial = 24 if n_radial is None else n_radial
-        r, wr = _gauss_legendre(n_radial, 0.0, 1.0)
-        dirs, wd = sphere_points(3, 0)
-        nodes = r[:, None, None] * dirs[None, :, :]
-        weights = (wr * r**2)[:, None] * wd[None, :]
-        return BallRule(3, nodes.reshape(-1, 3), weights.reshape(-1))
+        return BallRule(d, *annulus_rule(d, 0.0, 1.0, n_radial, n_angular))
     raise ValueError(f"ball rules implemented for d <= 3, got d={d}")
 
 
@@ -134,6 +126,11 @@ def annulus_rule(d: int, r_inner: float, r_outer: float, n_radial: int,
     nodes = r[:, None, None] * dirs[None, :, :]
     weights = (wr * r ** (d - 1))[:, None] * wd[None, :]
     return nodes.reshape(-1, d), weights.reshape(-1)
+
+
+def ball_volume(d: int, radius: float) -> float:
+    """Volume of the ball of the given radius in R^d."""
+    return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0) * radius**d
 
 
 def midpoint_ball_rule(d: int, radius: float, n_radial: int,

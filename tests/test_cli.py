@@ -333,6 +333,34 @@ def test_run_rejects_unknown_params_and_non_numbers(tmp_path, capsys, case):
     assert not out.exists()
 
 
+# string- and list-valued keys given a value of another type
+BAD_TYPES = {
+    "gradient.payoff=list": ("gradient", {"x": [0.0], "v": [1.0],
+                                          "payoff": ["sin"]}),
+    "check.p_list=str": ("check", {"p_list": ["2"]}),
+    "check.p_list=number": ("check", {"p_list": 2.0}),
+    "converge.eps_list=number": ("converge", {"eps_list": 0.01, "x": [0.0],
+                                              "v": [1.0]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TYPES))
+def test_run_rejects_badly_typed_string_and_list_keys(tmp_path, capsys, case):
+    command, block = BAD_TYPES[case]
+    path = write(tmp_path, "c.json", {
+        "command": command,
+        "system": {"name": "ornstein_uhlenbeck", "params": {"d": 1}},
+        "integrator": {"h": 1e-2, "T": 0.1},
+        "mc": {"n_paths": 8},
+        command: block,
+    })
+    out = tmp_path / "o"
+    assert main([command, str(path), "--out", str(out)]) == 2
+    assert case.split("=")[0] in capsys.readouterr().err
+    # rejected before the echo is written, so nothing is left behind
+    assert not out.exists()
+
+
 def test_run_unexpected_error_exits_one_and_logs(tmp_path, capsys,
                                                  monkeypatch):
     # an error no validation anticipates, raised inside the command

@@ -162,6 +162,35 @@ def test_derivative_free_batch_ignores_nonfinite_jacobians():
     assert np.array_equal(tangent.exit_step, np.ones(4, dtype=int))
 
 
+def test_batch_euler_broadcasts_starts_directions_and_noise():
+    s = builtin("ornstein_uhlenbeck", d=2)
+    c = cfg(h=1e-2, T=0.1)
+    dws = increments_block(3, 0, 5, c.n_steps, c.h, s.m)
+    full = BatchEuler(s, np.tile([0.3, 0.1], (5, 1)),
+                      np.tile([1.0, 0.0], (5, 1)), dws, c).run()
+    shared = BatchEuler(s, [0.3, 0.1], [1.0, 0.0], dws, c).run()
+    assert shared.n == 5
+    np.testing.assert_array_equal(shared.x, full.x)
+    np.testing.assert_array_equal(shared.v, full.v)
+    # one noise path against several starts, and a scalar v0 = 0
+    starts = np.array([[0.3, 0.1], [-0.2, 0.4]])
+    common = BatchEuler(s, starts, 0.0, dws[0], c).run()
+    assert common.n == 2 and not np.any(common.v)
+    np.testing.assert_array_equal(common.x[0], full.x[0])
+
+
+def test_batch_euler_rejects_sizes_that_do_not_broadcast():
+    s = builtin("ornstein_uhlenbeck", d=2)
+    c = cfg(h=1e-2, T=0.1)
+    dws = increments_block(3, 0, 5, c.n_steps, c.h, s.m)
+    with pytest.raises(ValueError):
+        BatchEuler(s, np.zeros((3, 2)), [1.0, 0.0], dws, c)
+    with pytest.raises(ValueError):
+        BatchEuler(s, [0.3, 0.1], np.ones((2, 2)), dws, c)
+    with pytest.raises(ValueError):
+        BatchEuler(s, [0.3, 0.1, 0.0], [1.0, 0.0], dws, c)
+
+
 def test_bitwise_reproducibility_and_batch_consistency():
     s = builtin("example21")
     c = cfg(h=1e-3, T=0.05)

@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo estimators against closed-form oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -268,7 +269,7 @@ def test_ibp_residual_gbm():
 
 def ibp_residual_shifted(system, bump, t):
     from flowlab.engine import BatchEuler, gaussian_increments
-    from flowlab.estimators import IbpReport, _tile
+    from flowlab.estimators import IbpReport
     c = cfg(h=1e-3).with_horizon(t)
     axis = np.linspace(0.5, 1.5, 201)
     starts = axis[:, None]
@@ -278,8 +279,7 @@ def ibp_residual_shifted(system, bump, t):
     residuals = []
     for omega in range(3):
         dws = gaussian_increments(0, omega, c.n_steps, c.h, 1)[None]
-        drv = BatchEuler(system, starts, _tile([1.0], len(starts)), dws,
-                         c).run()
+        drv = BatchEuler(system, starts, [1.0], dws, c).run()
         r = abs(weight * float(np.sum(dphi_vals * drv.x[:, 0]))
                 + weight * float(np.sum(phi_vals * drv.v[:, 0])))
         residuals.append(r)
@@ -295,7 +295,7 @@ def test_krylov_zero_function():
     rep = krylov_check(s, [0.0], T=0.25, R=5.0, n_paths=200, cfg=cfg(h=1e-2),
                        f=lambda t, x: np.zeros(x.shape[:-1]), f_norm=0.0)
     assert rep.lhs == 0.0
-    assert rep.lhs <= rep.rhs
+    assert rep.lhs <= rep.rhs_shape
     assert math.isnan(rep.ratio)
 
 
@@ -354,6 +354,64 @@ def test_holder_example21_scale_free_ratios():
                           cfg=cfg(h=2e-3))
     combined = rows[0].std_error + rows[1].std_error
     assert abs(rows[0].ratio - rows[1].ratio) <= max(2.0 * combined, 0.02)
+
+
+def test_holder_modulus_draws_increments_once_per_chunk(monkeypatch):
+    # all pairs share one draw of each chunk's increments
+    s = builtin("additive_noise", sigma=1.0, d=2)
+    pairs = [([0.0, 0.0], [0.5, 0.5]), ([0.1, 0.0], [0.0, 0.2]),
+             ([0.3, 0.3], [0.3, 0.4])]
+    draws = []
+    block = est_module.increments_block
+
+    def counting(*args):
+        draws.append(args)
+        return block(*args)
+
+    monkeypatch.setattr(est_module, "increments_block", counting)
+    monkeypatch.setattr(est_module, "CHUNK_PATHS", 16)
+    rows = holder_modulus(s, pairs, p=2.0, t=0.05, n_paths=40,
+                          cfg=cfg(h=1e-2))
+    assert len(rows) == 3
+    assert len(draws) == 3  # chunks of 16, 16 and 8 paths
+
+
+# ---------------------------------------------------------------------------
+# one kept path
+
+def _one_path_estimates(c):
+    ou = builtin("ornstein_uhlenbeck", d=1)
+    gbm = builtin("geometric_bm", mu=0.1, sigma=0.2, d=1)
+    one = dict(n_paths=1, cfg=c)
+    yield derivative_moment(ou, [0.0], [1.0], p=2.0, t=0.05, **one)
+    yield bel_gradient(ou, [0.0], [1.0], PAYOFFS["sin"], t=0.05, **one)
+    yield fd_gradient(ou, [0.0], [1.0], PAYOFFS["sin"], t=0.05, delta=1e-2,
+                      **one)
+    bound = flow_moment_bound_check(ou, [0.5], lam=1.0, T=0.05,
+                                    n_checkpoints=2, theta_box=2.0,
+                                    theta_points=16, **one)
+    for row in bound.checkpoints:
+        yield row.lhs, row.std_error
+    fam = mollified_family(gbm, eps0=0.3)
+    for row in family_convergence(fam, [0.2, 0.1], [1.0], [1.0], T=0.05,
+                                  **one):
+        yield row.gap_flow, row.se_flow
+        yield row.gap_derivative, row.se_derivative
+    rep = krylov_check(ou, [0.0], T=0.05, R=5.0, **one)
+    yield rep.lhs, rep.lhs_std_error
+    for row in holder_modulus(gbm, [([1.0], [1.1])], p=2.0, t=0.05, **one):
+        yield row.ratio, row.std_error
+
+
+def test_one_kept_path_gives_a_value_and_a_nan_standard_error():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        estimates = [(e.value, e.std_error) if hasattr(e, "value") else e
+                     for e in _one_path_estimates(cfg(h=1e-2))]
+    assert len(estimates) == 9
+    for value, se in estimates:
+        assert math.isfinite(value)
+        assert math.isnan(se)
 
 
 # ---------------------------------------------------------------------------
