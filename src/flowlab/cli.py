@@ -243,10 +243,12 @@ def _check_dimensions(config: ExperimentConfig, system) -> None:
     dimension of the system, and ibp's coordinate i is one of them."""
     for key in ("x", "v"):
         given = config.block.get(key)
-        if given is not None and np.shape(given) != (system.d,):
+        if given is not None and not (
+                isinstance(given, list) and len(given) == system.d
+                and all(map(_is_number, given))):
             raise ConfigError(
-                f"{config.command}.{key} must have {system.d} entries, one per "
-                f"dimension of {system.name}, got {given!r}")
+                f"{config.command}.{key} must be a list of {system.d} numbers, "
+                f"one per dimension of {system.name}, got {given!r}")
     if config.command == "ibp":
         i = config.block["i"]
         if type(i) is not int or not 0 <= i < system.d:

@@ -4,8 +4,8 @@ A default of REQUIRED marks a key the user must supply; everything else is
 materialized into the echoed config (None means "auto"). A key whose default
 is a number, or None, takes a number, and a key whose default is a string
 takes a string. REQUIRED carries no type, so list-valued keys are named in
-NUMBER_LISTS; the points x and v are checked against the system's dimension
-once it is built.
+NUMBER_LISTS; the points x and v are checked, once the system is built, to
+be lists of numbers with one entry per dimension.
 """
 
 SCHEMA_VERSION = "flowlab-config-v1"

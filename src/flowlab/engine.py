@@ -4,8 +4,13 @@ coupled state/derivative system.
 Increments come from a counter-based generator (Philox keyed by master seed
 and path index) pushed through the inverse Gaussian CDF, so every path is
 reproducible bit-for-bit from (master_seed, path_index) regardless of worker
-scheduling. The integrator advances both components with coefficients frozen
-at the pre-step state:
+scheduling. One Philox bit generator serves a whole block: for each path it
+is re-keyed with (master_seed, path_index), its counter set to zero and its
+buffer emptied, and the path's raw uint64 stream is read from counter 0 (the
+stream a fresh `Generator(Philox(key)).integers(0, 2**64)` gives). The raw
+words pass through a reusable buffer of a few rows and are transformed in
+place into the output by the inverse CDF. The integrator advances both
+components with coefficients frozen at the pre-step state:
 
     x+ = x + sum_k X_k(x) dW^k + X_0(x) h
     v+ = v + sum_k DX_k(x)(v) dW^k + DX_0(x)(v) h
@@ -76,26 +81,46 @@ class BrownianPath:
 
 def gaussian_increments(master_seed: int, path_index: int, n_steps: int,
                         h: float, m: int) -> np.ndarray:
-    """N(0, h) increments keyed by (master_seed, path_index, step, component).
+    """(n_steps, m) N(0, h) increments of one path; see increments_block."""
+    return increments_block(master_seed, path_index, 1, n_steps, h, m)[0]
 
-    Philox supplies the uniform stream; the Gaussian transform is the inverse
-    CDF applied to (r >> 11 + 1/2) 2^-53, which never produces 0 or 1, so the
-    output is finite and platform-stable.
-    """
-    key = np.array([master_seed, path_index], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    raw = gen.integers(0, 2**64, size=(n_steps, m), dtype=np.uint64,
-                       endpoint=False)
-    u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    return ndtri(u) * np.sqrt(h)
+
+# bytes of raw Philox words held at once while a block is transformed
+_RAW_BUFFER_BYTES = 1 << 18
 
 
 def increments_block(master_seed: int, first_path: int, n_paths: int,
                      n_steps: int, h: float, m: int) -> np.ndarray:
-    """(n_paths, n_steps, m) increments for a contiguous path range."""
+    """(n_paths, n_steps, m) N(0, h) increments for a contiguous path range.
+
+    Path i's n_steps*m draws, in (step, component) order, are the raw uint64
+    stream of Philox keyed by (master_seed, i) from counter 0; a raw word r
+    becomes ndtri(((r >> 11) + 1/2) 2^-53) sqrt(h). The uniform never is 0
+    or 1, so the output is finite and platform-stable.
+    """
+    n_draws = n_steps * m
     out = np.empty((n_paths, n_steps, m))
-    for i in range(n_paths):
-        out[i] = gaussian_increments(master_seed, first_path + i, n_steps, h, m)
+    flat = out.reshape(n_paths, n_draws)
+    rows = max(1, min(n_paths, _RAW_BUFFER_BYTES // (8 * max(n_draws, 1))))
+    raw = np.empty((rows, n_draws), dtype=np.uint64)
+    bitgen = np.random.Philox(key=0)
+    state = {"bit_generator": "Philox",
+             "state": {"counter": (0, 0, 0, 0), "key": (master_seed, 0)},
+             "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    scale = np.sqrt(h)
+    for a in range(0, n_paths, rows):
+        b = min(a + rows, n_paths)
+        for r in range(b - a):
+            state["state"]["key"] = (master_seed, first_path + a + r)
+            bitgen.state = state
+            raw[r] = bitgen.random_raw(n_draws)
+        words, u = raw[:b - a], flat[a:b]
+        words >>= np.uint64(11)
+        np.add(words, 0.5, out=u)
+        u *= 2.0**-53
+        ndtri(u, out=u)
+        u *= scale
     return out
 
 

@@ -5,7 +5,8 @@ convergence gaps, integration-by-parts residuals, occupation-measure ratio
 checks, and Holder-modulus tables.
 
 Every path-batch estimator runs on one driver, `_map_paths`: it cuts the
-paths into fixed ranges of CHUNK_PATHS (read at call time), draws each
+paths into fixed ranges of at most CHUNK_PATHS (read at call time) paths
+whose increments stay under MAX_BLOCK_BYTES, draws each
 range's increments with one `increments_block` call, maps the estimator's
 per-path `run(dws)` over the ranges, and concatenates what `run` returns in
 path-index order. An estimator keeps only its per-path computation and its
@@ -82,6 +83,7 @@ __all__ = [
 ]
 
 CHUNK_PATHS = 4096
+MAX_BLOCK_BYTES = 64 * 2**20
 UNRELIABLE_FRACTION = 1e-3
 
 
@@ -128,11 +130,13 @@ def _map_paths(run, n_paths: int, cfg: IntegratorConfig, m: int,
     """Map run(dws) over fixed path ranges and concatenate its outputs.
 
     dws is the (n, n_steps, m) increment block of one range; run returns a
-    tuple of per-path arrays with leading axis n. Ranges are mapped on a
-    thread pool when workers > 1; outputs are joined in path-index order.
+    tuple of per-path arrays with leading axis n. A range holds at most
+    CHUNK_PATHS paths and, above one path, no more than fit in
+    MAX_BLOCK_BYTES of increments. Ranges are mapped on a thread pool when
+    workers > 1; outputs are joined in path-index order.
     """
-    ranges = [(a, min(a + CHUNK_PATHS, n_paths))
-              for a in range(0, n_paths, CHUNK_PATHS)]
+    size = max(1, min(CHUNK_PATHS, MAX_BLOCK_BYTES // (cfg.n_steps * m * 8)))
+    ranges = [(a, min(a + size, n_paths)) for a in range(0, n_paths, size)]
 
     def chunk(ab):
         a, b = ab

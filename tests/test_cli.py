@@ -254,6 +254,31 @@ def test_run_rejects_points_of_the_wrong_dimension(tmp_path, capsys, key):
     assert not (out / "result.csv").exists()
 
 
+# a point with an entry that is not a number (JSON strings and booleans)
+WRONG_ENTRY_TYPE = {
+    "gradient.x": ("gradient", {"x": ["0.5"], "v": [1.0]}),
+    "moments.v": ("moments", {"x": [0.0], "v": [True]}),
+}
+
+
+@pytest.mark.parametrize("key", sorted(WRONG_ENTRY_TYPE))
+def test_run_rejects_points_with_entries_that_are_not_numbers(tmp_path,
+                                                              capsys, key):
+    command, block = WRONG_ENTRY_TYPE[key]
+    path = write(tmp_path, "c.json", {
+        "command": command,
+        "system": {"name": "ornstein_uhlenbeck", "params": {"d": 1}},
+        "integrator": {"h": 1e-2, "T": 0.1},
+        "mc": {"n_paths": 8},
+        command: block,
+    })
+    out = tmp_path / "o"
+    assert run(command, path, out=str(out)) == 2
+    assert key in capsys.readouterr().err
+    assert f"status: failed: {key}" in (out / "run.log").read_text()
+    assert not (out / "result.csv").exists()
+
+
 # keys of the Philox stream out of [0, 2^64), as config values or via --seed
 PHILOX_KEYS = {
     "master_seed=-1": ("gradient", {"mc": {"n_paths": 8, "master_seed": -1}},

@@ -1,7 +1,10 @@
 """Tests for the deterministic increment generator and the Euler integrator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from flowlab import (
     IntegrationError,
@@ -13,6 +16,7 @@ from flowlab import (
     multi_start,
     sample_path,
 )
+from flowlab import engine
 from flowlab.engine import BatchEuler, gaussian_increments, increments_block
 
 
@@ -35,6 +39,60 @@ def test_increments_distinct_paths_and_seeds():
     c = gaussian_increments(124, 0, 50, 0.01, 1)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def reference_increments(master_seed, path_index, n_steps, h, m):
+    """The RNG contract as first written: a fresh generator per path."""
+    key = np.array([master_seed, path_index], dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=key))
+    raw = gen.integers(0, 2**64, size=(n_steps, m), dtype=np.uint64,
+                       endpoint=False)
+    u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    return ndtri(u) * np.sqrt(h)
+
+
+def test_increments_golden_values():
+    assert gaussian_increments(0, 0, 2, 1.0, 2).tolist() == [
+        [-2.271884148324594, -0.701327920628698],
+        [-1.218980191079758, 0.16217155791645022]]
+    top = 2**64 - 1
+    assert gaussian_increments(top, top, 3, 1.0, 1).tolist() == [
+        [-0.18437018740645797], [0.18022569476059613], [2.376553085644074]]
+    # 21 draws: the last Philox block of four is only partly used
+    a = gaussian_increments(7, 3, 7, 0.25, 3)
+    assert a.shape == (7, 3)
+    assert a[0].tolist() == [-0.022405972608555362, 0.29758573808670247,
+                             -0.8211977208887794]
+    assert a[6].tolist() == [-0.5573100622954021, -0.3887161444458013,
+                             0.37502391693344383]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_increments_block_matches_per_path_generator(m):
+    # long paths, so that the block spans several groups of buffered rows
+    n_steps = 5000
+    rows = engine._RAW_BUFFER_BYTES // (8 * n_steps * m)
+    n_paths = 2 * rows + 1
+    first = 2**40 + 11
+    block = increments_block(99, first, n_paths, n_steps, 0.01, m)
+    assert block.shape == (n_paths, n_steps, m)
+    for i in range(n_paths):
+        assert np.array_equal(
+            block[i], reference_increments(99, first + i, n_steps, 0.01, m))
+    short = increments_block(2**64 - 2, 2**64 - 70, 65, 7, 0.3, m)
+    for i in range(65):
+        assert np.array_equal(short[i], reference_increments(
+            2**64 - 2, 2**64 - 70 + i, 7, 0.3, m))
+
+
+def test_increments_block_holds_no_block_sized_temporary():
+    tracemalloc.start()
+    try:
+        out = increments_block(1, 0, 4096, 1000, 1e-3, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < out.nbytes + 2**20
 
 
 def test_increments_moments_at_scale():

@@ -376,6 +376,29 @@ def test_holder_modulus_draws_increments_once_per_chunk(monkeypatch):
     assert len(draws) == 3  # chunks of 16, 16 and 8 paths
 
 
+@pytest.mark.parametrize("h, m, n_paths, sizes", [
+    (1e-3, 2, 5000, [4096, 904]),           # CHUNK_PATHS caps the range
+    (1e-4, 2, 4096, [419] * 9 + [325]),     # 160 kB of increments per path
+    (1e-9, 1, 3, [1, 1, 1]),                # one path exceeds the bound
+])
+def test_map_paths_bounds_the_increment_block(h, m, n_paths, sizes,
+                                              monkeypatch):
+    blocks = []
+
+    def recording(master_seed, first_path, n, n_steps, h_, m_):
+        blocks.append((first_path, n, n_steps * m_ * 8 * n))
+        return np.broadcast_to(0.0, (n, n_steps, m_))
+
+    monkeypatch.setattr(est_module, "increments_block", recording)
+    (lengths,) = est_module._map_paths(lambda dws: (np.full(len(dws), 1),),
+                                       n_paths, cfg(h=h), m, master_seed=0)
+    assert [n for _, n, _ in blocks] == sizes
+    assert [a for a, _, _ in blocks] == list(np.cumsum([0] + sizes[:-1]))
+    assert len(lengths) == n_paths
+    if sizes[0] > 1:
+        assert max(b for _, _, b in blocks) <= est_module.MAX_BLOCK_BYTES
+
+
 # ---------------------------------------------------------------------------
 # one kept path
 
