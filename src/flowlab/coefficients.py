@@ -639,15 +639,28 @@ BUILTIN_NAMES = ("example21", "ornstein_uhlenbeck", "geometric_bm", "constant",
                  "additive_noise")
 
 
-def _smooth_step(t: np.ndarray) -> np.ndarray:
-    """C^inf step: 0 for t <= 0, 1 for t >= 1, strictly increasing between."""
+def _smooth_step(t: np.ndarray, slope: bool = False):
+    """C^inf step: 0 for t <= 0, 1 for t >= 1, strictly increasing between.
+
+    S = a / (a + b) with a = e^{-1/t}, b = e^{-1/(1-t)}, evaluated only on the
+    band 0 < t < 1; with slope=True also returns
+    S' = a b (1/t^2 + 1/(1-t)^2) / (a + b)^2, which is 0 off the band
+    (grouped so that no intermediate overflows near the band's ends).
+    """
     t = np.asarray(t, dtype=float)
-    def phi(u):
-        pos = u > 0
-        return np.where(pos, np.exp(-1.0 / np.where(pos, u, 1.0)), 0.0)
-    a = phi(t)
-    b = phi(1.0 - t)
-    return a / (a + b)
+    flat = t.reshape(-1)
+    out = np.where(flat >= 1.0, 1.0, 0.0)
+    band = np.flatnonzero((flat > 0.0) & (flat < 1.0))
+    tb = flat[band]
+    a = np.exp(-1.0 / tb)
+    b = np.exp(-1.0 / (1.0 - tb))
+    w = a + b
+    out[band] = a / w
+    if not slope:
+        return out.reshape(t.shape)
+    ds = np.zeros_like(out)
+    ds[band] = (a / tb / tb * b + b / (1.0 - tb) / (1.0 - tb) * a) / (w * w)
+    return out.reshape(t.shape), ds.reshape(t.shape)
 
 
 def _batched(fn):
@@ -683,9 +696,16 @@ def _bumps(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return 1.0 - _smooth_step(r - 2.0), _smooth_step(r - 1.0)
 
 
+def _bump_slopes(r: np.ndarray) -> tuple[np.ndarray, ...]:
+    """g1, g2 and their radial derivatives g1' = -S'(r-2), g2' = S'(r-1)."""
+    s2, ds2 = _smooth_step(r - 2.0, slope=True)
+    g2, dg2 = _smooth_step(r - 1.0, slope=True)
+    return 1.0 - s2, g2, -ds2, dg2
+
+
 def _example21(d: int = 2, q1: float = 0.8, q2: float = 0.5, q3: float = 0.5,
-               q4: float = 1.0, r_min: float = DEFAULT_R_MIN,
-               h_fd: float = DEFAULT_H_FD) -> CoefficientSystem:
+               q4: float = 1.0,
+               r_min: float = DEFAULT_R_MIN) -> CoefficientSystem:
     lo_q1 = 1.0 - d / (2.0 * (d + 1.0))
     if not q1 > lo_q1:
         raise ParameterConstraintError(
@@ -713,63 +733,55 @@ def _example21(d: int = 2, q1: float = 0.8, q2: float = 0.5, q3: float = 0.5,
 
     eye = np.eye(d)
 
-    def diff_coeff(r, g1, g2):
-        term2 = np.zeros_like(r)
-        outer = r > 1.0
-        term2[outer] = r[outer] ** q2 * g2[outer]
-        return (1.0 + r**q1) * g1 + term2
-
-    def drift_vec(x, r, g1, g2):
-        unit = np.zeros_like(x)
-        pos = r > 0
-        unit[pos] = x[pos] / r[pos][..., None]
-        # -(1 + r^{-q3}) g1 x = -g1 (x + r^{1-q3} unit); finite at 0
-        inner = g1[..., None] * (x + (r ** (1.0 - q3))[..., None] * unit)
-        outer = (g2 * r**q4)[..., None] * x
-        return -inner - outer
+    # X_0 = -c0(r) x with c0 = g1 (1 + r^-q3) + g2 r^q4, and
+    # X_k = s(r) e_k with s = (1 + r^q1) g1 + 1{r>1} r^q2 g2; the indicator
+    # keeps r^q2 off the unit ball, where g2 = 0 and q2 < 0 would make it
+    # infinite at the origin
+    def far_power(r, q):
+        return np.power(r, q, out=np.zeros_like(r), where=r > 1.0)
 
     def fields(x):
+        # radial factors times the rows of x^T, so that every product runs
+        # along the point axis; the same operations, in place
         r = np.linalg.norm(x, axis=-1)
         g1, g2 = _bumps(r)
-        drift = drift_vec(x, r, g1, g2)
-        sigma = diff_coeff(r, g1, g2)[..., None, None] \
-            * np.broadcast_to(eye, x.shape + (d,))
-        return drift, sigma
-
-    def _drift_jac_closed(x, r, xx, core: bool):
-        if core:
-            return (q3 * r ** (-q3 - 2.0))[..., None, None] * xx \
-                - (1.0 + r**-q3)[..., None, None] * eye
-        return -(r**q4)[..., None, None] * eye \
-            - (q4 * r ** (q4 - 2.0))[..., None, None] * xx
-
-    def _diff_jac_closed(x, r, core: bool):
-        # (..., m, d, d) with row k-1 of entry k equal to coef * x^T
-        coef = q1 * r ** (q1 - 2.0) if core else q2 * r ** (q2 - 2.0)
-        return coef[..., None, None, None] * np.einsum(
-            "ki,...j->...kij", eye, x)
+        xt = x.T
+        # -(1 + r^{-q3}) g1 x = -g1 (x + r^{1-q3} x/r); finite at 0
+        drift = np.divide(xt, r, out=np.zeros(xt.shape), where=r > 0)
+        drift *= r ** (1.0 - q3)
+        drift += xt
+        drift *= g1
+        np.negative(drift, out=drift)
+        drift -= (g2 * r**q4) * xt
+        s = (1.0 + r**q1) * g1 + far_power(r, q2) * g2
+        sigma = np.empty(x.shape + (d,))
+        for i in range(d):
+            for j in range(d):
+                np.multiply(s, eye[i, j], out=sigma[:, i, j])
+        return np.ascontiguousarray(drift.T), sigma
 
     def jacobians(x):
+        # DX_0 = -c0 I - (c0'/r) x x^T and DX_k = (s'/r) e_k x^T, one closed
+        # form on the core, the bump annulus 1 < r < 3 and the far shell
         r = np.linalg.norm(x, axis=-1)
-        out = np.empty(x.shape[:-1] + (d + 1, d, d))
-        core = r <= 1.0
-        shell = r >= 3.0
-        mid = ~core & ~shell
-        if np.any(core):
-            xc, rc = x[core], r[core]
-            xx = np.einsum("...i,...j->...ij", xc, xc)
-            out[core, 0] = _drift_jac_closed(xc, rc, xx, core=True)
-            out[core, 1:] = _diff_jac_closed(xc, rc, core=True)
-        if np.any(shell):
-            xs_, rs = x[shell], r[shell]
-            xx = np.einsum("...i,...j->...ij", xs_, xs_)
-            out[shell, 0] = _drift_jac_closed(xs_, rs, xx, core=False)
-            out[shell, 1:] = _diff_jac_closed(xs_, rs, core=False)
-        if np.any(mid):
-            # bump transition annulus 1 < |x| < 3: no closed form published
-            out[mid] = fd_jacobian(lambda p: stack_fields(*fields(p)), x[mid],
-                                   h_fd)
-        return out
+        g1, g2, dg1, dg2 = _bump_slopes(r)
+        inv_r = 1.0 / r
+        inv_r2 = inv_r * inv_r
+        r_q1, r_q2, r_q3, r_q4 = r**q1, far_power(r, q2), r**-q3, r**q4
+        c0 = g1 * (1.0 + r_q3) + g2 * r_q4
+        dc0_r = (dg1 * (1.0 + r_q3) + dg2 * r_q4) * inv_r \
+            + (q4 * g2 * r_q4 - q3 * g1 * r_q3) * inv_r2       # c0'/r
+        ds_r = ((1.0 + r_q1) * dg1 + r_q2 * dg2) * inv_r \
+            + (q1 * g1 * r_q1 + q2 * g2 * r_q2) * inv_r2       # s'/r
+        # built as (m+1, d, d, n), so that each entry is one contiguous row
+        # over the points, and returned as its (n, m+1, d, d) view
+        out = np.zeros((d + 1, d, d) + r.shape)
+        xt = x.T
+        for i in range(d):
+            np.multiply(-dc0_r * xt[i], xt, out=out[0, i])
+            out[0, i, i] -= c0
+            np.multiply(ds_r, xt, out=out[1 + i, i])
+        return np.moveaxis(out, -1, 0)
 
     constants = AssumptionConstants(
         p1=max(2.0 * abs(q2), 0.5),
@@ -791,7 +803,7 @@ def _example21(d: int = 2, q1: float = 0.8, q2: float = 0.5, q3: float = 0.5,
             note="drift Jacobian blows up like |x|^{-q3} at the origin; "
                  "values use their continuous limits X_0(0)=0, X_k(0)=e_k"),
         params={"d": d, "q1": q1, "q2": q2, "q3": q3, "q4": q4,
-                "r_min": r_min, "h_fd": h_fd})
+                "r_min": r_min})
 
 
 def _ornstein_uhlenbeck(theta: float = 1.0, sigma: float = 1.0,

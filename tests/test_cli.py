@@ -333,6 +333,9 @@ BAD_KEYS = {
                                       "params": [1]}},
     "system.params.theta=str": {"system": {"name": "ornstein_uhlenbeck",
                                            "params": {"theta": "1"}}},
+    # example21's Jacobians are in closed form; it has no difference step
+    "system.params.h_fd": {"system": {"name": "example21",
+                                      "params": {"h_fd": 1e-5}}},
     "integrator.h=str": {"integrator": {"h": "0.01", "T": 0.1}},
     "integrator.h=bool": {"integrator": {"h": True, "T": 0.1}},
     "mc.n_paths=bool": {"mc": {"n_paths": True}},

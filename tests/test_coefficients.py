@@ -17,7 +17,8 @@ from flowlab import (
     right_inverse_apply,
     theta_g,
 )
-from flowlab.coefficients import fd_jacobian
+from flowlab import coefficients
+from flowlab.coefficients import _smooth_step, fd_jacobian, stack_fields
 
 from systems import scalar_drift_system, sqrt_field_system
 
@@ -310,18 +311,118 @@ def test_per_field_access_reads_the_batched_output(name, params):
         np.testing.assert_array_equal(s.value(k, x[5]), s.value(k, x)[5])
 
 
-def test_example21_annulus_jacobians_are_central_differences():
-    # the bump annulus 1 < |x| < 3 has no closed form: one central
-    # difference of the stacked fields, equal to the per-field difference
-    s = builtin("example21")
+def _ring(rng, n, r_lo, r_hi, d=2):
+    u = rng.normal(size=(n, d))
+    return u / np.linalg.norm(u, axis=-1, keepdims=True) \
+        * rng.uniform(r_lo, r_hi, size=(n, 1))
+
+
+def test_example21_closed_form_jacobians_match_central_differences(
+        monkeypatch):
+    # one closed form on every region: against a central difference of the
+    # stacked fields the gap falls like h^2, also within 1e-3 of the bump
+    # edges r = 1, 2, 3 and at r_min (there with steps relative to |x|)
     rng = np.random.default_rng(4)
-    u = rng.normal(size=(50, 2))
-    x = u / np.linalg.norm(u, axis=-1, keepdims=True) \
-        * rng.uniform(1.05, 2.95, size=(50, 1))
-    jall = s.jacobians_stacked(x)
-    for k in range(s.m + 1):
-        fd = fd_jacobian(lambda p: s.value(k, p), x, s.params["h_fd"])
-        np.testing.assert_array_equal(jall[:, k], fd)
+    groups = {
+        "core": ({}, _ring(rng, 40, 0.05, 0.95), 1.0),
+        "annulus": ({}, _ring(rng, 40, 1.05, 2.95), 1.0),
+        "shell": ({}, _ring(rng, 40, 3.05, 6.0), 1.0),
+        "r=1": ({}, _ring(rng, 40, 1.0 - 1e-3, 1.0 + 1e-3), 1.0),
+        "r=2": ({}, _ring(rng, 40, 2.0 - 1e-3, 2.0 + 1e-3), 1.0),
+        "r=3": ({}, _ring(rng, 40, 3.0 - 1e-3, 3.0 + 1e-3), 1.0),
+        "r_min": ({}, _ring(rng, 40, 1e-6, 1e-6), 1e-6),
+        "d=3": ({"d": 3}, _ring(rng, 60, 0.05, 6.0, d=3), 1.0),
+        "q2<0": ({"q2": -0.5}, _ring(rng, 60, 0.05, 6.0), 1.0),
+    }
+    calls = []
+    real_fd = coefficients.fd_jacobian
+    for name, (params, x, scale) in groups.items():
+        s = builtin("example21", **params)
+        monkeypatch.setattr(coefficients, "fd_jacobian",
+                            lambda *a, **k: calls.append(1) or real_fd(*a, **k))
+        exact = s.jacobians_stacked(x)
+        monkeypatch.undo()
+        assert exact.shape == (len(x), s.m + 1, s.d, s.d)
+        gaps = [np.max(np.abs(fd_jacobian(
+            lambda p: stack_fields(*s.fields(p)), x, h * scale) - exact))
+            for h in (1e-3, 1e-4)]
+        assert gaps[1] * 50.0 <= gaps[0], (name, gaps)
+        assert gaps[1] < 1e-5 * np.max(np.abs(exact)), (name, gaps)
+    assert calls == []
+
+
+# example21 fields as they were computed before the closed-form Jacobians:
+# the kernel now evaluates the smooth step only on its band and divides
+# without masks, and must give these values bit for bit
+def _reference_smooth_step(t):
+    t = np.asarray(t, dtype=float)
+
+    def phi(u):
+        pos = u > 0
+        return np.where(pos, np.exp(-1.0 / np.where(pos, u, 1.0)), 0.0)
+    a = phi(t)
+    b = phi(1.0 - t)
+    return a / (a + b)
+
+
+def _reference_example21_fields(x, d=2, q1=0.8, q2=0.5, q3=0.5, q4=1.0):
+    x = np.asarray(x, dtype=float)
+    lead = x.shape[:-1]
+    x = x.reshape(-1, d)
+    r = np.linalg.norm(x, axis=-1)
+    g1 = 1.0 - _reference_smooth_step(r - 2.0)
+    g2 = _reference_smooth_step(r - 1.0)
+    unit = np.zeros_like(x)
+    pos = r > 0
+    unit[pos] = x[pos] / r[pos][..., None]
+    inner = g1[..., None] * (x + (r ** (1.0 - q3))[..., None] * unit)
+    drift = -inner - (g2 * r**q4)[..., None] * x
+    term2 = np.zeros_like(r)
+    outer = r > 1.0
+    term2[outer] = r[outer] ** q2 * g2[outer]
+    coef = (1.0 + r**q1) * g1 + term2
+    sigma = coef[..., None, None] * np.broadcast_to(np.eye(d), x.shape + (d,))
+    return drift.reshape(lead + (d,)), sigma.reshape(lead + (d, d))
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype \
+        and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+@pytest.mark.parametrize("params", [{}, {"q2": -0.5}, {"d": 3, "q4": 0.7}])
+def test_example21_fields_bit_identical_to_reference(params):
+    d = params.get("d", 2)
+    rng = np.random.default_rng(11)
+    special = np.concatenate([np.zeros((1, d)), np.eye(d)[:1] * 1e-7,
+                              np.eye(d) * 1.0, -np.eye(d) * 2.0,
+                              np.eye(d)[-1:] * 3.0])
+    x = np.concatenate([special, _ring(rng, 200, 0.0, 1.0, d),
+                        _ring(rng, 200, 1.0, 3.0, d),
+                        _ring(rng, 200, 3.0, 8.0, d)])
+    s = builtin("example21", **params)
+    shaped = {"(n, d)": x, "(n, q, d)": x[:600].reshape(40, 15, d),
+              "point": x[len(special) + 250]}
+    for label, pts in shaped.items():
+        for got, want in zip(s.fields(pts),
+                             _reference_example21_fields(pts, **params)):
+            assert _same_bits(got, want), label
+
+
+def test_smooth_step_bit_identical_to_reference():
+    rng = np.random.default_rng(12)
+    t = np.concatenate([[-1.0, 0.0, 1e-300, 1e-200, 1e-7, 0.5, 1.0 - 1e-16,
+                         1.0, 2.0, 1e300], rng.uniform(-1.0, 2.0, 990)])
+    assert _same_bits(_smooth_step(t), _reference_smooth_step(t))
+    assert _same_bits(_smooth_step(t.reshape(10, -1, 2)),
+                      _reference_smooth_step(t.reshape(10, -1, 2)))
+    value, slope = _smooth_step(t, slope=True)
+    assert _same_bits(value, _reference_smooth_step(t))
+    assert np.all(slope[(t <= 0.0) | (t >= 1.0)] == 0.0)
+    band = (t > 1e-3) & (t < 1.0 - 1e-3)
+    h = 1e-6
+    fd = (_smooth_step(t[band] + h) - _smooth_step(t[band] - h)) / (2 * h)
+    np.testing.assert_allclose(slope[band], fd, rtol=1e-6, atol=1e-9)
 
 
 def test_make_system_adapts_per_field_callables():
