@@ -31,7 +31,6 @@ from .approximation import (
     lp_distance,
     mollified_family,
     mollifier,
-    mollify_value,
     radial_tangential_derivative_check,
     select_lambda0,
     truncate,
@@ -41,8 +40,6 @@ from .engine import (
     IntegratorConfig,
     Trajectory,
     integrate,
-    log_exponential_check,
-    multi_start,
     sample_path,
 )
 from .estimators import (

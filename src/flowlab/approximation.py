@@ -31,7 +31,6 @@ __all__ = [
     "truncate",
     "radial_tangential_derivative_check",
     "mollifier",
-    "mollify_value",
     "mollified_family",
     "select_lambda0",
     "lp_distance",
@@ -41,12 +40,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # spherical truncation
-
-def _project_to_sphere(x: np.ndarray, radius: float) -> np.ndarray:
-    r = np.linalg.norm(x, axis=-1, keepdims=True)
-    safe = np.where(r == 0.0, 1.0, r)
-    return x * (radius / safe)
-
 
 @dataclass(frozen=True, kw_only=True)
 class TruncatedSystem(CoefficientSystem):
@@ -69,13 +62,13 @@ def truncate(base: CoefficientSystem, R: float) -> TruncatedSystem:
             f"truncation radius {R:g} below admissible minimum R1+1 = {r1 + 1:g}")
 
     def _pull_in(x):
-        """x itself inside the sphere, the ray projection outside."""
+        """x itself inside the sphere, the ray projection outside; the
+        factor R / max(|x|, R) is exactly 1 inside."""
         r = np.linalg.norm(x, axis=-1)
         inside = r <= R
         if np.all(inside):
             return x, None, r
-        pts = np.where(inside[..., None], x, _project_to_sphere(x, R))
-        return pts, inside, r
+        return x * (R / np.maximum(r, R))[..., None], inside, r
 
     def fields(x):
         x = np.asarray(x, dtype=float)
@@ -224,26 +217,6 @@ def mollifier(d: int, eps: float, n_radial: int | None = None,
     norm = 1.0 / float(np.sum(rule.weights * eta))
     return Mollifier(d=d, eps=eps, norm_constant=norm, quadrature=rule,
                      kernel_weights=rule.weights * eta * norm)
-
-
-def mollify_value(ts: CoefficientSystem, mol: Mollifier, k: int,
-                  x: np.ndarray, with_error: bool = False):
-    """Ball-quadrature approximation of (X_k * eta_eps)(x).
-
-    With with_error=True also returns a self-estimate: the largest deviation
-    from a rule with roughly half the nodes per factor.
-    """
-    val = mol.convolve(lambda p: ts.value(k, p), x)
-    if not with_error:
-        return val
-    coarse = _coarser(mol)
-    val_c = coarse.convolve(lambda p: ts.value(k, p), x)
-    return val, float(np.max(np.abs(val - val_c)))
-
-
-def _coarser(mol: Mollifier) -> Mollifier:
-    half = {1: (32, None), 2: (16, 32), 3: (12, None)}[mol.d]
-    return mollifier(mol.d, mol.eps, *half)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from .cli_defaults import (
     NUMBER_LISTS,
     REQUIRED,
     SCHEMA_VERSION,
-    SECTION_KEYS,
     defaults_for,
 )
 from .coefficients import (
@@ -106,11 +105,10 @@ def _is_number(value) -> bool:
 
 
 def _validate_section(name: str, given: dict, defaults: dict) -> dict:
-    known = SECTION_KEYS.get(name, set(defaults))
     for key, value in given.items():
-        if key not in known:
+        if key not in defaults:
             raise ConfigError(f"unknown key {name}.{key!r}")
-        default = defaults.get(key)
+        default = defaults[key]
         if key in NUMBER_LISTS:
             kind = "a list of numbers"
             typed = isinstance(value, list) and all(map(_is_number, value))
@@ -193,6 +191,10 @@ def parse_config(path, command: str | None = None) -> ExperimentConfig:
     n_paths = resolved["mc"]["n_paths"]
     if not n_paths >= 1:
         raise ConfigError(f"mc.n_paths must be at least 1, got {n_paths!r}")
+    stride = resolved["output"]["stride"]
+    if type(stride) is not int or stride < 1:
+        raise ConfigError(f"output.stride must be an integer of at least 1, "
+                          f"got {stride!r}")
     return ExperimentConfig(command=cmd, resolved=resolved,
                             params_hash=_hash_config(resolved))
 
@@ -309,7 +311,7 @@ def _cmd_simulate(config, system, workers):
     path = sample_path(config.master_seed, blk["path_index"], cfg.n_steps,
                        cfg.h, system.m)
     traj = integrate(system, blk["x"], blk["v"], path, cfg)
-    stride = max(1, int(config.resolved["output"]["stride"]))
+    stride = config.resolved["output"]["stride"]
     lines = ["t," + ",".join(f"x{i+1}" for i in range(system.d)) + ","
              + ",".join(f"v{i+1}" for i in range(system.d))
              + ",exploded,clamped"]

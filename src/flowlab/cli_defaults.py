@@ -77,8 +77,6 @@ _DEFAULTS = {
 
 NUMBER_LISTS = {"eps_list", "p_list"}
 
-SECTION_KEYS = {name: set(keys) for name, keys in _DEFAULTS.items()}
-
 
 def defaults_for(section: str) -> dict:
     return dict(_DEFAULTS[section])

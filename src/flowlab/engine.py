@@ -33,8 +33,6 @@ __all__ = [
     "sample_path",
     "gaussian_increments",
     "integrate",
-    "multi_start",
-    "log_exponential_check",
     "BatchEuler",
 ]
 
@@ -143,7 +141,6 @@ class Trajectory:
     exploded: bool
     exit_step: int | None
     clamped: int
-    path: BrownianPath
 
 
 class BatchEuler:
@@ -158,9 +155,10 @@ class BatchEuler:
     coefficients are marked failed and freeze likewise. The fields and the
     Jacobians at the pre-step state are each evaluated at most once per step
     and shared between the step and any observer through fields() and
-    jacobians(). Jacobians are evaluated at the system's
-    origin_policy.clamp(x); each active path inside the clamp ball counts
-    one clamp per step, whether or not the Jacobians are evaluated.
+    jacobians(); both are dropped when the step ends. Jacobians are
+    evaluated at the system's origin_policy.clamp(x); each active path
+    inside the clamp ball counts one clamp per step, whether or not the
+    Jacobians are evaluated. advance() is the only stepping entry.
 
     v_t is linear in v_0, so a batch started from v_0 = 0 keeps v = 0 for
     all time. Such a batch is derivative-free: the step evaluates no
@@ -196,15 +194,13 @@ class BatchEuler:
         self.exit_step = np.full(n, -1, dtype=int)
         self.clamped = np.zeros(n, dtype=int)
         self.step_index = 0
-        self._fields_step = -1
         self._fields = None
         self._jacobians = None
 
     def fields(self) -> tuple[np.ndarray, np.ndarray]:
         """(drift, sigma) at the current state x, evaluated once per step."""
-        if self._fields_step != self.step_index:
+        if self._fields is None:
             self._fields = self.system.fields(self.x)
-            self._fields_step = self.step_index
         return self._fields
 
     def jacobians(self) -> np.ndarray:
@@ -220,22 +216,18 @@ class BatchEuler:
             yield s, self.x, self.v, self.dws[:, s, :], self.active
             self.advance()
 
-    def advance(self) -> bool:
-        """Apply the next pending step; False once the grid is exhausted."""
-        s = self.step_index
-        if s >= self.n_steps:
-            return False
-        self._advance(s, self.dws[:, s, :])
-        return True
-
     def run(self):
         while self.advance():
             pass
         return self
 
-    def _advance(self, s: int, dw: np.ndarray):
+    def advance(self) -> bool:
+        """Apply the next pending step; False once the grid is exhausted."""
+        s = self.step_index
+        if s >= self.n_steps:
+            return False
         sys_, cfg = self.system, self.cfg
-        x, v = self.x, self.v
+        x, v, dw = self.x, self.v, self.dws[:, s, :]
         policy = sys_.origin_policy
         if policy.singular:
             r = np.linalg.norm(x, axis=-1)
@@ -258,7 +250,7 @@ class BatchEuler:
             finite &= np.isfinite(v_new).all(axis=-1)
         # valid for the pre-step x only (an observer may have cached them);
         # dropping them now frees them when the step ends
-        self._jacobians = None
+        self._fields = self._jacobians = None
         newly_failed = self.active & ~finite
         out = np.linalg.norm(np.where(finite[:, None], x_new, 0.0), axis=-1) \
             > cfg.guard_radius
@@ -273,6 +265,7 @@ class BatchEuler:
         self.exit_step[stop] = s + 1
         self.active &= ~stop
         self.step_index = s + 1
+        return True
 
 
 def integrate(system: CoefficientSystem, x0: np.ndarray, v0: np.ndarray,
@@ -311,17 +304,7 @@ def integrate(system: CoefficientSystem, x0: np.ndarray, v0: np.ndarray,
                       vs=vs[:n_rec], exploded=bool(driver.exploded[0]),
                       exit_step=int(driver.exit_step[0])
                       if driver.exit_step[0] >= 0 else None,
-                      clamped=int(driver.clamped[0]), path=path)
-
-
-def multi_start(system: CoefficientSystem, x0_list, v0: np.ndarray,
-                path: BrownianPath, cfg: IntegratorConfig) -> list[Trajectory]:
-    """Integrate several starting points against the same increments.
-
-    Output order matches input order and each entry is identical to calling
-    integrate separately.
-    """
-    return [integrate(system, x0, v0, path, cfg) for x0 in x0_list]
+                      clamped=int(driver.clamped[0]))
 
 
 def exp_representation_terms(jall: np.ndarray, v: np.ndarray, dw: np.ndarray,
@@ -350,27 +333,3 @@ def exp_representation_terms(jall: np.ndarray, v: np.ndarray, dw: np.ndarray,
         hbar = hbar + np.sum(jkv * jkv, axis=-1) + (p - 2.0) * g * g * v2
     da = 0.5 * p * hbar / v2 * h
     return dm, dq, da
-
-
-def log_exponential_check(system: CoefficientSystem, traj: Trajectory,
-                          p: float) -> tuple[float, float]:
-    """Compare |v_T|^p against its stochastic-exponential reconstruction.
-
-    Evaluates the Jacobians at every recorded pre-step state in one batch
-    (clamped like the Euler step), sums the discrete martingale, its bracket
-    and the drift functional along the trajectory and returns
-    (direct, |v_0|^p exp(M - Q/2 + a)).
-    """
-    if p < 2:
-        raise ValueError("representation check requires p >= 2")
-    if traj.exploded:
-        raise ValueError("trajectory exploded; representation not applicable")
-    xs, vs = traj.xs[:-1], traj.vs[:-1]
-    jall = system.jacobians_stacked(system.origin_policy.clamp(xs))
-    dm, dq, da = exp_representation_terms(
-        jall, vs, traj.path.increments[:len(xs)], traj.path.h, p)
-    v0 = float(np.linalg.norm(traj.vs[0]))
-    vt = float(np.linalg.norm(traj.vs[-1]))
-    direct = vt**p
-    reconstructed = v0**p * np.exp(np.sum(dm) - 0.5 * np.sum(dq) + np.sum(da))
-    return direct, float(reconstructed)

@@ -42,6 +42,7 @@ methods, and the `BatchEuler` attributes `n`, `v`, `step_index`, `n_steps`,
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -190,6 +191,8 @@ def derivative_moment(system: CoefficientSystem, x, v, p: float, t: float,
     The moment bound is only claimed for t inside the window T0(p); outside it
     the estimate is still returned with a window_exceeded note.
     """
+    if p <= 0:
+        raise ValueError(f"moment order p must be positive, got {p!r}")
     cfg_t = cfg.with_horizon(t)
 
     def run(dws):
@@ -431,6 +434,11 @@ def ibp_residual(system: CoefficientSystem, t: float, box: float, n_grid: int,
     over the uniform grid on [-box, box]^d; the report carries the mean and
     max over omega of the worst component.
     """
+    for name, value, least in (("grid size n_grid", n_grid, 2),
+                               ("draw count n_omega", n_omega, 1)):
+        if not (isinstance(value, numbers.Integral) and value >= least):
+            raise ValueError(f"{name} must be an integer of at least "
+                             f"{least}, got {value!r}")
     cfg_t = cfg.with_horizon(t)
     n_steps = cfg_t.n_steps
     d = system.d
@@ -487,6 +495,8 @@ def krylov_check(system: CoefficientSystem, x, T: float, R: float,
     dimensional constant is not constructive, so the report carries the ratio
     lhs / shape from which any constant can be read off.
     """
+    if R <= 0:
+        raise ValueError(f"ball radius R must be positive, got {R!r}")
     d = system.d
     if f is None:
         f = lambda ts, xs: np.ones(xs.shape[:-1])
@@ -587,7 +597,10 @@ def exp_representation_gaps(system: CoefficientSystem, x, v, p: float,
                             master_seed: int = 0,
                             workers: int = 1) -> np.ndarray:
     """Per-path relative gap between |v_T|^p and its exponential
-    reconstruction, batched version of the single-trajectory check."""
+    reconstruction |v_0|^p exp(M - Q/2 + a), summed step by step from the
+    Jacobians at the pre-step states (clamped like the Euler step)."""
+    if p < 2:
+        raise ValueError(f"representation check requires p >= 2, got {p!r}")
     cfg_t = cfg.with_horizon(T)
     v0_norm = float(np.linalg.norm(v))
 

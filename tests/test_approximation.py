@@ -10,7 +10,6 @@ from flowlab import (
     make_system,
     mollified_family,
     mollifier,
-    mollify_value,
     radial_tangential_derivative_check,
     select_lambda0,
     truncate,
@@ -130,6 +129,58 @@ def test_radial_tangential_constant_base():
     assert tangential < 1e-10
 
 
+def _two_norm_truncation(base, R, x, clamp):
+    """Fields and Jacobians of truncate(base, R) as the projection computed
+    them with a second norm per call, kept to pin the one-norm form."""
+    def project(x):
+        r = np.linalg.norm(x, axis=-1, keepdims=True)
+        safe = np.where(r == 0.0, 1.0, r)
+        return x * (R / safe)
+
+    r = np.linalg.norm(x, axis=-1)
+    inside = r <= R
+    pts = x if np.all(inside) else np.where(inside[..., None], x, project(x))
+    fields = stack_fields(*base.fields(pts))
+    xc = clamp(x)
+    rc = np.linalg.norm(xc, axis=-1)
+    inside_c = rc <= R
+    if np.all(inside_c):
+        return fields, base.jacobians_stacked(xc)
+    jall = base.jacobians_stacked(
+        np.where(inside_c[..., None], xc, project(xc)))
+    safe_r = np.where(rc == 0.0, 1.0, rc)
+    unit = xc / safe_r[..., None]
+    grad = (R / safe_r)[..., None, None] * (
+        np.eye(x.shape[-1]) - np.einsum("...i,...j->...ij", unit, unit))
+    outer = np.einsum("...kij,...jl->...kil", jall, grad)
+    return fields, np.where(inside_c[..., None, None, None], jall, outer)
+
+
+@pytest.mark.parametrize("case", ["n_d", "n_q_d", "point", "origin",
+                                  "on_sphere", "just_above", "all_inside"])
+@pytest.mark.parametrize("name,R", [("example21", 4.0), ("linear", 2.0)])
+def test_truncation_matches_two_norm_projection_bitwise(name, R, case):
+    base = builtin(name) if name == "example21" else linear_system(d=2)
+    ts = truncate(base, R)
+    # example21's Jacobians are singular at the origin, so they are taken
+    # at clamp(x), as a member takes them
+    clamp = ts.origin_policy.clamp
+    rng = np.random.default_rng(11)
+    above = np.nextafter(R, np.inf)
+    x = {
+        "n_d": rng.normal(size=(64, 2)) * R,
+        "n_q_d": rng.normal(size=(8, 5, 2)) * R,
+        "point": np.array([1.3, -0.7]) * R,
+        "origin": np.array([[0.0, 0.0], [2.0 * R, 0.0]]),
+        "on_sphere": np.array([[R, 0.0], [0.0, -R], [3.0 * R, 1.0]]),
+        "just_above": np.array([[above, 0.0], [0.0, -above], [0.1, 0.2]]),
+        "all_inside": rng.uniform(-0.5, 0.5, size=(16, 2)) * R,
+    }[case]
+    fields, jall = _two_norm_truncation(base, R, x, clamp)
+    np.testing.assert_array_equal(stack_fields(*ts.fields(x)), fields)
+    np.testing.assert_array_equal(ts.jacobians_stacked(clamp(x)), jall)
+
+
 def test_radial_tangential_kink_exclusion():
     ts = truncate(linear_system(d=2), 2.0)
     with pytest.raises(ValueError):
@@ -165,7 +216,7 @@ def test_mollify_constant_field_exact():
     s = builtin("constant", sigma=3.0, d=2)
     ts = truncate(s, 5.0)
     mol = mollifier(2, 0.3)
-    val = mollify_value(ts, mol, 1, np.array([0.4, -0.2]))
+    val = mol.convolve(lambda p: ts.value(1, p), np.array([0.4, -0.2]))
     np.testing.assert_allclose(val, s.value(1, np.array([0.4, -0.2])),
                                atol=1e-8)
 
@@ -176,7 +227,7 @@ def test_mollify_affine_field_exact():
     ts = truncate(s, 50.0)
     mol = mollifier(2, 0.2)
     x = np.array([1.3, -0.4])
-    val = mollify_value(ts, mol, 1, x)
+    val = mol.convolve(lambda p: ts.value(1, p), x)
     np.testing.assert_allclose(val, x, atol=1e-8)
 
 
@@ -184,7 +235,12 @@ def test_mollify_abs_at_zero_matches_quadrature_oracle():
     s = abs_field_1d()
     ts = truncate(s, 2.0)
     mol = mollifier(1, 0.1)
-    val, err_est = mollify_value(ts, mol, 1, np.array([0.0]), with_error=True)
+    x = np.array([0.0])
+    val = mol.convolve(lambda p: ts.value(1, p), x)
+    # self-estimate: the gap to a rule with half the nodes
+    coarse = mollifier(1, 0.1, 32)
+    err_est = float(np.max(np.abs(
+        val - coarse.convolve(lambda p: ts.value(1, p), x))))
     # the integrand has a kink at 0, so the fixed rule converges algebraically;
     # 64 nodes land within ~2e-5 of the adaptive value
     assert val[0] == pytest.approx(ORACLE_ABS_AT_ZERO, abs=5e-5)

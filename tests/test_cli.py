@@ -325,7 +325,8 @@ def test_run_rejects_ibp_coordinate_out_of_range(tmp_path, capsys):
     assert not (out / "result.csv").exists()
 
 
-# keys that name no parameter of the builtin, or values of the wrong type
+# keys that name no parameter of the builtin, values of the wrong type, and
+# strides that are not positive integers
 BAD_KEYS = {
     "system.params.bogus": {"system": {"name": "ornstein_uhlenbeck",
                                        "params": {"bogus": 1}}},
@@ -340,6 +341,9 @@ BAD_KEYS = {
     "integrator.h=bool": {"integrator": {"h": True, "T": 0.1}},
     "mc.n_paths=bool": {"mc": {"n_paths": True}},
     "moments.t=str": {"moments": {"x": [0.0], "v": [1.0], "t": "0.1"}},
+    "output.stride=0": {"output": {"stride": 0}},
+    "output.stride=-1": {"output": {"stride": -1}},
+    "output.stride=1.5": {"output": {"stride": 1.5}},
 }
 
 
@@ -387,6 +391,41 @@ def test_run_rejects_badly_typed_string_and_list_keys(tmp_path, capsys, case):
     assert case.split("=")[0] in capsys.readouterr().err
     # rejected before the echo is written, so nothing is left behind
     assert not out.exists()
+
+
+# values outside an estimator's domain; each is rejected inside the command
+# with a ValueError naming the argument, so the run exits 2 and logs it
+OUT_OF_DOMAIN = {
+    "ibp.n_grid=0": ("ibp", {"n_grid": 0}, "n_grid"),
+    "ibp.n_grid=1": ("ibp", {"n_grid": 1}, "n_grid"),
+    "ibp.n_grid=2.5": ("ibp", {"n_grid": 2.5}, "n_grid"),
+    "ibp.n_omega=0": ("ibp", {"n_omega": 0}, "n_omega"),
+    "ibp.n_omega=2.5": ("ibp", {"n_omega": 2.5}, "n_omega"),
+    "moments.p=0": ("moments", {"x": [0.0], "v": [1.0], "p": 0},
+                    "moment order p"),
+    "krylov.R=-1": ("krylov", {"x": [0.0], "R": -1}, "radius R"),
+    "krylov.R=0": ("krylov", {"x": [0.0], "R": 0}, "radius R"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_DOMAIN))
+def test_run_rejects_values_outside_the_estimator_domain(tmp_path, capsys,
+                                                         case):
+    command, block, named = OUT_OF_DOMAIN[case]
+    path = write(tmp_path, "c.json", {
+        "command": command,
+        "system": {"name": "ornstein_uhlenbeck", "params": {"d": 1}},
+        "integrator": {"h": 1e-2, "T": 0.1},
+        "mc": {"n_paths": 8},
+        command: block,
+    })
+    out = tmp_path / "o"
+    assert run(command, path, out=str(out)) == 2
+    assert named in capsys.readouterr().err
+    log = (out / "run.log").read_text()
+    assert "status: failed: " in log and named in log
+    assert "Traceback" not in log
+    assert not (out / "result.csv").exists()
 
 
 def test_run_unexpected_error_exits_one_and_logs(tmp_path, capsys,
@@ -535,6 +574,16 @@ TRACED_CASES = {
     }, {"engine.step.calls": 2 * 10,
         "approximation.member.jacobians.calls": 2 * 10,
         "approximation.member.edge_fd.points": None}),
+    # the occupation integrand reads drv.fields() before each step, and the
+    # step reuses that pass; from v = 0 no Jacobian is taken
+    "krylov": ({
+        "command": "krylov",
+        "system": {"name": "example21", "params": {}},
+        "integrator": {"h": 1e-2, "T": 0.1},
+        "mc": {"n_paths": 16},
+        "krylov": {"x": [0.3, 0.0], "T": 0.1, "R": 2.0},
+    }, {"engine.step.calls": 10, "coefficients.fields.calls": 10,
+        "coefficients.jacobians.calls": None}),
 }
 
 

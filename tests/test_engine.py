@@ -11,9 +11,7 @@ from flowlab import (
     IntegratorConfig,
     builtin,
     integrate,
-    log_exponential_check,
     make_system,
-    multi_start,
     sample_path,
 )
 from flowlab import engine
@@ -235,6 +233,14 @@ def test_batch_euler_broadcasts_starts_directions_and_noise():
     common = BatchEuler(s, starts, 0.0, dws[0], c).run()
     assert common.n == 2 and not np.any(common.v)
     np.testing.assert_array_equal(common.x[0], full.x[0])
+    # with additive noise, starts on one noise path keep their offsets
+    add = builtin("additive_noise", sigma=1.0, d=2)
+    offsets = BatchEuler(add, starts, 0.0, dws[0], c)
+    for _, xs, _, _, _ in offsets.steps():
+        np.testing.assert_allclose(xs[1] - xs[0], starts[1] - starts[0],
+                                   atol=1e-12)
+    np.testing.assert_allclose(offsets.x[1] - offsets.x[0],
+                               starts[1] - starts[0], atol=1e-12)
 
 
 def test_batch_euler_rejects_sizes_that_do_not_broadcast():
@@ -281,77 +287,6 @@ def test_euler_strong_error_scaling_gbm():
         errs.append(np.mean(np.abs(drv.x[:, 0] - exact)))
     slopes = [np.log10(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(slopes) >= 0.45, (errs, slopes)
-
-
-# ---------------------------------------------------------------------------
-# multi_start
-
-def test_multi_start_matches_integrate():
-    s = builtin("example21")
-    c = cfg(h=1e-3, T=0.02)
-    path = sample_path(5, 1, c.n_steps, c.h, 2)
-    starts = [np.array([0.1, 0.0]), np.array([0.5, -0.5])]
-    trajs = multi_start(s, starts, np.array([1.0, 0.0]), path, c)
-    for x0, traj in zip(starts, trajs):
-        ref = integrate(s, x0, np.array([1.0, 0.0]), path, c)
-        assert np.array_equal(traj.xs, ref.xs)
-        assert np.array_equal(traj.vs, ref.vs)
-    single = multi_start(s, starts[:1], np.array([1.0, 0.0]), path, c)
-    assert len(single) == 1
-    assert np.array_equal(single[0].xs, trajs[0].xs)
-
-
-def test_multi_start_additive_offsets_constant():
-    s = builtin("additive_noise", sigma=1.0, d=2)
-    c = cfg(h=1e-2, T=0.2)
-    path = sample_path(8, 0, c.n_steps, c.h, 2)
-    x, y = np.array([0.0, 0.0]), np.array([0.7, -0.3])
-    tx, ty = multi_start(s, [x, y], np.zeros(2), path, c)
-    np.testing.assert_allclose(ty.xs - tx.xs,
-                               np.broadcast_to(y - x, tx.xs.shape), atol=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# exponential representation
-
-def test_log_exponential_zero_jacobians_exact():
-    s = builtin("additive_noise", sigma=1.5, d=2)
-    c = cfg(h=1e-2, T=0.3)
-    path = sample_path(21, 0, c.n_steps, c.h, 2)
-    traj = integrate(s, np.zeros(2), np.array([0.6, 0.8]), path, c)
-    direct, recon = log_exponential_check(s, traj, p=4.0)
-    assert direct == pytest.approx(1.0, abs=1e-12)
-    assert recon == pytest.approx(direct, abs=1e-12)
-
-
-def test_log_exponential_gbm_small_gap():
-    s = builtin("geometric_bm", mu=0.1, sigma=0.2, d=1)
-    c = cfg(h=1e-3, T=1.0)
-    for idx in range(5):
-        path = sample_path(42, idx, c.n_steps, c.h, 1)
-        traj = integrate(s, np.ones(1), np.ones(1), path, c)
-        direct, recon = log_exponential_check(s, traj, p=2.0)
-        assert abs(direct - recon) / direct < 5.0 * c.h
-
-
-def test_log_exponential_ou_closed_forms():
-    s = builtin("ornstein_uhlenbeck", theta=1.0, sigma=1.0, d=1)
-    c = cfg(h=1e-3, T=1.0)
-    path = sample_path(4, 0, c.n_steps, c.h, 1)
-    traj = integrate(s, np.zeros(1), np.ones(1), path, c)
-    direct, recon = log_exponential_check(s, traj, p=2.0)
-    assert direct == pytest.approx((1.0 - c.h) ** (2 * c.n_steps), rel=1e-10)
-    assert recon == pytest.approx(np.exp(-2.0), rel=1e-9)
-
-
-def test_log_exponential_rejects_zero_derivative_state():
-    from flowlab import ZeroDerivativeStateError
-    s = builtin("ornstein_uhlenbeck", d=1)
-    c = cfg(h=1e-2, T=0.1)
-    path = sample_path(0, 0, c.n_steps, c.h, 1)
-    traj = integrate(s, np.zeros(1), np.zeros(1), path, c)
-    with pytest.raises(ZeroDerivativeStateError):
-        log_exponential_check(s, traj, p=2.0)
 
 
 def test_integrator_config_validation():

@@ -495,6 +495,42 @@ def test_exp_representation_gaps_gbm_smoke(monkeypatch):
     assert len(calls) == c.n_steps
 
 
+def test_exp_representation_gaps_zero_jacobians_exact():
+    s = builtin("additive_noise", sigma=1.5, d=2)
+    gaps = exp_representation_gaps(s, [0.0, 0.0], [0.6, 0.8], p=4.0, T=0.3,
+                                   n_paths=8, cfg=cfg(h=1e-2), master_seed=21)
+    assert gaps.size == 8
+    np.testing.assert_array_equal(gaps, 0.0)
+
+
+def test_exp_representation_gaps_ou_closed_forms():
+    # v_T = (1 - h)^n v_0 on every path, and the drift functional sums to
+    # -p T, so the reconstruction is e^{-2}
+    s = builtin("ornstein_uhlenbeck", theta=1.0, sigma=1.0, d=1)
+    c = cfg(h=1e-3)
+    gaps = exp_representation_gaps(s, [0.0], [1.0], p=2.0, T=1.0, n_paths=4,
+                                   cfg=c, master_seed=4)
+    direct = (1.0 - c.h) ** (2 * c.n_steps)
+    np.testing.assert_allclose(gaps, abs(direct - math.exp(-2.0)) / direct,
+                               rtol=1e-5)
+
+
+def test_exp_representation_gaps_rejects_zero_derivative_state():
+    from flowlab import ZeroDerivativeStateError
+    s = builtin("ornstein_uhlenbeck", d=1)
+    with pytest.raises(ZeroDerivativeStateError):
+        exp_representation_gaps(s, [0.0], [0.0], p=2.0, T=0.1, n_paths=2,
+                                cfg=cfg(h=1e-2))
+
+
+@pytest.mark.parametrize("p", [1.0, 1.999, 0.0])
+def test_exp_representation_gaps_rejects_p_below_two(p):
+    s = builtin("ornstein_uhlenbeck", d=1)
+    with pytest.raises(ValueError, match="p >= 2"):
+        exp_representation_gaps(s, [0.0], [1.0], p=p, T=0.1, n_paths=2,
+                                cfg=cfg(h=1e-2))
+
+
 # ---------------------------------------------------------------------------
 # CSV rows
 
