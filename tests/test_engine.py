@@ -16,6 +16,7 @@ from flowlab import (
 )
 from flowlab import engine
 from flowlab.engine import BatchEuler, gaussian_increments, increments_block
+from flowlab.estimators import exp_representation_gaps
 
 
 def cfg(h=1e-3, T=1.0, **kw):
@@ -233,14 +234,6 @@ def test_batch_euler_broadcasts_starts_directions_and_noise():
     common = BatchEuler(s, starts, 0.0, dws[0], c).run()
     assert common.n == 2 and not np.any(common.v)
     np.testing.assert_array_equal(common.x[0], full.x[0])
-    # with additive noise, starts on one noise path keep their offsets
-    add = builtin("additive_noise", sigma=1.0, d=2)
-    offsets = BatchEuler(add, starts, 0.0, dws[0], c)
-    for _, xs, _, _, _ in offsets.steps():
-        np.testing.assert_allclose(xs[1] - xs[0], starts[1] - starts[0],
-                                   atol=1e-12)
-    np.testing.assert_allclose(offsets.x[1] - offsets.x[0],
-                               starts[1] - starts[0], atol=1e-12)
 
 
 def test_batch_euler_rejects_sizes_that_do_not_broadcast():
@@ -287,6 +280,34 @@ def test_euler_strong_error_scaling_gbm():
         errs.append(np.mean(np.abs(drv.x[:, 0] - exact)))
     slopes = [np.log10(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(slopes) >= 0.45, (errs, slopes)
+
+
+# ---------------------------------------------------------------------------
+# several starts on one noise path
+
+def test_multi_start_additive_offsets_constant():
+    s = builtin("additive_noise", sigma=1.0, d=2)
+    c = cfg(h=1e-2, T=0.2)
+    path = sample_path(8, 0, c.n_steps, c.h, 2)
+    starts = np.array([[0.0, 0.0], [0.7, -0.3]])
+    drv = BatchEuler(s, starts, 0.0, path.increments, c)
+    for _, xs, _, _, _ in drv.steps():
+        np.testing.assert_allclose(xs[1] - xs[0], starts[1] - starts[0],
+                                   atol=1e-12)
+    np.testing.assert_allclose(drv.x[1] - drv.x[0], starts[1] - starts[0],
+                               atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# exponential representation
+
+def test_log_exponential_gbm_small_gap():
+    s = builtin("geometric_bm", mu=0.1, sigma=0.2, d=1)
+    c = cfg(h=1e-3, T=1.0)
+    gaps = exp_representation_gaps(s, [1.0], [1.0], p=2.0, T=1.0, n_paths=5,
+                                   cfg=c, master_seed=42)
+    assert gaps.size == 5
+    assert np.all(gaps < 5.0 * c.h), gaps
 
 
 def test_integrator_config_validation():
