@@ -101,8 +101,7 @@ def truncate(base: CoefficientSystem, R: float) -> TruncatedSystem:
 
 
 def radial_tangential_derivative_check(
-        ts: TruncatedSystem, x: np.ndarray,
-        h: float = 1e-5) -> tuple[float, float]:
+        ts: TruncatedSystem, x: np.ndarray) -> tuple[float, float]:
     """Finite-difference check of the truncated-field derivative structure.
 
     Outside the truncation sphere the field is constant along rays and scales
@@ -110,9 +109,10 @@ def radial_tangential_derivative_check(
     derivative norm and the largest deviation of the tangential derivative
     from (R/|x|) DX_k(pi_R x)(xi), over all fields k and tangent directions.
 
-    Requires |x| > R + 10 h: stencils straddling the truncation sphere are
-    meaningless.
+    Requires |x| > R + 10 h for the stencil step h = 1e-5: stencils
+    straddling the truncation sphere are meaningless.
     """
+    h = 1e-5
     x = np.asarray(x, dtype=float)
     r = float(np.linalg.norm(x))
     if r <= ts.R + 10.0 * h:

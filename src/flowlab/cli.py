@@ -25,13 +25,7 @@ import numpy as np
 
 from . import estimators as est
 from .approximation import mollified_family
-from .cli_defaults import (
-    COMMANDS,
-    NUMBER_LISTS,
-    REQUIRED,
-    SCHEMA_VERSION,
-    defaults_for,
-)
+from .cli_defaults import COMMANDS, REQUIRED, SCHEMA, SCHEMA_VERSION, is_number
 from .coefficients import (
     CheckSpec,
     builtin,
@@ -100,31 +94,22 @@ def _hash_config(resolved: dict) -> str:
     return hashlib.sha256(_canonical(hashable).encode()).hexdigest()[:16]
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _validate_section(name: str, given: dict, defaults: dict) -> dict:
+def _validate_section(name: str, given) -> dict:
+    """The section's defaults updated with the given keys, each checked
+    against its domain in SCHEMA."""
+    if not isinstance(given, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {given!r}")
+    schema = SCHEMA[name]
     for key, value in given.items():
-        if key not in defaults:
+        if key not in schema:
             raise ConfigError(f"unknown key {name}.{key!r}")
-        default = defaults[key]
-        if key in NUMBER_LISTS:
-            kind = "a list of numbers"
-            typed = isinstance(value, list) and all(map(_is_number, value))
-        elif default is None or _is_number(default):
-            kind = "a number"
-            typed = _is_number(value) or value is None and default is None
-        elif isinstance(default, str) and default != REQUIRED:
-            kind = "a string"
-            typed = isinstance(value, str)
-        else:
-            continue
-        if not typed:
-            raise ConfigError(f"{name}.{key} must be {kind}, got {value!r}")
-    merged = dict(defaults)
+        default, domain = schema[key]
+        if not (value is None and default is None or domain.accepts(value)):
+            raise ConfigError(f"{name}.{key} must be {domain.description}, "
+                              f"got {value!r}")
+    merged = {key: default for key, (default, _) in schema.items()}
     merged.update(given)
-    missing = [k for k, v in merged.items() if isinstance(v, str) and v == REQUIRED]
+    missing = [key for key, value in merged.items() if value is REQUIRED]
     if missing:
         raise ConfigError(f"missing required key {name}.{missing[0]!r}")
     return merged
@@ -133,9 +118,10 @@ def _validate_section(name: str, given: dict, defaults: dict) -> dict:
 def parse_config(path, command: str | None = None) -> ExperimentConfig:
     """Load, validate and canonicalize a JSON experiment config.
 
-    Unknown keys are rejected, defaults are materialized into the resolved
-    document, and the hash is computed over the canonical (sorted, compact)
-    form so key order in the file is irrelevant.
+    Unknown keys and values outside their domain in SCHEMA are rejected,
+    defaults (the system's parameters too) are materialized into the
+    resolved document, and the hash is computed over the canonical (sorted,
+    compact) form so key order in the file is irrelevant.
     """
     text = Path(path).read_text()
     try:
@@ -172,29 +158,20 @@ def parse_config(path, command: str | None = None) -> ExperimentConfig:
     for key in system_raw:
         if key not in ("name", "params"):
             raise ConfigError(f"unknown key system.{key!r}")
-    if not isinstance(system_raw.get("params", {}), dict):
+    name, params = system_raw["name"], system_raw.get("params", {})
+    if not isinstance(params, dict):
         raise ConfigError("system.params must be a JSON object")
+    accepted = _check_system_params(name, params)
 
     resolved = {
         "schema": SCHEMA_VERSION,
         "command": cmd,
-        "system": {"name": system_raw["name"],
-                   "params": dict(system_raw.get("params", {}))},
-        "integrator": _validate_section("integrator",
-                                        raw.get("integrator", {}),
-                                        defaults_for("integrator")),
-        "mc": _validate_section("mc", raw.get("mc", {}), defaults_for("mc")),
-        "output": _validate_section("output", raw.get("output", {}),
-                                    defaults_for("output")),
-        cmd: _validate_section(cmd, raw.get(cmd, {}), defaults_for(cmd)),
+        # the parameters the system is built from, so that configs which
+        # build the same system share a hash
+        "system": {"name": name, "params": {**accepted, **params}},
+        **{section: _validate_section(section, raw.get(section, {}))
+           for section in ("integrator", "mc", "output", cmd)},
     }
-    n_paths = resolved["mc"]["n_paths"]
-    if not n_paths >= 1:
-        raise ConfigError(f"mc.n_paths must be at least 1, got {n_paths!r}")
-    stride = resolved["output"]["stride"]
-    if type(stride) is not int or stride < 1:
-        raise ConfigError(f"output.stride must be an integer of at least 1, "
-                          f"got {stride!r}")
     return ExperimentConfig(command=cmd, resolved=resolved,
                             params_hash=_hash_config(resolved))
 
@@ -203,38 +180,27 @@ def _apply_overrides(config: ExperimentConfig, seed: int | None,
                      out: str | None) -> ExperimentConfig:
     resolved = json.loads(_canonical(config.resolved))
     if seed is not None:
-        resolved["mc"]["master_seed"] = int(seed)
+        resolved["mc"] = _validate_section(
+            "mc", {**resolved["mc"], "master_seed": seed})
     if out is not None:
         resolved["output"]["directory"] = out
     return ExperimentConfig(command=config.command, resolved=resolved,
                             params_hash=_hash_config(resolved))
 
 
-def _check_philox_keys(config: ExperimentConfig) -> None:
-    """mc.master_seed and simulate.path_index key the Philox stream, which
-    takes integers in [0, 2^64)."""
-    keys = [("mc", "master_seed")]
-    if config.command == "simulate":
-        keys.append(("simulate", "path_index"))
-    for section, key in keys:
-        value = config.resolved[section][key]
-        if type(value) is not int or not 0 <= value < 2**64:
-            raise ConfigError(f"{section}.{key} must be an integer in "
-                              f"[0, 2**64), got {value!r}")
-
-
-def _check_system_params(config: ExperimentConfig) -> None:
-    """system.params holds only keyword parameters of the named builtin,
-    and a number wherever the parameter's default is one."""
-    name, params = config.system_spec["name"], config.system_spec["params"]
+def _check_system_params(name: str, params: dict) -> dict:
+    """The keyword parameters of the named builtin with their defaults,
+    once params is found to hold only those, with a number wherever the
+    default is one."""
     accepted = builtin_parameters(name)
     for key, value in params.items():
         if key not in accepted:
             raise ConfigError(f"unknown key system.params.{key} of {name!r}; "
                               f"choose from {tuple(accepted)}")
-        if _is_number(accepted[key]) and not _is_number(value):
+        if is_number(accepted[key]) and not is_number(value):
             raise ConfigError(f"system.params.{key} must be a number, got "
                               f"{value!r}")
+    return accepted
 
 
 # ---------------------------------------------------------------------------
@@ -245,15 +211,13 @@ def _check_dimensions(config: ExperimentConfig, system) -> None:
     dimension of the system, and ibp's coordinate i is one of them."""
     for key in ("x", "v"):
         given = config.block.get(key)
-        if given is not None and not (
-                isinstance(given, list) and len(given) == system.d
-                and all(map(_is_number, given))):
+        if given is not None and len(given) != system.d:
             raise ConfigError(
                 f"{config.command}.{key} must be a list of {system.d} numbers, "
                 f"one per dimension of {system.name}, got {given!r}")
     if config.command == "ibp":
         i = config.block["i"]
-        if type(i) is not int or not 0 <= i < system.d:
+        if i >= system.d:
             raise ConfigError(
                 f"ibp.i must be a coordinate index in 0..{system.d - 1} of "
                 f"{system.name}, got {i!r}")
@@ -273,19 +237,14 @@ def _flags(config: ExperimentConfig, report=None, **extra) -> dict:
 
 def _cmd_gradient(config, system, workers):
     blk = config.block
-    payoff = est.PAYOFFS.get(blk["payoff"])
-    if payoff is None:
-        raise ConfigError(f"unknown payoff {blk['payoff']!r}; choose from "
-                          f"{sorted(est.PAYOFFS)}")
-    kwargs = dict(system=system, x=blk["x"], v=blk["v"], f=payoff, t=blk["t"],
+    kwargs = dict(system=system, x=blk["x"], v=blk["v"],
+                  f=est.PAYOFFS[blk["payoff"]], t=blk["t"],
                   n_paths=config.n_paths, cfg=config.integrator,
                   master_seed=config.master_seed, workers=workers)
     if blk["method"] == "bel":
         report = est.bel_gradient(**kwargs)
-    elif blk["method"] == "fd":
-        report = est.fd_gradient(delta=blk["delta"], **kwargs)
     else:
-        raise ConfigError(f"unknown gradient method {blk['method']!r}")
+        report = est.fd_gradient(delta=blk["delta"], **kwargs)
     row = est.csv_row(f"gradient_{blk['method']}", system.name,
                       config.params_hash, blk["t"], report.value,
                       report.std_error, report.n_paths, report.h,
@@ -419,8 +378,6 @@ def run(command: str, config_path, seed: int | None = None,
             raise ConfigError(f"--workers must be at least 1, got {workers}")
         config = parse_config(config_path, command)
         config = _apply_overrides(config, seed, out)
-        _check_philox_keys(config)
-        _check_system_params(config)
         system = builtin(config.system_spec["name"],
                          **config.system_spec["params"])
     except (ConfigError, ParameterConstraintError, ValueError, OSError) as exc:

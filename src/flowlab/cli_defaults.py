@@ -1,82 +1,129 @@
-"""Config schema: command names, per-section known keys, and defaults.
+"""Config schema: command names, and each section key's default and domain.
 
-A default of REQUIRED marks a key the user must supply; everything else is
-materialized into the echoed config (None means "auto"). A key whose default
-is a number, or None, takes a number, and a key whose default is a string
-takes a string. REQUIRED carries no type, so list-valued keys are named in
-NUMBER_LISTS; the points x and v are checked, once the system is built, to
-be lists of numbers with one entry per dimension.
+Every key maps to (default, domain). A default of REQUIRED marks a key the
+user must supply; every other default is materialized into the echoed
+config, and a default of None means "auto", which the key also accepts when
+given. parse_config checks each given value against its domain before
+anything is written. Only what needs the built system is checked later: the
+length of the points x and v, ibp.i < d, eps < eps0 and T >= h.
 """
+
+import math
+from dataclasses import dataclass
+from typing import Callable
+
+from .estimators import PAYOFFS
 
 SCHEMA_VERSION = "flowlab-config-v1"
 
 COMMANDS = ("check", "simulate", "gradient", "converge", "ibp", "krylov",
             "moments")
 
-REQUIRED = "__required__"
+REQUIRED = object()
 
-_DEFAULTS = {
+
+@dataclass(frozen=True)
+class Domain:
+    """The values a key accepts, and how an error message names them."""
+
+    description: str
+    accepts: Callable[[object], bool]
+
+
+def is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _positive(value) -> bool:
+    return is_number(value) and 0 < value < math.inf
+
+
+def _positives(value, least: int) -> bool:
+    return (isinstance(value, list) and len(value) >= least
+            and all(map(_positive, value)))
+
+
+def _integer(least: int, bound: float = math.inf) -> Callable:
+    return lambda value: type(value) is int and least <= value < bound
+
+
+def choice(*options: str) -> Domain:
+    return Domain(f"one of {', '.join(options)}",
+                  lambda value: isinstance(value, str) and value in options)
+
+
+POSITIVE = Domain("a positive number", _positive)
+COUNT = Domain("an integer of at least 1", _integer(1))
+GRID = Domain("an integer of at least 2", _integer(2))
+INDEX = Domain("an integer of at least 0", _integer(0))
+PHILOX_KEY = Domain("an integer in [0, 2**64)", _integer(0, 2**64))
+STRING = Domain("a string", lambda value: isinstance(value, str))
+POSITIVES = Domain("a non-empty list of positive numbers",
+                   lambda value: _positives(value, 1))
+DESCENDING = Domain(
+    "a descending list of at least two positive numbers",
+    lambda value: _positives(value, 2) and value == sorted(value,
+                                                          reverse=True))
+POINT = Domain("a list of numbers",
+               lambda value: isinstance(value, list)
+               and all(map(is_number, value)))
+
+SCHEMA = {
     "integrator": {
-        "h": 1e-3,
-        "T": 1.0,
-        "guard_radius": 1e6,
+        "h": (1e-3, POSITIVE),
+        "T": (1.0, POSITIVE),
+        "guard_radius": (1e6, POSITIVE),
     },
     "mc": {
-        "n_paths": 100000,
-        "master_seed": 0,
+        "n_paths": (100000, COUNT),
+        "master_seed": (0, PHILOX_KEY),
     },
     "output": {
-        "directory": "",
-        "stride": 1,
+        "directory": ("", STRING),
+        "stride": (1, COUNT),
     },
     "gradient": {
-        "x": REQUIRED,
-        "v": REQUIRED,
-        "payoff": "identity",
-        "t": 1.0,
-        "method": "bel",
-        "delta": 1e-3,
+        "x": (REQUIRED, POINT),
+        "v": (REQUIRED, POINT),
+        "payoff": ("identity", choice(*PAYOFFS)),
+        "t": (1.0, POSITIVE),
+        "method": ("bel", choice("bel", "fd")),
+        "delta": (1e-3, POSITIVE),
     },
     "moments": {
-        "x": REQUIRED,
-        "v": REQUIRED,
-        "p": 2.0,
-        "t": 0.1,
+        "x": (REQUIRED, POINT),
+        "v": (REQUIRED, POINT),
+        "p": (2.0, POSITIVE),
+        "t": (0.1, POSITIVE),
     },
     "simulate": {
-        "x": REQUIRED,
-        "v": REQUIRED,
-        "path_index": 0,
+        "x": (REQUIRED, POINT),
+        "v": (REQUIRED, POINT),
+        "path_index": (0, PHILOX_KEY),
     },
     "converge": {
-        "eps_list": REQUIRED,
-        "x": REQUIRED,
-        "v": REQUIRED,
-        "T": 0.1,
-        "lambda0": None,
-        "eps0": None,
+        "eps_list": (REQUIRED, DESCENDING),
+        "x": (REQUIRED, POINT),
+        "v": (REQUIRED, POINT),
+        "T": (0.1, POSITIVE),
+        "lambda0": (None, POSITIVE),
+        "eps0": (None, POSITIVE),
     },
     "check": {
-        "radius": 10.0,
-        "p_list": [1.0],
+        "radius": (10.0, POSITIVE),
+        "p_list": ([1.0], POSITIVES),
     },
     "ibp": {
-        "t": 0.1,
-        "box": 1.0,
-        "n_grid": 101,
-        "bump_radius": 0.8,
-        "i": 0,
-        "n_omega": 4,
+        "t": (0.1, POSITIVE),
+        "box": (1.0, POSITIVE),
+        "n_grid": (101, GRID),
+        "bump_radius": (0.8, POSITIVE),
+        "i": (0, INDEX),
+        "n_omega": (4, COUNT),
     },
     "krylov": {
-        "x": REQUIRED,
-        "T": 0.25,
-        "R": 2.0,
+        "x": (REQUIRED, POINT),
+        "T": (0.25, POSITIVE),
+        "R": (2.0, POSITIVE),
     },
 }
-
-NUMBER_LISTS = {"eps_list", "p_list"}
-
-
-def defaults_for(section: str) -> dict:
-    return dict(_DEFAULTS[section])

@@ -50,6 +50,7 @@ import numpy as np
 
 from .approximation import MollifiedFamily, _bump_kernel
 from .coefficients import (
+    DEFAULT_COND_MAX,
     CoefficientSystem,
     det_spd,
     gated_right_inverse,
@@ -109,13 +110,10 @@ class MomentWindow:
 
     p: float
     T0: float
-    source: str
 
     @classmethod
     def for_system(cls, system: CoefficientSystem, p: float) -> "MomentWindow":
-        kap = system.constants.kappa(p)
-        return cls(p=p, T0=kap / (system.d + 2),
-                   source=f"kappa={system.constants.kappa_label}")
+        return cls(p=p, T0=system.constants.kappa(p) / (system.d + 2))
 
 
 PAYOFFS = {
@@ -276,7 +274,7 @@ def flow_moment_bound_check(system: CoefficientSystem, x, lam: float, T: float,
 
 def bel_gradient(system: CoefficientSystem, x, v, f, t: float, n_paths: int,
                  cfg: IntegratorConfig, master_seed: int = 0, workers: int = 1,
-                 cond_max: float = 1e12) -> EstimateReport:
+                 cond_max: float = DEFAULT_COND_MAX) -> EstimateReport:
     """Gradient of E f(F_t(x)) along v via the stochastic-integral weight.
 
     Per path accumulates S = sum_s <Y(x_s)(v_s), dW_s> with the left-point

@@ -46,7 +46,7 @@ def sqrt_field_system():
 
     constants = AssumptionConstants(p1=1.0, p2=1.0, p3=6.1, p4=3.1, p5=0.5,
                                     C1=0.5, C2=2.0, C3=2.0, R1=1.0,
-                                    kappa=lambda p: 1.0, kappa_label="1")
+                                    kappa=lambda p: 1.0)
     return make_system("sqrt_field", 1, 1, value, jacobian, constants)
 
 

@@ -110,7 +110,7 @@ def test_c04_truncation_derivative_structure():
             u = rng.normal(size=2)
             u /= np.linalg.norm(u)
             radius = R + 10 * h + rng.uniform(0.5, 4.0)
-            rad, tan = radial_tangential_derivative_check(ts, radius * u, h=h)
+            rad, tan = radial_tangential_derivative_check(ts, radius * u)
             worst_rad = max(worst_rad, rad)
             worst_tan = max(worst_tan, tan)
     ok = worst_rad < 1e-6 and worst_tan < 1e-4

@@ -1,16 +1,24 @@
 """Tests for config parsing, artifact writing, exit codes and determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import flowlab.estimators as est_module
 from flowlab.cli import main, parse_config, run
+from flowlab.cli_defaults import SCHEMA
 from flowlab.errors import ConfigError
 
 
@@ -31,6 +39,31 @@ def gradient_config(**overrides):
     }
     config.update(overrides)
     return config
+
+
+# each command's smallest block on the 1-d Ornstein-Uhlenbeck system; every
+# run of minimal_config takes a few milliseconds
+MINIMAL_BLOCKS = {
+    "gradient": {"x": [0.0], "v": [1.0]},
+    "moments": {"x": [0.0], "v": [1.0]},
+    "simulate": {"x": [0.0], "v": [1.0]},
+    "converge": {"eps_list": [0.01, 0.005], "x": [0.0], "v": [1.0],
+                 "T": 0.05},
+    "check": {},
+    "ibp": {"n_grid": 11, "n_omega": 1},
+    "krylov": {"x": [0.0]},
+}
+
+
+def minimal_config(command):
+    return {
+        "command": command,
+        "system": {"name": "ornstein_uhlenbeck", "params": {"d": 1}},
+        "integrator": {"h": 1e-2, "T": 0.1},
+        "mc": {"n_paths": 8},
+        "output": {},
+        command: dict(MINIMAL_BLOCKS[command]),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +129,16 @@ def test_hash_insensitive_to_key_order(tmp_path):
     p1 = write(tmp_path, "a.json", cfg)
     p2 = write(tmp_path, "b.json", reordered)
     assert parse_config(p1).params_hash == parse_config(p2).params_hash
+
+
+def test_hash_covers_the_parameters_the_system_is_built_from(tmp_path):
+    # q1 = 0.8 is example21's default, so both configs build the same system
+    hashes = []
+    for name, params in (("a.json", {}), ("b.json", {"q1": 0.8})):
+        cfg = gradient_config(system={"name": "example21", "params": params})
+        cfg["gradient"] = {"x": [0.3, 0.0], "v": [1.0, 0.0]}
+        hashes.append(parse_config(write(tmp_path, name, cfg)).params_hash)
+    assert hashes[0] == hashes[1]
 
 
 def test_hash_ignores_output_directory(tmp_path):
@@ -231,7 +274,7 @@ def test_run_rejects_nonpositive_paths_and_workers(tmp_path, capsys, n_paths,
 WRONG_DIMENSION = {
     "gradient.x": {"x": [0.3], "v": [1.0, 0.0]},
     "moments.v": {"x": [0.3, 0.0], "v": [1.0, 0.0, 0.0]},
-    "simulate.x": {"x": 0.3, "v": [1.0, 0.0]},
+    "simulate.x": {"x": [0.3, 0.0, 0.0], "v": [1.0, 0.0]},
     "krylov.x": {"x": [0.3]},
 }
 
@@ -254,7 +297,8 @@ def test_run_rejects_points_of_the_wrong_dimension(tmp_path, capsys, key):
     assert not (out / "result.csv").exists()
 
 
-# a point with an entry that is not a number (JSON strings and booleans)
+# a point with an entry that is not a number (JSON strings and booleans),
+# rejected before the echo is written
 WRONG_ENTRY_TYPE = {
     "gradient.x": ("gradient", {"x": ["0.5"], "v": [1.0]}),
     "moments.v": ("moments", {"x": [0.0], "v": [True]}),
@@ -275,8 +319,7 @@ def test_run_rejects_points_with_entries_that_are_not_numbers(tmp_path,
     out = tmp_path / "o"
     assert run(command, path, out=str(out)) == 2
     assert key in capsys.readouterr().err
-    assert f"status: failed: {key}" in (out / "run.log").read_text()
-    assert not (out / "result.csv").exists()
+    assert not out.exists()
 
 
 # keys of the Philox stream out of [0, 2^64), as config values or via --seed
@@ -340,6 +383,7 @@ BAD_KEYS = {
     "integrator.h=str": {"integrator": {"h": "0.01", "T": 0.1}},
     "integrator.h=bool": {"integrator": {"h": True, "T": 0.1}},
     "mc.n_paths=bool": {"mc": {"n_paths": True}},
+    "mc=number": {"mc": 8},
     "moments.t=str": {"moments": {"x": [0.0], "v": [1.0], "t": "0.1"}},
     "output.stride=0": {"output": {"stride": 0}},
     "output.stride=-1": {"output": {"stride": -1}},
@@ -365,6 +409,19 @@ def test_run_rejects_unknown_params_and_non_numbers(tmp_path, capsys, case):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["nope", ["ornstein_uhlenbeck"]],
+                         ids=["unknown", "list"])
+def test_run_rejects_a_system_name_that_is_not_a_builtin(tmp_path, capsys,
+                                                         name):
+    config = minimal_config("moments")
+    config["system"]["name"] = name
+    path = write(tmp_path, "m.json", config)
+    out = tmp_path / "o"
+    assert run("moments", path, out=str(out)) == 2
+    assert "unknown builtin" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # string- and list-valued keys given a value of another type
 BAD_TYPES = {
     "gradient.payoff=list": ("gradient", {"x": [0.0], "v": [1.0],
@@ -373,6 +430,11 @@ BAD_TYPES = {
     "check.p_list=number": ("check", {"p_list": 2.0}),
     "converge.eps_list=number": ("converge", {"eps_list": 0.01, "x": [0.0],
                                               "v": [1.0]}),
+    "gradient.method=unknown": ("gradient", {"x": [0.0], "v": [1.0],
+                                             "method": "bfd"}),
+    "gradient.payoff=unknown": ("gradient", {"x": [0.0], "v": [1.0],
+                                             "payoff": "cos"}),
+    "simulate.x=number": ("simulate", {"x": 0.3, "v": [1.0]}),
 }
 
 
@@ -393,39 +455,76 @@ def test_run_rejects_badly_typed_string_and_list_keys(tmp_path, capsys, case):
     assert not out.exists()
 
 
-# values outside an estimator's domain; each is rejected inside the command
-# with a ValueError naming the argument, so the run exits 2 and logs it
+# values outside a key's domain in the schema; each is rejected before the
+# echo is written, with an error that names the key
 OUT_OF_DOMAIN = {
-    "ibp.n_grid=0": ("ibp", {"n_grid": 0}, "n_grid"),
-    "ibp.n_grid=1": ("ibp", {"n_grid": 1}, "n_grid"),
-    "ibp.n_grid=2.5": ("ibp", {"n_grid": 2.5}, "n_grid"),
-    "ibp.n_omega=0": ("ibp", {"n_omega": 0}, "n_omega"),
-    "ibp.n_omega=2.5": ("ibp", {"n_omega": 2.5}, "n_omega"),
-    "moments.p=0": ("moments", {"x": [0.0], "v": [1.0], "p": 0},
-                    "moment order p"),
-    "krylov.R=-1": ("krylov", {"x": [0.0], "R": -1}, "radius R"),
-    "krylov.R=0": ("krylov", {"x": [0.0], "R": 0}, "radius R"),
+    "ibp.n_grid=0": ("ibp", 0),
+    "ibp.n_grid=1": ("ibp", 1),
+    "ibp.n_grid=2.5": ("ibp", 2.5),
+    "ibp.n_omega=0": ("ibp", 0),
+    "ibp.n_omega=2.5": ("ibp", 2.5),
+    "moments.p=0": ("moments", 0),
+    "krylov.R=-1": ("krylov", -1),
+    "krylov.R=0": ("krylov", 0),
+    "mc.n_paths=2.5": ("gradient", 2.5),
+    "check.p_list=[]": ("check", []),
+    "check.radius=0": ("check", 0),
+    "converge.eps_list=[]": ("converge", []),
+    "converge.eps_list=[0.2]": ("converge", [0.2]),
+    "converge.eps_list=ascending": ("converge", [0.005, 0.01]),
+    "ibp.box=0": ("ibp", 0),
+    "ibp.box=-1": ("ibp", -1),
+    "ibp.bump_radius=0": ("ibp", 0),
+    "ibp.bump_radius=-0.5": ("ibp", -0.5),
+    "integrator.T=inf": ("moments", math.inf),
 }
 
 
 @pytest.mark.parametrize("case", sorted(OUT_OF_DOMAIN))
 def test_run_rejects_values_outside_the_estimator_domain(tmp_path, capsys,
                                                          case):
-    command, block, named = OUT_OF_DOMAIN[case]
-    path = write(tmp_path, "c.json", {
-        "command": command,
-        "system": {"name": "ornstein_uhlenbeck", "params": {"d": 1}},
-        "integrator": {"h": 1e-2, "T": 0.1},
-        "mc": {"n_paths": 8},
-        command: block,
-    })
+    command, value = OUT_OF_DOMAIN[case]
+    key = case.split("=")[0]
+    section, name = key.split(".")
+    config = minimal_config(command)
+    config[section][name] = value
+    path = write(tmp_path, "c.json", config)
     out = tmp_path / "o"
     assert run(command, path, out=str(out)) == 2
-    assert named in capsys.readouterr().err
-    log = (out / "run.log").read_text()
-    assert "status: failed: " in log and named in log
-    assert "Traceback" not in log
-    assert not (out / "result.csv").exists()
+    assert f"error: {key} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# values of every type and sign, one of which replaces one key of a
+# command's minimal config
+VALUE_POOL = (None, True, False, -1, 0, 2, 2.5, "0.1", [], [0.5], [0.2, 0.1])
+SCHEMA_KEYS = sorted((command, section, key) for command in MINIMAL_BLOCKS
+                     for section in ("integrator", "mc", "output", command)
+                     for key in SCHEMA[section])
+
+
+@settings(max_examples=len(SCHEMA_KEYS))
+@given(st.sampled_from(SCHEMA_KEYS))
+def test_run_ends_every_one_key_change_in_a_documented_exit_code(change):
+    # the output directory may be drawn, so each run writes below its own
+    # working directory
+    command, section, key = change
+    for value in VALUE_POOL:
+        config = minimal_config(command)
+        config[section][key] = value
+        with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp), \
+                mock.patch.dict(os.environ), \
+                warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(io.StringIO()):
+            os.environ.pop("FLOWLAB_OUT", None)
+            warnings.simplefilter("always")
+            path = write(Path(tmp), "c.json", config)
+            code = run(command, path)
+            for echo in Path(tmp).rglob("config.echo.json"):
+                assert (echo.parent / "run.log").exists(), (change, value)
+        assert code in (0, 2, 3), (change, value, code)
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)], (change, value)
 
 
 def test_run_unexpected_error_exits_one_and_logs(tmp_path, capsys,

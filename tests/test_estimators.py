@@ -327,6 +327,34 @@ def test_krylov_ratio_stable_across_starts_example21():
 
 
 # ---------------------------------------------------------------------------
+# estimator domains, for callers that do not come through a config
+
+def _ibp(n_grid=11, n_omega=1):
+    return ibp_residual(builtin("additive_noise", d=1), 0.05, 1.0, n_grid,
+                        SmoothBump(0.8, d=1), 0, n_omega, cfg(h=1e-2))
+
+
+OUTSIDE_THE_DOMAIN = {
+    "ibp_residual(n_grid=1)": (lambda: _ibp(n_grid=1), "n_grid"),
+    "ibp_residual(n_grid=2.5)": (lambda: _ibp(n_grid=2.5), "n_grid"),
+    "ibp_residual(n_omega=0)": (lambda: _ibp(n_omega=0), "n_omega"),
+    "derivative_moment(p=0)": (lambda: derivative_moment(
+        builtin("additive_noise", d=1), [0.0], [1.0], 0, 0.05, 8,
+        cfg(h=1e-2)), "moment order p"),
+    "krylov_check(R=-1)": (lambda: krylov_check(
+        builtin("additive_noise", d=1), [0.0], 0.05, -1, 8, cfg(h=1e-2)),
+        "radius R"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUTSIDE_THE_DOMAIN))
+def test_estimators_reject_arguments_outside_their_domain(case):
+    call, named = OUTSIDE_THE_DOMAIN[case]
+    with pytest.raises(ValueError, match=named):
+        call()
+
+
+# ---------------------------------------------------------------------------
 # Holder modulus
 
 def test_holder_additive_identity_ratio():
