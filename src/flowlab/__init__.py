@@ -35,13 +35,7 @@ from .approximation import (
     select_lambda0,
     truncate,
 )
-from .engine import (
-    BrownianPath,
-    IntegratorConfig,
-    Trajectory,
-    integrate,
-    sample_path,
-)
+from .engine import BatchEuler, IntegratorConfig, increments_block
 from .estimators import (
     EstimateReport,
     MomentWindow,

@@ -23,17 +23,31 @@ from pathlib import Path
 
 import numpy as np
 
+from . import engine
 from . import estimators as est
 from .approximation import mollified_family
-from .cli_defaults import COMMANDS, REQUIRED, SCHEMA, SCHEMA_VERSION, is_number
+from .cli_defaults import (
+    COMMANDS,
+    COUNT,
+    NUMBER,
+    REQUIRED,
+    SCHEMA,
+    SCHEMA_VERSION,
+    is_number,
+)
 from .coefficients import (
     CheckSpec,
     builtin,
     builtin_parameters,
     check_assumptions,
 )
-from .engine import IntegratorConfig, integrate, sample_path
-from .errors import ConfigError, FlowlabError, ParameterConstraintError
+from .engine import BatchEuler, IntegratorConfig
+from .errors import (
+    ConfigError,
+    FlowlabError,
+    IntegrationError,
+    ParameterConstraintError,
+)
 
 __all__ = ["ExperimentConfig", "parse_config", "run", "main"]
 
@@ -190,16 +204,20 @@ def _apply_overrides(config: ExperimentConfig, seed: int | None,
 
 def _check_system_params(name: str, params: dict) -> dict:
     """The keyword parameters of the named builtin with their defaults,
-    once params is found to hold only those, with a number wherever the
-    default is one."""
+    once params is found to hold only those, with an integer of at least 1
+    wherever the default is an integer and a number wherever it is another
+    number."""
     accepted = builtin_parameters(name)
     for key, value in params.items():
         if key not in accepted:
             raise ConfigError(f"unknown key system.params.{key} of {name!r}; "
                               f"choose from {tuple(accepted)}")
-        if is_number(accepted[key]) and not is_number(value):
-            raise ConfigError(f"system.params.{key} must be a number, got "
-                              f"{value!r}")
+        default = accepted[key]
+        domain = (COUNT if type(default) is int
+                  else NUMBER if is_number(default) else None)
+        if domain is not None and not domain.accepts(value):
+            raise ConfigError(f"system.params.{key} must be "
+                              f"{domain.description}, got {value!r}")
     return accepted
 
 
@@ -267,22 +285,31 @@ def _cmd_moments(config, system, workers):
 def _cmd_simulate(config, system, workers):
     blk = config.block
     cfg = config.integrator
-    path = sample_path(config.master_seed, blk["path_index"], cfg.n_steps,
-                       cfg.h, system.m)
-    traj = integrate(system, blk["x"], blk["v"], path, cfg)
+    dws = engine.increments_block(config.master_seed, blk["path_index"], 1,
+                                  cfg.n_steps, cfg.h, system.m)
+    drv = BatchEuler(system, blk["x"], blk["v"], dws, cfg)
+    # the state after every step, up to the step where the path explodes
+    xs, vs = [drv.x[0]], [drv.v[0]]
+    while not drv.exploded[0] and drv.advance():
+        if drv.failed[0]:
+            raise IntegrationError(
+                f"non-finite coefficients at step {drv.step_index}, "
+                f"point {xs[-1]!r}", step=drv.step_index, point=xs[-1])
+        xs.append(drv.x[0])
+        vs.append(drv.v[0])
+    exploded, clamped = bool(drv.exploded[0]), int(drv.clamped[0])
     stride = config.resolved["output"]["stride"]
     lines = ["t," + ",".join(f"x{i+1}" for i in range(system.d)) + ","
              + ",".join(f"v{i+1}" for i in range(system.d))
              + ",exploded,clamped"]
-    for idx in range(0, len(traj.times), stride):
-        vals = [traj.times[idx], *traj.xs[idx], *traj.vs[idx]]
+    for idx in range(0, len(xs), stride):
+        vals = [idx * cfg.h, *xs[idx], *vs[idx]]
         lines.append(",".join(repr(float(v)) for v in vals)
-                     + f",{int(traj.exploded)},{traj.clamped}")
-    final_norm = float(np.linalg.norm(traj.xs[-1]))
+                     + f",{int(exploded)},{clamped}")
+    final_norm = float(np.linalg.norm(xs[-1]))
     row = est.csv_row("simulate", system.name, config.params_hash, cfg.T,
                       final_norm, 0.0, 1, cfg.h,
-                      _flags(config, exploded=traj.exploded,
-                             clamped=traj.clamped))
+                      _flags(config, exploded=exploded, clamped=clamped))
     return [row], {"trajectory.csv": "\n".join(lines) + "\n"}, False
 
 

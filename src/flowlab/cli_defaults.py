@@ -52,6 +52,7 @@ def choice(*options: str) -> Domain:
                   lambda value: isinstance(value, str) and value in options)
 
 
+NUMBER = Domain("a number", is_number)
 POSITIVE = Domain("a positive number", _positive)
 COUNT = Domain("an integer of at least 1", _integer(1))
 GRID = Domain("an integer of at least 2", _integer(2))
@@ -64,9 +65,9 @@ DESCENDING = Domain(
     "a descending list of at least two positive numbers",
     lambda value: _positives(value, 2) and value == sorted(value,
                                                           reverse=True))
-POINT = Domain("a list of numbers",
+POINT = Domain("a list of finite numbers",
                lambda value: isinstance(value, list)
-               and all(map(is_number, value)))
+               and all(is_number(x) and math.isfinite(x) for x in value))
 
 SCHEMA = {
     "integrator": {

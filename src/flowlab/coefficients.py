@@ -443,7 +443,8 @@ class CheckSpec:
     """Probe radius, moment orders and (c3) budget for the condition checker.
 
     (c2) and (c4aa) leave their constant non-constructive: the checker
-    reports the empirical constant, and fails only a non-finite one.
+    reports the largest empirical constant over p_list as the worst margin,
+    and fails only a non-finite one.
     """
 
     radius: float = 10.0
@@ -456,7 +457,8 @@ class ConditionReport:
     name: str
     status: str                      # "pass" | "fail" | "skipped"
     worst_point: np.ndarray | None
-    worst_margin: float              # >= 0 means pass at every sample
+    worst_margin: float              # >= 0 means pass at every sample;
+                                     # (c2), (c4aa): the empirical constant
     detail: dict
     skipped_points: int = 0
 
@@ -525,9 +527,10 @@ def check_assumptions(system: CoefficientSystem,
         for p in spec.p_list:
             best[p] = np.maximum(best[p], (p * s + inner) / (1.0 + r * r))
     empirical = {p: float(np.max(b)) for p, b in best.items()}
-    worst_c = max(empirical.values())
+    # np.max, not max: a nan constant at any p makes the worst one nan
+    worst_c = float(np.max(list(empirical.values())))
     reports["c2"] = ConditionReport(
-        "c2", "pass" if worst_c <= math.inf else "fail", None, math.inf,
+        "c2", "pass" if math.isfinite(worst_c) else "fail", None, worst_c,
         {"empirical_C": empirical, "budget": math.inf, "delta": c.delta})
 
     # (c3): refinement study of the exponential-integrability quadrature
@@ -619,9 +622,9 @@ def _check_c4aa(system: CoefficientSystem, spec: CheckSpec) -> ConditionReport:
         return ConditionReport("c4aa", "skipped", None, 0.0,
                                {"reason": "Jacobian singular on probe set"},
                                skipped_points=len(pts))
-    worst_c = max(empirical.values())
+    worst_c = float(np.max(list(empirical.values())))
     return ConditionReport(
-        "c4aa", "pass" if worst_c <= math.inf else "fail", None, math.inf,
+        "c4aa", "pass" if math.isfinite(worst_c) else "fail", None, worst_c,
         {"empirical_C": empirical, "budget": math.inf})
 
 

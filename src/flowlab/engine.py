@@ -9,8 +9,9 @@ is re-keyed with (master_seed, path_index), its counter set to zero and its
 buffer emptied, and the path's raw uint64 stream is read from counter 0 (the
 stream a fresh `Generator(Philox(key)).integers(0, 2**64)` gives). The raw
 words pass through a reusable buffer of a few rows and are transformed in
-place into the output by the inverse CDF. The integrator advances both
-components with coefficients frozen at the pre-step state:
+place into the output by the inverse CDF; one path is the block
+increments_block(seed, path_index, 1, ...). BatchEuler advances a batch of
+paths, one path included, with coefficients frozen at the pre-step state:
 
     x+ = x + sum_k X_k(x) dW^k + X_0(x) h
     v+ = v + sum_k DX_k(x)(v) dW^k + DX_0(x)(v) h
@@ -24,15 +25,11 @@ import numpy as np
 from scipy.special import ndtri
 
 from .coefficients import CoefficientSystem
-from .errors import IntegrationError, ZeroDerivativeStateError
+from .errors import ZeroDerivativeStateError
 
 __all__ = [
-    "BrownianPath",
-    "Trajectory",
     "IntegratorConfig",
-    "sample_path",
-    "gaussian_increments",
-    "integrate",
+    "increments_block",
     "BatchEuler",
 ]
 
@@ -59,28 +56,6 @@ class IntegratorConfig:
 
     def with_horizon(self, t: float) -> "IntegratorConfig":
         return replace(self, T=t)
-
-
-@dataclass(frozen=True)
-class BrownianPath:
-    """Time grid plus N(0, h) increments, reproducible from its provenance."""
-
-    n_steps: int
-    h: float
-    m: int
-    increments: np.ndarray          # (n_steps, m)
-    master_seed: int
-    path_index: int
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.n_steps + 1) * self.h
-
-
-def gaussian_increments(master_seed: int, path_index: int, n_steps: int,
-                        h: float, m: int) -> np.ndarray:
-    """(n_steps, m) N(0, h) increments of one path; see increments_block."""
-    return increments_block(master_seed, path_index, 1, n_steps, h, m)[0]
 
 
 # bytes of raw Philox words held at once while a block is transformed
@@ -120,27 +95,6 @@ def increments_block(master_seed: int, first_path: int, n_paths: int,
         ndtri(u, out=u)
         u *= scale
     return out
-
-
-def sample_path(master_seed: int, path_index: int, n_steps: int, h: float,
-                m: int) -> BrownianPath:
-    """Materialize one Brownian path from its provenance tuple."""
-    return BrownianPath(n_steps=n_steps, h=h, m=m,
-                        increments=gaussian_increments(
-                            master_seed, path_index, n_steps, h, m),
-                        master_seed=master_seed, path_index=path_index)
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Discrete record of the coupled state (x_t, v_t) for one path."""
-
-    times: np.ndarray               # (n_recorded,)
-    xs: np.ndarray                  # (n_recorded, d)
-    vs: np.ndarray                  # (n_recorded, d)
-    exploded: bool
-    exit_step: int | None
-    clamped: int
 
 
 class BatchEuler:
@@ -266,45 +220,6 @@ class BatchEuler:
         self.active &= ~stop
         self.step_index = s + 1
         return True
-
-
-def integrate(system: CoefficientSystem, x0: np.ndarray, v0: np.ndarray,
-              path: BrownianPath, cfg: IntegratorConfig) -> Trajectory:
-    """Integrate one path, recording every step.
-
-    Raises IntegrationError (naming the step and point) when the coefficients
-    return non-finite values; marks the trajectory exploded when the state
-    exits the guard ball, truncating the record at the exit state.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
-    if not np.all(np.isfinite(x0)):
-        raise ValueError("initial point must be finite")
-    if path.m != system.m:
-        raise ValueError(f"path noise dimension {path.m} does not match "
-                         f"system m={system.m}")
-    driver = BatchEuler(system, x0, v0, path.increments, cfg)
-    xs = np.empty((path.n_steps + 1, system.d))
-    vs = np.empty((path.n_steps + 1, system.d))
-    xs[0], vs[0] = x0, v0
-    last = path.n_steps
-    for s in range(path.n_steps):
-        driver.advance()
-        xs[s + 1] = driver.x[0]
-        vs[s + 1] = driver.v[0]
-        if driver.failed[0]:
-            raise IntegrationError(
-                f"non-finite coefficients at step {s + 1}, point {xs[s]!r}",
-                step=s + 1, point=xs[s])
-        if driver.exploded[0]:
-            last = s + 1
-            break
-    n_rec = last + 1
-    return Trajectory(times=np.arange(n_rec) * path.h, xs=xs[:n_rec],
-                      vs=vs[:n_rec], exploded=bool(driver.exploded[0]),
-                      exit_step=int(driver.exit_step[0])
-                      if driver.exit_step[0] >= 0 else None,
-                      clamped=int(driver.clamped[0]))
 
 
 def exp_representation_terms(jall: np.ndarray, v: np.ndarray, dw: np.ndarray,

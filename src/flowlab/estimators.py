@@ -61,7 +61,6 @@ from .engine import (
     BatchEuler,
     IntegratorConfig,
     exp_representation_terms,
-    gaussian_increments,
     increments_block,
 )
 from .quadrature import ball_volume
@@ -451,8 +450,8 @@ def ibp_residual(system: CoefficientSystem, t: float, box: float, n_grid: int,
     e_i[i_coord] = 1.0
     residuals = []
     for omega in range(n_omega):
-        dws = gaussian_increments(master_seed, omega, n_steps, cfg_t.h,
-                                  system.m)
+        dws = increments_block(master_seed, omega, 1, n_steps, cfg_t.h,
+                               system.m)
         drv = BatchEuler(system, starts, e_i, dws, cfg_t).run()
         worst = 0.0
         for j in range(d):

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flowlab.estimators as est_module
+from flowlab import CheckSpec, builtin, check_assumptions
 from flowlab.cli import main, parse_config, run
 from flowlab.cli_defaults import SCHEMA
 from flowlab.errors import ConfigError
@@ -182,6 +183,26 @@ def test_run_check_rejects_invalid_example21(tmp_path, capsys):
     assert "q3 < d/(d+1)" in capsys.readouterr().err
 
 
+def test_run_check_prints_the_empirical_constants(tmp_path):
+    # (c2) and (c4aa) report the largest empirical constant over p_list
+    path = write(tmp_path, "c.json", {
+        "command": "check",
+        "system": {"name": "example21"},
+        "check": {"p_list": [1, 2]},
+    })
+    out = tmp_path / "o"
+    assert run("check", path, out=str(out)) == 0
+    rows = {line.split(",")[0]: line.split(",") for line in
+            (out / "result.csv").read_text().splitlines()[1:]}
+    reports = check_assumptions(builtin("example21"),
+                                CheckSpec(radius=10.0, p_list=(1, 2)))
+    for name in ("c2", "c4aa"):
+        value = float(rows[f"check_{name}"][4])
+        assert math.isfinite(value)
+        assert value == max(reports[name].detail["empirical_C"].values())
+        assert "status=pass" in rows[f"check_{name}"][8]
+
+
 def test_run_simulate_zero_coefficients_constant_rows(tmp_path):
     path = write(tmp_path, "s.json", {
         "command": "simulate",
@@ -297,11 +318,13 @@ def test_run_rejects_points_of_the_wrong_dimension(tmp_path, capsys, key):
     assert not (out / "result.csv").exists()
 
 
-# a point with an entry that is not a number (JSON strings and booleans),
-# rejected before the echo is written
+# a point with an entry that is not a finite number (JSON strings,
+# booleans, NaN and Infinity), rejected before the echo is written
 WRONG_ENTRY_TYPE = {
     "gradient.x": ("gradient", {"x": ["0.5"], "v": [1.0]}),
     "moments.v": ("moments", {"x": [0.0], "v": [True]}),
+    "krylov.x": ("krylov", {"x": [math.nan]}),
+    "simulate.v": ("simulate", {"x": [0.0], "v": [math.inf]}),
 }
 
 
@@ -369,7 +392,7 @@ def test_run_rejects_ibp_coordinate_out_of_range(tmp_path, capsys):
 
 
 # keys that name no parameter of the builtin, values of the wrong type, and
-# strides that are not positive integers
+# dimensions and strides that are not positive integers
 BAD_KEYS = {
     "system.params.bogus": {"system": {"name": "ornstein_uhlenbeck",
                                        "params": {"bogus": 1}}},
@@ -377,6 +400,10 @@ BAD_KEYS = {
                                       "params": [1]}},
     "system.params.theta=str": {"system": {"name": "ornstein_uhlenbeck",
                                            "params": {"theta": "1"}}},
+    "system.params.d=2.5": {"system": {"name": "ornstein_uhlenbeck",
+                                       "params": {"d": 2.5}}},
+    "system.params.d=-1": {"system": {"name": "ornstein_uhlenbeck",
+                                      "params": {"d": -1}}},
     # example21's Jacobians are in closed form; it has no difference step
     "system.params.h_fd": {"system": {"name": "example21",
                                       "params": {"h_fd": 1e-5}}},

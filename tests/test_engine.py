@@ -1,21 +1,15 @@
 """Tests for the deterministic increment generator and the Euler integrator."""
 
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from flowlab import (
-    IntegrationError,
-    IntegratorConfig,
-    builtin,
-    integrate,
-    make_system,
-    sample_path,
-)
-from flowlab import engine
-from flowlab.engine import BatchEuler, gaussian_increments, increments_block
+from flowlab import IntegratorConfig, builtin, make_system
+from flowlab import cli, engine
+from flowlab.engine import BatchEuler, increments_block
 from flowlab.estimators import exp_representation_gaps
 
 
@@ -23,19 +17,43 @@ def cfg(h=1e-3, T=1.0, **kw):
     return IntegratorConfig(h=h, T=T, **kw)
 
 
+def one_path(system, x0, v0, master_seed, path_index, c):
+    """A one-path BatchEuler on its own increments, run to the end; returns
+    the driver, the (n_steps, m) increments and x, v after every step."""
+    dws = increments_block(master_seed, path_index, 1, c.n_steps, c.h,
+                           system.m)
+    drv = BatchEuler(system, x0, v0, dws, c)
+    xs, vs = [drv.x[0]], [drv.v[0]]
+    while drv.advance():
+        xs.append(drv.x[0])
+        vs.append(drv.v[0])
+    return drv, dws[0], np.array(xs), np.array(vs)
+
+
+def simulate(tmp_path, system, block, integrator):
+    """Run the simulate command; returns the exit code and the output
+    directory."""
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"command": "simulate", "system": system,
+                                "integrator": integrator,
+                                "simulate": block}))
+    out = tmp_path / "o"
+    return cli.run("simulate", path, out=str(out)), out
+
+
 # ---------------------------------------------------------------------------
 # increments
 
 def test_increments_deterministic():
-    a = gaussian_increments(123, 7, 50, 0.01, 2)
-    b = gaussian_increments(123, 7, 50, 0.01, 2)
+    a = increments_block(123, 7, 1, 50, 0.01, 2)[0]
+    b = increments_block(123, 7, 1, 50, 0.01, 2)[0]
     assert np.array_equal(a, b)
 
 
 def test_increments_distinct_paths_and_seeds():
-    a = gaussian_increments(123, 0, 50, 0.01, 1)
-    b = gaussian_increments(123, 1, 50, 0.01, 1)
-    c = gaussian_increments(124, 0, 50, 0.01, 1)
+    a = increments_block(123, 0, 1, 50, 0.01, 1)[0]
+    b = increments_block(123, 1, 1, 50, 0.01, 1)[0]
+    c = increments_block(124, 0, 1, 50, 0.01, 1)[0]
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -51,14 +69,14 @@ def reference_increments(master_seed, path_index, n_steps, h, m):
 
 
 def test_increments_golden_values():
-    assert gaussian_increments(0, 0, 2, 1.0, 2).tolist() == [
+    assert increments_block(0, 0, 1, 2, 1.0, 2)[0].tolist() == [
         [-2.271884148324594, -0.701327920628698],
         [-1.218980191079758, 0.16217155791645022]]
     top = 2**64 - 1
-    assert gaussian_increments(top, top, 3, 1.0, 1).tolist() == [
+    assert increments_block(top, top, 1, 3, 1.0, 1)[0].tolist() == [
         [-0.18437018740645797], [0.18022569476059613], [2.376553085644074]]
     # 21 draws: the last Philox block of four is only partly used
-    a = gaussian_increments(7, 3, 7, 0.25, 3)
+    a = increments_block(7, 3, 1, 7, 0.25, 3)[0]
     assert a.shape == (7, 3)
     assert a[0].tolist() == [-0.022405972608555362, 0.29758573808670247,
                              -0.8211977208887794]
@@ -106,82 +124,81 @@ def test_increments_finite():
     assert np.all(np.isfinite(block))
 
 
-def test_sample_path_carries_provenance():
-    p = sample_path(9, 4, 10, 0.1, 3)
-    assert (p.master_seed, p.path_index) == (9, 4)
-    assert p.increments.shape == (10, 3)
-    assert np.array_equal(p.times, 0.1 * np.arange(11))
-
-
 # ---------------------------------------------------------------------------
 # integrator basics
 
 def test_additive_noise_is_random_walk():
     s = builtin("additive_noise", sigma=2.0, d=1)
     c = cfg(h=0.01, T=0.5)
-    path = sample_path(1, 0, c.n_steps, c.h, 1)
-    traj = integrate(s, np.array([0.3]), np.array([1.0]), path, c)
-    walk = 0.3 + 2.0 * np.concatenate([[0.0], np.cumsum(path.increments[:, 0])])
-    np.testing.assert_allclose(traj.xs[:, 0], walk, atol=1e-12)
-    np.testing.assert_allclose(traj.vs[:, 0], 1.0, atol=0.0)
-    assert traj.clamped == 0
-    assert not traj.exploded
+    drv, dws, xs, vs = one_path(s, [0.3], [1.0], 1, 0, c)
+    walk = 0.3 + 2.0 * np.concatenate([[0.0], np.cumsum(dws[:, 0])])
+    np.testing.assert_allclose(xs[:, 0], walk, atol=1e-12)
+    np.testing.assert_allclose(vs[:, 0], 1.0, atol=0.0)
+    assert drv.clamped[0] == 0
+    assert not drv.exploded[0]
 
 
 def test_gbm_state_and_derivative_share_the_factor():
     s = builtin("geometric_bm", mu=0.1, sigma=0.2, d=1)
     c = cfg(h=1e-3, T=1.0)
-    path = sample_path(3, 2, c.n_steps, c.h, 1)
-    x0, v0 = np.array([1.3]), np.array([1.3])
-    traj = integrate(s, x0, v0, path, c)
+    _, _, xs, vs = one_path(s, [1.3], [1.3], 3, 2, c)
     # identical start: identical op sequence, bitwise equal
-    assert np.array_equal(traj.xs, traj.vs)
-    traj2 = integrate(s, x0, np.array([3.51]), path, c)
-    ratio_x = traj2.xs[:, 0] / x0[0]
-    ratio_v = traj2.vs[:, 0] / 3.51
+    assert np.array_equal(xs, vs)
+    _, _, xs2, vs2 = one_path(s, [1.3], [3.51], 3, 2, c)
+    ratio_x = xs2[:, 0] / 1.3
+    ratio_v = vs2[:, 0] / 3.51
     np.testing.assert_allclose(ratio_v, ratio_x, rtol=1e-12)
 
 
 def test_ou_derivative_matches_scalar_recursion():
     s = builtin("ornstein_uhlenbeck", theta=1.0, sigma=1.0, d=1)
     c = cfg(h=1e-3, T=1.0)
-    path = sample_path(11, 0, c.n_steps, c.h, 1)
-    traj = integrate(s, np.array([0.0]), np.array([1.0]), path, c)
-    assert traj.vs[-1, 0] == pytest.approx((1.0 - c.h) ** c.n_steps, rel=1e-12)
-    assert abs(traj.vs[-1, 0] - np.exp(-1.0)) < 2e-4
+    drv, _, _, _ = one_path(s, [0.0], [1.0], 11, 0, c)
+    assert drv.v[0, 0] == pytest.approx((1.0 - c.h) ** c.n_steps, rel=1e-12)
+    assert abs(drv.v[0, 0] - np.exp(-1.0)) < 2e-4
 
 
 def test_integrate_rejects_mismatched_noise_dimension():
     s = builtin("additive_noise", sigma=1.0, d=2)
-    path = sample_path(0, 0, 10, 0.01, 1)
+    dws = increments_block(0, 0, 1, 10, 0.01, 1)
     with pytest.raises(ValueError):
-        integrate(s, np.zeros(2), np.zeros(2), path, cfg(h=0.01, T=0.1))
+        BatchEuler(s, np.zeros(2), np.zeros(2), dws, cfg(h=0.01, T=0.1))
 
 
-def test_integrate_reports_nonfinite_coefficients():
+def test_integrate_reports_nonfinite_coefficients(tmp_path, monkeypatch,
+                                                  capsys):
+    # simulate fails the run at the first step whose coefficients are not
+    # finite, naming the step and the pre-step point
     def value(k, x):
         x = np.asarray(x, dtype=float)
         if k == 0:
             return np.where(np.abs(x) > 2.0, np.nan, -x)
         return np.ones_like(x)
 
-    s = make_system("bad", 1, 1, value)
-    c = cfg(h=0.01, T=0.1)
-    path = sample_path(0, 0, c.n_steps, c.h, 1)
-    with pytest.raises(IntegrationError) as err:
-        integrate(s, np.array([3.0]), np.zeros(1), path, c)
-    assert err.value.step == 1
+    monkeypatch.setattr(cli, "builtin",
+                        lambda name, **params: make_system("bad", 1, 1, value))
+    code, out = simulate(tmp_path, {"name": "ornstein_uhlenbeck"},
+                         {"x": [3.0], "v": [0.0]}, {"h": 0.01, "T": 0.1})
+    assert code == 2
+    message = "non-finite coefficients at step 1, point array([3.])"
+    assert message in capsys.readouterr().err
+    assert f"status: failed: {message}" in (out / "run.log").read_text()
+    assert not (out / "trajectory.csv").exists()
 
 
-def test_guard_ball_exit_truncates_trajectory():
-    s = builtin("constant", sigma=0.0001, d=1, drift=(1.0,))
-    c = IntegratorConfig(h=0.1, T=1.0, guard_radius=0.45)
-    path = sample_path(0, 0, c.n_steps, c.h, 1)
-    traj = integrate(s, np.array([0.0]), np.zeros(1), path, c)
-    assert traj.exploded
-    assert traj.exit_step == len(traj.xs) - 1
-    assert len(traj.xs) < c.n_steps + 1
-    assert np.linalg.norm(traj.xs[-1]) > 0.45
+def test_guard_ball_exit_truncates_trajectory(tmp_path):
+    code, out = simulate(
+        tmp_path, {"name": "constant",
+                   "params": {"sigma": 0.0001, "d": 1, "drift": [1.0]}},
+        {"x": [0.0], "v": [0.0]}, {"h": 0.1, "T": 1.0, "guard_radius": 0.45})
+    assert code == 0
+    rows = [line.split(",") for line in
+            (out / "trajectory.csv").read_text().splitlines()[1:]]
+    # recorded up to the exit step, which ends outside the guard ball
+    assert 1 < len(rows) < 11
+    assert rows[-1][3] == "1"
+    assert abs(float(rows[-1][1])) > 0.45
+    assert all(abs(float(r[1])) <= 0.45 for r in rows[:-1])
 
 
 @pytest.mark.parametrize("params,x0,v0", [
@@ -195,10 +212,9 @@ def test_clamp_counter_example21_near_origin(params, x0, v0):
     # run that evaluates no Jacobians
     s = builtin("example21", **params)
     c = IntegratorConfig(h=1e-3, T=0.01)
-    path = sample_path(0, 0, c.n_steps, c.h, 2)
-    traj = integrate(s, np.array(x0), np.array(v0), path, c)
-    assert traj.clamped >= 1
-    assert np.all(np.isfinite(traj.vs))
+    drv, _, _, vs = one_path(s, x0, v0, 0, 0, c)
+    assert drv.clamped[0] >= 1
+    assert np.all(np.isfinite(vs))
 
 
 def test_derivative_free_batch_ignores_nonfinite_jacobians():
@@ -251,18 +267,17 @@ def test_batch_euler_rejects_sizes_that_do_not_broadcast():
 def test_bitwise_reproducibility_and_batch_consistency():
     s = builtin("example21")
     c = cfg(h=1e-3, T=0.05)
-    path = sample_path(77, 5, c.n_steps, c.h, 2)
     x0, v0 = np.array([0.4, -0.2]), np.array([1.0, 0.5])
-    t1 = integrate(s, x0, v0, path, c)
-    t2 = integrate(s, x0, v0, path, c)
-    assert np.array_equal(t1.xs, t2.xs)
-    assert np.array_equal(t1.vs, t2.vs)
-    # a batch with three copies reproduces the single-path results bitwise
-    dws = np.broadcast_to(path.increments, (3,) + path.increments.shape)
+    _, path, xs1, vs1 = one_path(s, x0, v0, 77, 5, c)
+    _, _, xs2, vs2 = one_path(s, x0, v0, 77, 5, c)
+    assert np.array_equal(xs1, xs2)
+    assert np.array_equal(vs1, vs2)
+    # a batch with three copies reproduces the one-path results bitwise
+    dws = np.broadcast_to(path, (3,) + path.shape)
     drv = BatchEuler(s, np.tile(x0, (3, 1)), np.tile(v0, (3, 1)), dws, c).run()
     for i in range(3):
-        assert np.array_equal(drv.x[i], t1.xs[-1])
-        assert np.array_equal(drv.v[i], t1.vs[-1])
+        assert np.array_equal(drv.x[i], xs1[-1])
+        assert np.array_equal(drv.v[i], vs1[-1])
 
 
 def test_euler_strong_error_scaling_gbm():
@@ -288,9 +303,9 @@ def test_euler_strong_error_scaling_gbm():
 def test_multi_start_additive_offsets_constant():
     s = builtin("additive_noise", sigma=1.0, d=2)
     c = cfg(h=1e-2, T=0.2)
-    path = sample_path(8, 0, c.n_steps, c.h, 2)
+    dws = increments_block(8, 0, 1, c.n_steps, c.h, 2)
     starts = np.array([[0.0, 0.0], [0.7, -0.3]])
-    drv = BatchEuler(s, starts, 0.0, path.increments, c)
+    drv = BatchEuler(s, starts, 0.0, dws, c)
     for _, xs, _, _, _ in drv.steps():
         np.testing.assert_allclose(xs[1] - xs[0], starts[1] - starts[0],
                                    atol=1e-12)

@@ -268,7 +268,7 @@ def test_ibp_residual_gbm():
 
 
 def ibp_residual_shifted(system, bump, t):
-    from flowlab.engine import BatchEuler, gaussian_increments
+    from flowlab.engine import BatchEuler, increments_block
     from flowlab.estimators import IbpReport
     c = cfg(h=1e-3).with_horizon(t)
     axis = np.linspace(0.5, 1.5, 201)
@@ -278,7 +278,7 @@ def ibp_residual_shifted(system, bump, t):
     dphi_vals = bump.partial(starts, 0)
     residuals = []
     for omega in range(3):
-        dws = gaussian_increments(0, omega, c.n_steps, c.h, 1)[None]
+        dws = increments_block(0, omega, 1, c.n_steps, c.h, 1)
         drv = BatchEuler(system, starts, [1.0], dws, c).run()
         r = abs(weight * float(np.sum(dphi_vals * drv.x[:, 0]))
                 + weight * float(np.sum(phi_vals * drv.v[:, 0])))
