@@ -33,6 +33,7 @@ from .cli_defaults import (
     REQUIRED,
     SCHEMA,
     SCHEMA_VERSION,
+    VECTOR,
     is_number,
 )
 from .coefficients import (
@@ -205,8 +206,9 @@ def _apply_overrides(config: ExperimentConfig, seed: int | None,
 def _check_system_params(name: str, params: dict) -> dict:
     """The keyword parameters of the named builtin with their defaults,
     once params is found to hold only those, with an integer of at least 1
-    wherever the default is an integer and a number wherever it is another
-    number."""
+    wherever the default is an integer, a finite number wherever it is
+    another number, and null or a list of d finite numbers wherever it is
+    null."""
     accepted = builtin_parameters(name)
     for key, value in params.items():
         if key not in accepted:
@@ -214,10 +216,16 @@ def _check_system_params(name: str, params: dict) -> dict:
                               f"choose from {tuple(accepted)}")
         default = accepted[key]
         domain = (COUNT if type(default) is int
-                  else NUMBER if is_number(default) else None)
-        if domain is not None and not domain.accepts(value):
+                  else NUMBER if is_number(default) else VECTOR)
+        if not domain.accepts(value):
             raise ConfigError(f"system.params.{key} must be "
                               f"{domain.description}, got {value!r}")
+    d = {**accepted, **params}["d"]
+    for key, value in params.items():
+        if isinstance(value, list) and len(value) != d:
+            raise ConfigError(
+                f"system.params.{key} must be null or a list of {d} finite "
+                f"numbers, one per dimension of {name!r}, got {value!r}")
     return accepted
 
 

@@ -52,7 +52,8 @@ def choice(*options: str) -> Domain:
                   lambda value: isinstance(value, str) and value in options)
 
 
-NUMBER = Domain("a number", is_number)
+NUMBER = Domain("a finite number",
+                lambda value: is_number(value) and math.isfinite(value))
 POSITIVE = Domain("a positive number", _positive)
 COUNT = Domain("an integer of at least 1", _integer(1))
 GRID = Domain("an integer of at least 2", _integer(2))
@@ -67,7 +68,11 @@ DESCENDING = Domain(
                                                           reverse=True))
 POINT = Domain("a list of finite numbers",
                lambda value: isinstance(value, list)
-               and all(is_number(x) and math.isfinite(x) for x in value))
+               and all(map(NUMBER.accepts, value)))
+# a system parameter whose default is null: the drift vector of constant,
+# whose length parse_config checks against the system's d
+VECTOR = Domain("null or a list of d finite numbers",
+                lambda value: value is None or POINT.accepts(value))
 
 SCHEMA = {
     "integrator": {

@@ -354,19 +354,24 @@ def kp_max(system: CoefficientSystem, x: np.ndarray, p: float) -> SpectralReport
     This equals sup over unit xi of
     2p<DX_0 xi, xi> + (2p-1)p sum_k |DX_k xi|^2.
     """
-    if p <= 0:
-        raise ValueError("order p must be positive")
     x = np.asarray(x, dtype=float)
     system._check_regular(x)
-    jall = system.jacobians_stacked(x)
-    j0 = jall[..., 0, :, :]
-    mat = p * (j0 + np.swapaxes(j0, -1, -2))
-    for k in range(1, system.m + 1):
-        jk = jall[..., k, :, :]
-        mat = mat + (2.0 * p - 1.0) * p * np.einsum("...ji,...jk->...ik", jk, jk)
-    kp = np.linalg.eigvalsh(mat)[..., -1]
+    kp, mat = _kp(system.jacobians_stacked(x), p)
     return SpectralReport(x=x, p=p, kp=float(kp) if np.ndim(kp) == 0 else kp,
                           matrix=mat)
+
+
+def _kp(jall: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """(K_p, its matrix) from the Jacobians jall (..., m+1, d, d) of one
+    evaluation, so that every order p reads the same pass."""
+    if p <= 0:
+        raise ValueError("order p must be positive")
+    j0 = jall[..., 0, :, :]
+    mat = p * (j0 + np.swapaxes(j0, -1, -2))
+    for k in range(1, jall.shape[-3]):
+        jk = jall[..., k, :, :]
+        mat = mat + (2.0 * p - 1.0) * p * np.einsum("...ji,...jk->...ik", jk, jk)
+    return np.linalg.eigvalsh(mat)[..., -1], mat
 
 
 def _log_energy_expression(system: CoefficientSystem, lam: float,
@@ -479,9 +484,9 @@ def check_assumptions(system: CoefficientSystem,
     """Sampled pass/fail diagnostics for the growth and ellipticity conditions.
 
     These are grid-level checks, not proofs: pass means no violation was found
-    at the sampled points, fail carries the worst violating point. Conditions
-    that cannot be evaluated (Jacobian singularities at every sample) are
-    reported as skipped.
+    at the sampled points, fail carries the worst violating point, and a nan
+    sample fails its condition. (c3) is skipped when every quadrature node is
+    singular, and (c4) and (c4aa) when any probe outside R1 is.
     """
     c = system.constants
     d = system.d
@@ -491,27 +496,14 @@ def check_assumptions(system: CoefficientSystem,
     r = np.linalg.norm(pts, axis=-1)
 
     # (c1): smallest eigenvalue of A(x) >= C1 / (1 + |x|^p1)
-    a = diffusion_matrix(system, pts)
-    lo, _ = sym_eig_range(a)
-    floor = c.C1 / (1.0 + r**c.p1)
-    margin = lo - floor
-    i = int(np.argmin(margin))
-    reports["c1"] = ConditionReport(
-        "c1", "pass" if margin[i] >= 0 else "fail", pts[i], float(margin[i]),
-        {"C1": c.C1, "p1": c.p1})
+    lo, _ = sym_eig_range(diffusion_matrix(system, pts))
+    reports["c1"] = _margin_report("c1", lo - c.C1 / (1.0 + r**c.p1), pts,
+                                   {"C1": c.C1, "p1": c.p1})
 
     # (c2aa): |X_k(x)| <= C2 (1 + |x|^p2) for k = 0..m
-    worst = np.inf
-    worst_pt = None
     norms = np.linalg.norm(stack_fields(*system.fields(pts)), axis=-1)
-    for k in range(system.m + 1):
-        m = c.C2 * (1.0 + r**c.p2) - norms[:, k]
-        j = int(np.argmin(m))
-        if m[j] < worst:
-            worst, worst_pt = float(m[j]), pts[j]
-    reports["c2aa"] = ConditionReport(
-        "c2aa", "pass" if worst >= 0 else "fail", worst_pt, worst,
-        {"C2": c.C2, "p2": c.p2})
+    reports["c2aa"] = _margin_report("c2aa", c.C2 * (1.0 + r**c.p2) - norms.T,
+                                     pts, {"C2": c.C2, "p2": c.p2})
 
     # (c2): sup_{|y| <= delta} p sum |X_k(x+y)|^2 + <x, X_0(x+y)> <= C(p)(1+|x|^2)
     y_dirs, _ = sphere_points(d, _DELTA_SAMPLES)
@@ -526,49 +518,61 @@ def check_assumptions(system: CoefficientSystem,
         inner = np.sum(pts * drift, axis=-1)
         for p in spec.p_list:
             best[p] = np.maximum(best[p], (p * s + inner) / (1.0 + r * r))
-    empirical = {p: float(np.max(b)) for p, b in best.items()}
-    # np.max, not max: a nan constant at any p makes the worst one nan
-    worst_c = float(np.max(list(empirical.values())))
-    reports["c2"] = ConditionReport(
-        "c2", "pass" if math.isfinite(worst_c) else "fail", None, worst_c,
-        {"empirical_C": empirical, "budget": math.inf, "delta": c.delta})
+    reports["c2"] = _constant_report(
+        "c2", {p: float(np.max(b)) for p, b in best.items()},
+        {"delta": c.delta})
 
     # (c3): refinement study of the exponential-integrability quadrature
     reports["c3"] = _check_c3(system, spec)
 
-    # (c4): |DX_k(x)| <= C3 (1 + |x|^p5) outside R1
-    reports["c4"] = _check_c4(system, spec)
-
+    # (c4): |DX_k(x)| <= C3 (1 + |x|^p5) outside R1, and
     # (c4aa): K_p(x) <= C(p) log(1 + |x|^2) outside R1
-    reports["c4aa"] = _check_c4aa(system, spec)
+    reports["c4"], reports["c4aa"] = _check_outside_r1(system, spec)
     return reports
+
+
+def _margin_report(name: str, margins: np.ndarray, pts: np.ndarray,
+                   detail: dict) -> ConditionReport:
+    """The worst of margins (fields, points) over pts, the first in
+    field-major order on ties; a nan margin is the worst and fails."""
+    flat = np.reshape(margins, -1)
+    i = int(np.argmin(flat))
+    worst = float(flat[i])
+    return ConditionReport(name, "pass" if worst >= 0 else "fail",
+                           pts[i % len(pts)], worst, detail)
+
+
+def _constant_report(name: str, empirical: dict, detail: dict
+                     ) -> ConditionReport:
+    """(c2), (c4aa): the largest empirical constant over p_list as the worst
+    margin, failing only when it is not finite."""
+    # np.max, not max: a nan constant at any p makes the worst one nan
+    worst = float(np.max(list(empirical.values())))
+    return ConditionReport(
+        name, "pass" if math.isfinite(worst) else "fail", None, worst,
+        {"empirical_C": empirical, "budget": math.inf, **detail})
 
 
 def _check_c3(system: CoefficientSystem, spec: CheckSpec) -> ConditionReport:
     c = system.constants
-    estimates: dict[float, list[float]] = {}
+    estimates: dict[float, list[float]] = {p: [] for p in spec.p_list}
     skipped = 0
-    r_min = system.origin_policy.r_min
-    for p in spec.p_list:
-        kap = c.kappa(p)
-        levels = []
-        for level in range(_QUAD_LEVELS):
-            nodes, weights = midpoint_ball_rule(system.d, 1.0,
-                                                _QUAD_N0 * 2**level,
-                                                _N_ANGULAR)
-            rr = np.linalg.norm(nodes, axis=-1)
-            keep = rr >= r_min
-            skipped += int(np.sum(~keep))
-            nodes, weights = nodes[keep], weights[keep]
-            if len(nodes) == 0:
-                return ConditionReport("c3", "skipped", None, 0.0,
-                                       {"reason": "all nodes singular"},
-                                       skipped_points=skipped)
-            kp_vals = kp_max(system, nodes, p).kp
+    for level in range(_QUAD_LEVELS):
+        nodes, weights = midpoint_ball_rule(system.d, 1.0,
+                                            _QUAD_N0 * 2**level, _N_ANGULAR)
+        keep = np.linalg.norm(nodes, axis=-1) >= system.origin_policy.r_min
+        skipped += int(np.sum(~keep))
+        if not np.any(keep):
+            return ConditionReport("c3", "skipped", None, 0.0,
+                                   {"reason": "all nodes singular"},
+                                   skipped_points=skipped)
+        # one Jacobian pass per level serves every p
+        jall = system.jacobians_stacked(nodes[keep])
+        for p, levels in estimates.items():
             with np.errstate(over="ignore"):
-                integrand = np.exp(np.minimum(kap * kp_vals, 700.0))
-            levels.append(float(np.sum(weights * integrand)))
-        estimates[p] = levels
+                integrand = np.exp(np.minimum(c.kappa(p) * _kp(jall, p)[0],
+                                              700.0))
+            levels.append(float(np.sum(weights[keep] * integrand)))
     worst_final = max(v[-1] for v in estimates.values())
     growing = any(len(v) >= 2 and v[-1] > 1.5 * v[-2] and v[-1] > 10.0
                   for v in estimates.values())
@@ -577,55 +581,38 @@ def _check_c3(system: CoefficientSystem, spec: CheckSpec) -> ConditionReport:
         "c3", "pass" if ok else "fail", None,
         spec.quad_budget - worst_final,
         {"levels": estimates, "budget": spec.quad_budget,
-         "diverging": growing}, skipped_points=skipped)
+         "diverging": growing},
+        # a node skipped at one level is skipped once for each order p
+        skipped_points=skipped * len(spec.p_list))
 
 
-def _check_c4(system: CoefficientSystem, spec: CheckSpec) -> ConditionReport:
+def _check_outside_r1(system: CoefficientSystem, spec: CheckSpec
+                      ) -> tuple[ConditionReport, ConditionReport]:
+    """(c4) and (c4aa) on their shared probe set, from one Jacobian pass."""
     c = system.constants
     if spec.radius <= c.R1:
-        return ConditionReport("c4", "skipped", None, 0.0,
-                               {"reason": "probe radius inside R1"})
+        return tuple(ConditionReport(name, "skipped", None, 0.0,
+                                     {"reason": "probe radius inside R1"})
+                     for name in ("c4", "c4aa"))
     pts = _probe_points(spec, system.d, r_lo=c.R1 * 1.01)
-    r = np.linalg.norm(pts, axis=-1)
     try:
         system._check_regular(pts)
     except SingularPointError:
-        return ConditionReport("c4", "skipped", None, 0.0,
-                               {"reason": "no evaluable Jacobians"},
-                               skipped_points=(system.m + 1) * len(pts))
-    jall = system.jacobians_stacked(pts)
-    worst = np.inf
-    worst_pt = None
-    for k in range(system.m + 1):
-        norm = np.linalg.norm(jall[:, k], axis=(-2, -1))
-        m = c.C3 * (1.0 + r**c.p5) - norm
-        j = int(np.argmin(m))
-        if m[j] < worst:
-            worst, worst_pt = float(m[j]), pts[j]
-    return ConditionReport("c4", "pass" if worst >= 0 else "fail", worst_pt,
-                           worst, {"C3": c.C3, "p5": c.p5, "R1": c.R1})
-
-
-def _check_c4aa(system: CoefficientSystem, spec: CheckSpec) -> ConditionReport:
-    c = system.constants
-    if spec.radius <= c.R1:
-        return ConditionReport("c4aa", "skipped", None, 0.0,
-                               {"reason": "probe radius inside R1"})
-    pts = _probe_points(spec, system.d, r_lo=c.R1 * 1.01)
+        return (ConditionReport("c4", "skipped", None, 0.0,
+                                {"reason": "no evaluable Jacobians"},
+                                skipped_points=(system.m + 1) * len(pts)),
+                ConditionReport("c4aa", "skipped", None, 0.0,
+                                {"reason": "Jacobian singular on probe set"},
+                                skipped_points=len(pts)))
     r = np.linalg.norm(pts, axis=-1)
-    empirical = {}
-    try:
-        for p in spec.p_list:
-            kp_vals = kp_max(system, pts, p).kp
-            empirical[p] = float(np.max(kp_vals / np.log1p(r * r)))
-    except SingularPointError:
-        return ConditionReport("c4aa", "skipped", None, 0.0,
-                               {"reason": "Jacobian singular on probe set"},
-                               skipped_points=len(pts))
-    worst_c = float(np.max(list(empirical.values())))
-    return ConditionReport(
-        "c4aa", "pass" if math.isfinite(worst_c) else "fail", None, worst_c,
-        {"empirical_C": empirical, "budget": math.inf})
+    jall = system.jacobians_stacked(pts)
+    norms = np.linalg.norm(jall, axis=(-2, -1))
+    c4 = _margin_report("c4", c.C3 * (1.0 + r**c.p5) - norms.T, pts,
+                        {"C3": c.C3, "p5": c.p5, "R1": c.R1})
+    c4aa = _constant_report(
+        "c4aa", {p: float(np.max(_kp(jall, p)[0] / np.log1p(r * r)))
+                 for p in spec.p_list}, {})
+    return c4, c4aa
 
 
 # ---------------------------------------------------------------------------
@@ -846,13 +833,9 @@ def _geometric_bm(mu: float = 0.1, sigma: float = 0.2,
         jacobians_fn=_constant_jacobians(jac), constants=constants, params={"mu": mu, "sigma": sigma, "d": d})
 
 
-def _constant(sigma: float = 1.0, d: int = 1, m: int | None = None,
+def _constant(sigma: float = 1.0, d: int = 1,
               drift: tuple[float, ...] | None = None) -> CoefficientSystem:
-    m = d if m is None else m
-    if m != d:
-        raise ParameterConstraintError(
-            "constant builtin uses the basis fields sigma*e_k, so m must equal d",
-            "m == d")
+    # the diffusion fields are the basis fields sigma e_k, so m = d
     eye = np.eye(d)
     b = np.zeros(d) if drift is None else np.asarray(drift, dtype=float)
 
@@ -864,11 +847,10 @@ def _constant(sigma: float = 1.0, d: int = 1, m: int | None = None,
         C1=sigma**2, C2=abs(sigma) + float(np.linalg.norm(b)) + 1.0, C3=1.0,
         R1=1.0)
     return CoefficientSystem(
-        name="constant", d=d, m=m, fields_fn=fields,
-        jacobians_fn=_constant_jacobians(np.zeros((m + 1, d, d))),
+        name="constant", d=d, m=d, fields_fn=fields,
+        jacobians_fn=_constant_jacobians(np.zeros((d + 1, d, d))),
         constants=constants,
-        params={"sigma": sigma, "d": d, "m": m,
-                "drift": tuple(float(v) for v in b)})
+        params={"sigma": sigma, "d": d, "drift": tuple(float(v) for v in b)})
 
 
 def _additive_noise(sigma: float = 1.0, d: int = 1) -> CoefficientSystem:

@@ -67,3 +67,24 @@ def scalar_drift_system(d=1):
         return np.zeros(shape)
 
     return make_system("pure_drift", d, d, value, jacobian)
+
+
+def nan_ring_system(radius):
+    """d = m = 2, X_0(x) = 1e6 x and X_k(x) = (1, 1), with the drift and
+    every Jacobian nan where |x| >= radius: a violation of the growth bounds
+    on every probe, and one ring of nan samples."""
+
+    def ring(x):
+        x = np.asarray(x, dtype=float)
+        r = np.linalg.norm(x, axis=-1, keepdims=True)
+        return np.where(r >= radius * (1.0 - 1e-9), np.nan, x)
+
+    def value(k, x):
+        x = ring(x)
+        return 1e6 * x if k == 0 else np.ones_like(x)
+
+    def jacobian(k, x):
+        x = ring(x)
+        return (1e6 if k == 0 else 0.0) * (0.0 * x[..., :, None] + np.eye(2))
+
+    return make_system("nan_ring", 2, 2, value, jacobian)

@@ -407,6 +407,21 @@ BAD_KEYS = {
     # example21's Jacobians are in closed form; it has no difference step
     "system.params.h_fd": {"system": {"name": "example21",
                                       "params": {"h_fd": 1e-5}}},
+    "system.params.theta=NaN": {"system": {"name": "ornstein_uhlenbeck",
+                                           "params": {"theta": math.nan}}},
+    "system.params.sigma=Infinity": {"system": {"name": "constant",
+                                                "params": {"sigma": math.inf}}},
+    # constant's drift is null or one finite number per dimension, and its
+    # diffusion fields are the d basis fields, so it takes no m
+    "system.params.drift=2-vector": {"system": {"name": "constant",
+                                                "params": {"drift": [1, 2]}}},
+    "system.params.drift=3": {"system": {"name": "constant",
+                                         "params": {"drift": 3}}},
+    "system.params.drift=abc": {"system": {"name": "constant",
+                                           "params": {"drift": "abc"}}},
+    "system.params.drift=[NaN]": {"system": {"name": "constant",
+                                             "params": {"drift": [math.nan]}}},
+    "system.params.m": {"system": {"name": "constant", "params": {"m": 1}}},
     "integrator.h=str": {"integrator": {"h": "0.01", "T": 0.1}},
     "integrator.h=bool": {"integrator": {"h": True, "T": 0.1}},
     "mc.n_paths=bool": {"mc": {"n_paths": True}},
@@ -710,6 +725,16 @@ TRACED_CASES = {
         "krylov": {"x": [0.3, 0.0], "T": 0.1, "R": 2.0},
     }, {"engine.step.calls": 10, "coefficients.fields.calls": 10,
         "coefficients.jacobians.calls": None}),
+    # no steps: one Jacobian pass per (c3) quadrature level for every p,
+    # and one outside R1 for (c4) and (c4aa); fields once for (c1), once
+    # for (c2aa) and once per (c2) offset, 6 radii x 6 directions
+    "check": ({
+        "command": "check",
+        "system": {"name": "example21", "params": {}},
+        "check": {"p_list": [1, 2]},
+    }, {"engine.step.calls": None, "coefficients.fields.calls": 38,
+        "coefficients.jacobians.calls": 4,
+        "coefficients.jacobians.points": 256 + 512 + 1024 + 384}),
 }
 
 

@@ -20,7 +20,7 @@ from flowlab import (
 from flowlab import coefficients
 from flowlab.coefficients import _smooth_step, fd_jacobian, stack_fields
 
-from systems import scalar_drift_system, sqrt_field_system
+from systems import nan_ring_system, scalar_drift_system, sqrt_field_system
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +263,43 @@ def test_check_example21_passes_at_order_one():
     reports = check_assumptions(s, CheckSpec(p_list=(1.0,), quad_budget=1e3))
     for name in ("c1", "c2aa", "c2", "c3", "c4"):
         assert reports[name].passed, f"{name}: {reports[name].detail}"
+
+
+def test_check_a_nan_sample_does_not_hide_a_violation():
+    # the drift 1e6 x breaks (c2aa) and (c4) at every probe; a ring of nan
+    # samples on the outermost probes must fail them too, not drop the
+    # drift field from the worst-over-fields reduction
+    spec = CheckSpec(radius=10.0, p_list=(2.0,))
+    clean = check_assumptions(nan_ring_system(radius=np.inf), spec)
+    reports = check_assumptions(nan_ring_system(radius=10.0), spec)
+    for name in ("c2aa", "c4"):
+        assert clean[name].status == "fail"
+        assert clean[name].worst_margin < 0.0
+        assert reports[name].status == "fail"
+        assert np.isnan(reports[name].worst_margin)
+        assert np.linalg.norm(reports[name].worst_point) == pytest.approx(10.0)
+
+
+def test_check_all_singular_quadrature_counts_its_nodes_once():
+    # with r_min = 5 every node of the unit-ball rule is singular: (c3) is
+    # skipped at its first level, 16 radii x 16 directions, whatever p_list
+    # holds; (c4) and (c4aa) are skipped over 24 x 16 probes outside R1
+    s = builtin("example21", r_min=5.0)
+    for p_list in [(2.0,), (1.0, 2.0)]:
+        reports = check_assumptions(s, CheckSpec(p_list=p_list))
+        assert reports["c3"].status == "skipped"
+        assert reports["c3"].skipped_points == 256
+        assert reports["c4"].skipped_points == (s.m + 1) * 384
+        assert reports["c4aa"].skipped_points == 384
+
+
+def test_check_counts_skipped_quadrature_nodes_once_per_order():
+    s = builtin("example21", r_min=0.5)
+    one = check_assumptions(s, CheckSpec(p_list=(2.0,)))["c3"]
+    two = check_assumptions(s, CheckSpec(p_list=(1.0, 2.0)))["c3"]
+    assert one.status == two.status == "pass"
+    assert one.skipped_points > 0
+    assert two.skipped_points == 2 * one.skipped_points
 
 
 # ---------------------------------------------------------------------------
