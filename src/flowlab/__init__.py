@@ -20,7 +20,6 @@ from .coefficients import (
     diffusion_matrix,
     kp_max,
     make_system,
-    right_inverse_apply,
     theta_g,
 )
 from .approximation import (
@@ -54,7 +53,6 @@ from .errors import (
     ConfigError,
     FlowlabError,
     IntegrationError,
-    NearSingularDiffusionError,
     ParameterConstraintError,
     RadiusTooSmallError,
     SingularPointError,

@@ -3,10 +3,13 @@ estimators, and write reproducible artifacts.
 
 Every run writes three files into the output directory: config.echo.json
 (the fully resolved config with its canonical hash), result.csv (fixed
-column order, shortest round-trip decimals), and run.log (timings and
-failure counts; the only file allowed to differ between reruns). Exit codes:
+column order, shortest round-trip decimals), and run.log (status and
+elapsed seconds; the only file allowed to differ between reruns). Exit codes:
 0 success, 1 unexpected error (run.log records it), 2 config/parameter
-validation error, 3 run completed but flagged unreliable.
+validation error, 3 run completed but flagged unreliable: a gradient or
+moments run that excluded more than 0.1% of its paths. Only those two count
+excluded paths; converge drops failed and exploded paths, and krylov failed
+paths, without counting them, so neither exits 3.
 """
 
 from __future__ import annotations
@@ -109,15 +112,15 @@ def _hash_config(resolved: dict) -> str:
     return hashlib.sha256(_canonical(hashable).encode()).hexdigest()[:16]
 
 
-def _validate_section(name: str, given) -> dict:
-    """The section's defaults updated with the given keys, each checked
-    against its domain in SCHEMA."""
+def _validate_section(name: str, given, schema: dict) -> dict:
+    """The schema's defaults updated with the given keys, each checked
+    against its domain in the schema."""
     if not isinstance(given, dict):
         raise ConfigError(f"{name} must be a JSON object, got {given!r}")
-    schema = SCHEMA[name]
     for key, value in given.items():
         if key not in schema:
-            raise ConfigError(f"unknown key {name}.{key!r}")
+            raise ConfigError(f"unknown key {name}.{key}; "
+                              f"choose from {tuple(schema)}")
         default, domain = schema[key]
         if not (value is None and default is None or domain.accepts(value)):
             raise ConfigError(f"{name}.{key} must be {domain.description}, "
@@ -128,6 +131,16 @@ def _validate_section(name: str, given) -> dict:
     if missing:
         raise ConfigError(f"missing required key {name}.{missing[0]!r}")
     return merged
+
+
+def _params_schema(name: str) -> dict:
+    """The schema of system.params: the keyword parameters of the named
+    builtin with their defaults, and an integer of at least 1 wherever the
+    default is an integer, a finite number wherever it is another number,
+    and null or a list of finite numbers wherever it is null."""
+    return {key: (default, COUNT if type(default) is int
+                  else NUMBER if is_number(default) else VECTOR)
+            for key, default in builtin_parameters(name).items()}
 
 
 def parse_config(path, command: str | None = None) -> ExperimentConfig:
@@ -173,18 +186,24 @@ def parse_config(path, command: str | None = None) -> ExperimentConfig:
     for key in system_raw:
         if key not in ("name", "params"):
             raise ConfigError(f"unknown key system.{key!r}")
-    name, params = system_raw["name"], system_raw.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("system.params must be a JSON object")
-    accepted = _check_system_params(name, params)
+    name = system_raw["name"]
+    params = _validate_section("system.params", system_raw.get("params", {}),
+                               _params_schema(name))
+    for key, value in params.items():
+        if isinstance(value, list) and len(value) != params["d"]:
+            raise ConfigError(
+                f"system.params.{key} must be null or a list of "
+                f"{params['d']} finite numbers, one per dimension of "
+                f"{name!r}, got {value!r}")
 
     resolved = {
         "schema": SCHEMA_VERSION,
         "command": cmd,
         # the parameters the system is built from, so that configs which
         # build the same system share a hash
-        "system": {"name": name, "params": {**accepted, **params}},
-        **{section: _validate_section(section, raw.get(section, {}))
+        "system": {"name": name, "params": params},
+        **{section: _validate_section(section, raw.get(section, {}),
+                                      SCHEMA[section])
            for section in ("integrator", "mc", "output", cmd)},
     }
     return ExperimentConfig(command=cmd, resolved=resolved,
@@ -196,41 +215,16 @@ def _apply_overrides(config: ExperimentConfig, seed: int | None,
     resolved = json.loads(_canonical(config.resolved))
     if seed is not None:
         resolved["mc"] = _validate_section(
-            "mc", {**resolved["mc"], "master_seed": seed})
+            "mc", {**resolved["mc"], "master_seed": seed}, SCHEMA["mc"])
     if out is not None:
         resolved["output"]["directory"] = out
     return ExperimentConfig(command=config.command, resolved=resolved,
                             params_hash=_hash_config(resolved))
 
 
-def _check_system_params(name: str, params: dict) -> dict:
-    """The keyword parameters of the named builtin with their defaults,
-    once params is found to hold only those, with an integer of at least 1
-    wherever the default is an integer, a finite number wherever it is
-    another number, and null or a list of d finite numbers wherever it is
-    null."""
-    accepted = builtin_parameters(name)
-    for key, value in params.items():
-        if key not in accepted:
-            raise ConfigError(f"unknown key system.params.{key} of {name!r}; "
-                              f"choose from {tuple(accepted)}")
-        default = accepted[key]
-        domain = (COUNT if type(default) is int
-                  else NUMBER if is_number(default) else VECTOR)
-        if not domain.accepts(value):
-            raise ConfigError(f"system.params.{key} must be "
-                              f"{domain.description}, got {value!r}")
-    d = {**accepted, **params}["d"]
-    for key, value in params.items():
-        if isinstance(value, list) and len(value) != d:
-            raise ConfigError(
-                f"system.params.{key} must be null or a list of {d} finite "
-                f"numbers, one per dimension of {name!r}, got {value!r}")
-    return accepted
-
-
 # ---------------------------------------------------------------------------
-# command implementations; each returns (csv_rows, extra_files, unreliable)
+# command implementations; each returns (rows, extra_files, unreliable)
+# with rows as (estimator, t, value, std_error, n_paths, flags)
 
 def _check_dimensions(config: ExperimentConfig, system) -> None:
     """A command's start point x and direction v have one entry per
@@ -249,16 +243,16 @@ def _check_dimensions(config: ExperimentConfig, system) -> None:
                 f"{system.name}, got {i!r}")
 
 
-def _flags(config: ExperimentConfig, report=None, **extra) -> dict:
-    flags = {"seed": config.master_seed}
-    if report is not None:
-        for key in ("window_exceeded", "unreliable"):
-            if report.notes.get(key):
-                flags[key] = True
-        if report.notes.get("n_excluded"):
-            flags["excluded"] = report.notes["n_excluded"]
-    flags.update(extra)
-    return flags
+def _report_row(estimator: str, t: float, report, **flags) -> tuple:
+    """The row of an EstimateReport, flagged where it exceeded its moment
+    window, was unreliable or excluded paths."""
+    for key in ("window_exceeded", "unreliable"):
+        if report.notes.get(key):
+            flags[key] = True
+    if report.notes.get("n_excluded"):
+        flags["excluded"] = report.notes["n_excluded"]
+    return (estimator, t, report.value, report.std_error, report.n_paths,
+            flags)
 
 
 def _cmd_gradient(config, system, workers):
@@ -271,10 +265,8 @@ def _cmd_gradient(config, system, workers):
         report = est.bel_gradient(**kwargs)
     else:
         report = est.fd_gradient(delta=blk["delta"], **kwargs)
-    row = est.csv_row(f"gradient_{blk['method']}", system.name,
-                      config.params_hash, blk["t"], report.value,
-                      report.std_error, report.n_paths, report.h,
-                      _flags(config, report, payoff=blk["payoff"]))
+    row = _report_row(f"gradient_{blk['method']}", blk["t"], report,
+                      payoff=blk["payoff"])
     return [row], {}, report.unreliable
 
 
@@ -283,10 +275,7 @@ def _cmd_moments(config, system, workers):
     report = est.derivative_moment(
         system, blk["x"], blk["v"], blk["p"], blk["t"], config.n_paths,
         config.integrator, master_seed=config.master_seed, workers=workers)
-    row = est.csv_row("derivative_moment", system.name, config.params_hash,
-                      blk["t"], report.value, report.std_error,
-                      report.n_paths, report.h,
-                      _flags(config, report, p=blk["p"]))
+    row = _report_row("derivative_moment", blk["t"], report, p=blk["p"])
     return [row], {}, report.unreliable
 
 
@@ -315,9 +304,8 @@ def _cmd_simulate(config, system, workers):
         lines.append(",".join(repr(float(v)) for v in vals)
                      + f",{int(exploded)},{clamped}")
     final_norm = float(np.linalg.norm(xs[-1]))
-    row = est.csv_row("simulate", system.name, config.params_hash, cfg.T,
-                      final_norm, 0.0, 1, cfg.h,
-                      _flags(config, exploded=exploded, clamped=clamped))
+    row = ("simulate", cfg.T, final_norm, 0.0, 1,
+           {"exploded": exploded, "clamped": clamped})
     return [row], {"trajectory.csv": "\n".join(lines) + "\n"}, False
 
 
@@ -325,21 +313,17 @@ def _cmd_converge(config, system, workers):
     blk = config.block
     fam = mollified_family(system, lambda0=blk.get("lambda0"),
                            eps0=blk.get("eps0"))
-    rows_out = []
-    rows = est.family_convergence(
-        fam, blk["eps_list"], blk["x"], blk["v"], blk["T"], config.n_paths,
-        config.integrator, master_seed=config.master_seed, workers=workers)
-    for r in rows:
+    rows = []
+    for r in est.family_convergence(
+            fam, blk["eps_list"], blk["x"], blk["v"], blk["T"],
+            config.n_paths, config.integrator,
+            master_seed=config.master_seed, workers=workers):
         pair = {"eps": r.eps, "eps_next": r.eps_next}
-        rows_out.append(est.csv_row(
-            "converge_flow", system.name, config.params_hash, blk["T"],
-            r.gap_flow, r.se_flow, config.n_paths, config.integrator.h,
-            _flags(config, **pair)))
-        rows_out.append(est.csv_row(
-            "converge_derivative", system.name, config.params_hash, blk["T"],
-            r.gap_derivative, r.se_derivative, config.n_paths,
-            config.integrator.h, _flags(config, **pair)))
-    return rows_out, {}, False
+        rows.append(("converge_flow", blk["T"], r.gap_flow, r.se_flow,
+                     config.n_paths, pair))
+        rows.append(("converge_derivative", blk["T"], r.gap_derivative,
+                     r.se_derivative, config.n_paths, pair))
+    return rows, {}, False
 
 
 def _cmd_check(config, system, workers):
@@ -349,11 +333,9 @@ def _cmd_check(config, system, workers):
     rows = []
     for name in ("c1", "c2aa", "c2", "c3", "c4", "c4aa"):
         rep = reports[name]
-        rows.append(est.csv_row(
-            f"check_{name}", system.name, config.params_hash, 0.0,
-            rep.worst_margin, 0.0, 0, config.integrator.h,
-            _flags(config, status=rep.status,
-                   skipped_points=rep.skipped_points)))
+        rows.append((f"check_{name}", 0.0, rep.worst_margin, 0.0, 0,
+                     {"status": rep.status,
+                      "skipped_points": rep.skipped_points}))
     return rows, {}, False
 
 
@@ -363,12 +345,11 @@ def _cmd_ibp(config, system, workers):
     report = est.ibp_residual(
         system, blk["t"], blk["box"], blk["n_grid"], bump, blk["i"],
         blk["n_omega"], config.integrator, master_seed=config.master_seed)
-    rows = [est.csv_row("ibp_mean", system.name, config.params_hash,
-                        blk["t"], report.mean_residual, 0.0, blk["n_omega"],
-                        report.h, _flags(config, n_grid=blk["n_grid"])),
-            est.csv_row("ibp_max", system.name, config.params_hash,
-                        blk["t"], report.max_residual, 0.0, blk["n_omega"],
-                        report.h, _flags(config, n_grid=blk["n_grid"]))]
+    flags = {"n_grid": blk["n_grid"]}
+    rows = [("ibp_mean", blk["t"], report.mean_residual, 0.0, blk["n_omega"],
+             flags),
+            ("ibp_max", blk["t"], report.max_residual, 0.0, blk["n_omega"],
+             flags)]
     return rows, {}, False
 
 
@@ -377,14 +358,12 @@ def _cmd_krylov(config, system, workers):
     report = est.krylov_check(
         system, blk["x"], blk["T"], blk["R"], config.n_paths,
         config.integrator, master_seed=config.master_seed, workers=workers)
-    flgs = _flags(config, R=blk["R"], a_hat=report.a_hat, b_hat=report.b_hat,
-                  rhs_shape=report.rhs_shape)
-    rows = [est.csv_row("krylov_lhs", system.name, config.params_hash,
-                        blk["T"], report.lhs, report.lhs_std_error,
-                        config.n_paths, config.integrator.h, flgs),
-            est.csv_row("krylov_ratio", system.name, config.params_hash,
-                        blk["T"], report.ratio, 0.0, config.n_paths,
-                        config.integrator.h, flgs)]
+    flags = {"R": blk["R"], "a_hat": report.a_hat, "b_hat": report.b_hat,
+             "rhs_shape": report.rhs_shape}
+    rows = [("krylov_lhs", blk["T"], report.lhs, report.lhs_std_error,
+             config.n_paths, flags),
+            ("krylov_ratio", blk["T"], report.ratio, 0.0, config.n_paths,
+             flags)]
     return rows, {}, False
 
 
@@ -432,6 +411,12 @@ def run(command: str, config_path, seed: int | None = None,
         _check_dimensions(config, system)
         rows, extra_files, unreliable = _COMMAND_IMPL[config.command](
             config, system, int(workers))
+        # inside the try: config.integrator checks T >= h
+        csv_text = "".join(
+            est.csv_row(estimator, system.name, config.params_hash, t,
+                        value, std_error, n_paths, config.integrator.h,
+                        {"seed": config.master_seed, **flags}) + "\n"
+            for estimator, t, value, std_error, n_paths, flags in rows)
     except (FlowlabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         _write_log(out_dir, config, t_start, status=f"failed: {exc}")
@@ -445,8 +430,7 @@ def run(command: str, config_path, seed: int | None = None,
                    detail=traceback.format_exc())
         return EXIT_UNEXPECTED
 
-    csv_text = est.CSV_HEADER + "\n" + "\n".join(rows) + "\n"
-    _atomic_write(out_dir / "result.csv", csv_text)
+    _atomic_write(out_dir / "result.csv", est.CSV_HEADER + "\n" + csv_text)
     for name, text in extra_files.items():
         _atomic_write(out_dir / name, text)
     status = "unreliable" if unreliable else "ok"

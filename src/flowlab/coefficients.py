@@ -15,11 +15,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import (
-    NearSingularDiffusionError,
-    ParameterConstraintError,
-    SingularPointError,
-)
+from .errors import ParameterConstraintError, SingularPointError
 from .quadrature import midpoint_ball_rule, sphere_points
 
 __all__ = [
@@ -34,7 +30,6 @@ __all__ = [
     "builtin",
     "builtin_parameters",
     "diffusion_matrix",
-    "right_inverse_apply",
     "kp_max",
     "theta_g",
     "check_assumptions",
@@ -104,8 +99,22 @@ class OriginPolicy:
         return self.r_min > 0.0
 
     def clamp(self, x: np.ndarray) -> np.ndarray:
-        """x with points inside the r_min ball pushed onto its sphere."""
-        return clamp_to_radius(x, self.r_min) if self.singular else x
+        """x with points inside the r_min ball pushed onto its sphere (the
+        origin onto r_min e_1)."""
+        if not self.singular:
+            return x
+        x = np.asarray(x, dtype=float)
+        r = np.linalg.norm(x, axis=-1, keepdims=True)
+        inside = r < self.r_min
+        if not np.any(inside):
+            return x
+        at_zero = r == 0.0
+        safe_r = np.where(at_zero, 1.0, r)
+        scaled = x * (self.r_min / safe_r)
+        e1 = np.zeros(x.shape[-1])
+        e1[0] = self.r_min
+        scaled = np.where(at_zero, e1, scaled)
+        return np.where(inside, scaled, x)
 
 
 @dataclass(frozen=True)
@@ -172,22 +181,6 @@ class CoefficientSystem:
         or call _check_regular(x) first.
         """
         return self.jacobians_fn(np.asarray(x, dtype=float))
-
-
-def clamp_to_radius(x: np.ndarray, r_min: float) -> np.ndarray:
-    """Push points with |x| < r_min out to the r_min sphere (origin -> r_min e_1)."""
-    x = np.asarray(x, dtype=float)
-    r = np.linalg.norm(x, axis=-1, keepdims=True)
-    inside = r < r_min
-    if not np.any(inside):
-        return x
-    at_zero = r == 0.0
-    safe_r = np.where(at_zero, 1.0, r)
-    scaled = x * (r_min / safe_r)
-    e1 = np.zeros(x.shape[-1])
-    e1[0] = r_min
-    scaled = np.where(at_zero, e1, scaled)
-    return np.where(inside, scaled, x)
 
 
 def fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
@@ -302,25 +295,6 @@ def diffusion_matrix(system: CoefficientSystem, x: np.ndarray) -> np.ndarray:
     return a
 
 
-def right_inverse_apply(system: CoefficientSystem, x: np.ndarray,
-                        xi: np.ndarray,
-                        cond_max: float = DEFAULT_COND_MAX) -> np.ndarray:
-    """Y(x)(xi) = Sigma^T A(x)^{-1} xi, the minimal-norm right inverse of X.
-
-    Satisfies X(x) Y(x)(xi) = xi whenever A(x) is well conditioned; rejects
-    points where cond(A) exceeds cond_max.
-    """
-    sig = system.sigma(np.asarray(x, dtype=float))
-    y, bad, lo = gated_right_inverse(sig, np.asarray(xi, dtype=float),
-                                     cond_max)
-    if np.any(bad):
-        raise NearSingularDiffusionError(
-            f"{system.name}: diffusion nearly singular "
-            f"(smallest eigenvalue {float(np.min(lo)):.3e}, cond gate {cond_max:g})",
-            smallest_eigenvalue=float(np.min(lo)))
-    return y
-
-
 def gated_right_inverse(sig: np.ndarray, xi: np.ndarray,
                         cond_max: float = DEFAULT_COND_MAX) -> tuple:
     """(Sigma^T A^{-1} xi, gated, smallest eigenvalue of A) for A = Sigma
@@ -342,10 +316,6 @@ class SpectralReport:
     p: float
     kp: float
     matrix: np.ndarray
-
-    def quadratic_form(self, xi: np.ndarray) -> float:
-        xi = np.asarray(xi, dtype=float)
-        return float(xi @ self.matrix @ xi)
 
 
 def kp_max(system: CoefficientSystem, x: np.ndarray, p: float) -> SpectralReport:
@@ -391,30 +361,19 @@ def _log_energy_expression(system: CoefficientSystem, lam: float,
 
 @dataclass(frozen=True)
 class ThetaBound:
-    """Grid supremum of the log-energy drift functional.
-
-    certified is True only when the caller supplied a tail bound valid outside
-    the search box that is dominated by the grid maximum; otherwise the value
-    is an empirical (finite-sample) maximum.
-    """
+    """Grid supremum of the log-energy drift functional: an empirical
+    (finite-sample) maximum over the search box."""
 
     value: float
     argmax: np.ndarray
     lam: float
     box: float
     n_points: int
-    certified: bool
 
 
 def theta_g(system: CoefficientSystem, lam: float, box: float = 50.0,
-            n_points: int | None = None,
-            tail_bound: float | None = None) -> ThetaBound:
-    """Maximize the Lyapunov drift expression for g = log(1+|x|^2) on a grid.
-
-    tail_bound, when given, asserts an upper bound for the expression outside
-    [-box, box]^d; the result is flagged certified when that bound does not
-    exceed the grid maximum.
-    """
+            n_points: int | None = None) -> ThetaBound:
+    """Maximize the Lyapunov drift expression for g = log(1+|x|^2) on a grid."""
     if lam <= 0:
         raise ValueError("lambda must be positive")
     d = system.d
@@ -425,9 +384,8 @@ def theta_g(system: CoefficientSystem, lam: float, box: float = 50.0,
     pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
     vals = _log_energy_expression(system, lam, pts)
     i = int(np.argmax(vals))
-    certified = tail_bound is not None and tail_bound <= float(vals[i])
     return ThetaBound(value=float(vals[i]), argmax=pts[i], lam=lam, box=box,
-                      n_points=n_points, certified=certified)
+                      n_points=n_points)
 
 
 # ---------------------------------------------------------------------------
@@ -617,10 +575,6 @@ def _check_outside_r1(system: CoefficientSystem, spec: CheckSpec
 
 # ---------------------------------------------------------------------------
 # built-in systems
-
-BUILTIN_NAMES = ("example21", "ornstein_uhlenbeck", "geometric_bm", "constant",
-                 "additive_noise")
-
 
 def _smooth_step(t: np.ndarray, slope: bool = False):
     """C^inf step: 0 for t <= 0, 1 for t >= 1, strictly increasing between.
@@ -838,6 +792,10 @@ def _constant(sigma: float = 1.0, d: int = 1,
     # the diffusion fields are the basis fields sigma e_k, so m = d
     eye = np.eye(d)
     b = np.zeros(d) if drift is None else np.asarray(drift, dtype=float)
+    if b.shape != (d,):
+        raise ParameterConstraintError(
+            f"constant requires drift to be null or {d} numbers, one per "
+            f"dimension, got drift={drift!r}", "len(drift) == d")
 
     def fields(x):
         return _constant_field(b, x), _constant_field(sigma * eye, x)
@@ -866,6 +824,7 @@ _BUILTIN_FACTORIES = {
     "constant": _constant,
     "additive_noise": _additive_noise,
 }
+BUILTIN_NAMES = tuple(_BUILTIN_FACTORIES)
 
 
 def _builtin_factory(name: str):
@@ -879,7 +838,8 @@ def builtin(name: str, **params) -> CoefficientSystem:
     """Construct a built-in coefficient system by name.
 
     example21 validates its exponent inequalities and raises
-    ParameterConstraintError naming the violated one.
+    ParameterConstraintError naming the violated one; constant raises it
+    when its drift has not d entries.
     """
     return _builtin_factory(name)(**params)
 

@@ -9,18 +9,6 @@ class SingularPointError(FlowlabError):
     """Evaluation requested inside a declared singular region."""
 
 
-class NearSingularDiffusionError(FlowlabError):
-    """Diffusion matrix too ill-conditioned to invert reliably.
-
-    Carries the smallest eigenvalue seen, which signals where ellipticity
-    degenerates.
-    """
-
-    def __init__(self, message: str, smallest_eigenvalue: float):
-        super().__init__(message)
-        self.smallest_eigenvalue = smallest_eigenvalue
-
-
 class RadiusTooSmallError(FlowlabError):
     """Truncation radius below the admissible minimum R1 + 1."""
 

@@ -173,6 +173,23 @@ def test_run_gradient_writes_artifacts_and_estimates(tmp_path):
     assert echo["params_hash"] == fields[2]
 
 
+@pytest.mark.parametrize("command", sorted(MINIMAL_BLOCKS))
+def test_run_writes_the_row_context_on_every_row(tmp_path, command):
+    # one writer adds the system, hash, step and seed to each command's rows
+    path = write(tmp_path, "c.json", minimal_config(command))
+    out = tmp_path / "out"
+    assert run(command, path, out=str(out)) == 0
+    echo = json.loads((out / "config.echo.json").read_text())
+    rows = (out / "result.csv").read_text().splitlines()[1:]
+    assert rows
+    for row in rows:
+        fields = row.split(",")
+        assert fields[1] == "ornstein_uhlenbeck"
+        assert fields[2] == echo["params_hash"]
+        assert fields[7] == "0.01"
+        assert fields[8].startswith("seed=")
+
+
 def test_run_check_rejects_invalid_example21(tmp_path, capsys):
     path = write(tmp_path, "c.json", {
         "command": "check",

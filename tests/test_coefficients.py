@@ -6,7 +6,6 @@ import pytest
 from flowlab import (
     CheckSpec,
     CoefficientSystem,
-    NearSingularDiffusionError,
     ParameterConstraintError,
     SingularPointError,
     builtin,
@@ -14,11 +13,15 @@ from flowlab import (
     diffusion_matrix,
     kp_max,
     make_system,
-    right_inverse_apply,
     theta_g,
 )
 from flowlab import coefficients
-from flowlab.coefficients import _smooth_step, fd_jacobian, stack_fields
+from flowlab.coefficients import (
+    _smooth_step,
+    fd_jacobian,
+    gated_right_inverse,
+    stack_fields,
+)
 
 from systems import nan_ring_system, scalar_drift_system, sqrt_field_system
 
@@ -66,9 +69,16 @@ def test_diffusion_matrix_symmetric_psd(name, params):
 # ---------------------------------------------------------------------------
 # right inverse
 
+def right_inverse(s, x, xi):
+    """(Y(x)(xi), gated, smallest eigenvalue of A(x)) for the system s."""
+    return gated_right_inverse(s.sigma(np.asarray(x, dtype=float)),
+                               np.asarray(xi, dtype=float))
+
+
 def test_right_inverse_scalar():
     s = builtin("constant", sigma=2.0, d=1)
-    y = right_inverse_apply(s, np.array([0.0]), np.array([3.0]))
+    y, gated, _ = right_inverse(s, [0.0], [3.0])
+    assert not gated
     assert y[0] == pytest.approx(1.5)
     # X(x) applied to y recovers xi
     assert 2.0 * y[0] == pytest.approx(3.0)
@@ -77,7 +87,8 @@ def test_right_inverse_scalar():
 def test_right_inverse_identity_diffusion():
     s = builtin("constant", sigma=1.0, d=3)
     xi = np.array([0.2, -0.7, 1.1])
-    y = right_inverse_apply(s, np.zeros(3), xi)
+    y, gated, _ = right_inverse(s, np.zeros(3), xi)
+    assert not gated
     np.testing.assert_allclose(y, xi, atol=1e-14)
 
 
@@ -85,7 +96,9 @@ def test_right_inverse_example21_scaled_identity():
     s = builtin("example21", q2=0.5)
     x = np.array([9.0, 0.0])  # A = 9 I, Sigma = 3 I
     xi = np.array([1.0, 2.0])
-    y = right_inverse_apply(s, x, xi)
+    y, gated, lo = right_inverse(s, x, xi)
+    assert not gated
+    assert lo == pytest.approx(9.0, rel=1e-12)
     np.testing.assert_allclose(y, xi / 3.0, rtol=1e-12)
 
 
@@ -94,12 +107,13 @@ def test_right_inverse_roundtrip_random_systems():
     for name, params in [("example21", {}), ("ornstein_uhlenbeck", {"d": 2}),
                          ("geometric_bm", {"d": 1})]:
         s = builtin(name, **params)
-        for _ in range(20):
-            x = rng.normal(size=s.d) * 2.0 + 0.5
-            xi = rng.normal(size=s.d)
-            y = right_inverse_apply(s, x, xi)
-            sig = s.sigma(x)
-            np.testing.assert_allclose(sig @ y, xi, rtol=1e-10, atol=1e-12)
+        x = rng.normal(size=(20, s.d)) * 2.0 + 0.5
+        xi = rng.normal(size=(20, s.d))
+        y, gated, _ = right_inverse(s, x, xi)
+        assert not gated.any()
+        sig = s.sigma(x)
+        np.testing.assert_allclose(np.einsum("nik,nk->ni", sig, y), xi,
+                                   rtol=1e-10, atol=1e-12)
 
 
 def test_right_inverse_matches_pseudoinverse_nondiagonal():
@@ -116,15 +130,18 @@ def test_right_inverse_matches_pseudoinverse_nondiagonal():
     s = make_system("skew_columns", 2, 2, value)
     for _ in range(10):
         xi = rng.normal(size=2)
-        y = right_inverse_apply(s, np.zeros(2), xi)
+        y, gated, _ = right_inverse(s, np.zeros(2), xi)
+        assert not gated
         np.testing.assert_allclose(y, np.linalg.pinv(cols) @ xi, atol=1e-12)
 
 
 def test_right_inverse_reports_ellipticity_failure():
+    # geometric BM is degenerate at the origin: A(0) = 0, so the point is
+    # gated and the smallest eigenvalue reported there is 0
     s = builtin("geometric_bm", d=2)
-    with pytest.raises(NearSingularDiffusionError) as err:
-        right_inverse_apply(s, np.zeros(2), np.ones(2))
-    assert err.value.smallest_eigenvalue == pytest.approx(0.0, abs=1e-300)
+    _, gated, lo = right_inverse(s, np.zeros(2), np.ones(2))
+    assert gated
+    assert lo == pytest.approx(0.0, abs=1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +179,7 @@ def test_kp_dominates_quadratic_form():
         for _ in range(100):
             xi = rng.normal(size=2)
             xi /= np.linalg.norm(xi)
-            assert rep.quadratic_form(xi) <= rep.kp + 1e-10
+            assert xi @ rep.matrix @ xi <= rep.kp + 1e-10
 
 
 def test_kp_matrix_symmetric():
@@ -204,7 +221,6 @@ def test_theta_g_unit_diffusion_analytic_max():
     bound = theta_g(s, 1.0, box=50.0)
     assert bound.value == pytest.approx(1.0, abs=1e-4)
     assert abs(bound.argmax[0]) < 0.2
-    assert not bound.certified
 
 
 def test_theta_g_contraction_zero_max():
@@ -217,19 +233,9 @@ def test_theta_g_example21_finite_empirical():
     s = builtin("example21")
     bound = theta_g(s, 1.0)
     assert np.isfinite(bound.value)
-    assert not bound.certified
     # radial oracle: the expression peaks at |x| ~ 0.378 with value 3.0693;
     # the default 2-d grid resolves the ridge to a few percent
     assert 2.9 < bound.value <= 3.0693476971574993 + 1e-9
-
-
-def test_theta_g_certified_flag():
-    s = builtin("ornstein_uhlenbeck", d=1)
-    empirical = theta_g(s, 1.0)
-    certified = theta_g(s, 1.0, tail_bound=0.5 * empirical.value)
-    assert certified.certified
-    not_cert = theta_g(s, 1.0, tail_bound=2.0 * empirical.value)
-    assert not not_cert.certified
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +329,17 @@ def test_example21_rejects_other_violations():
     with pytest.raises(ParameterConstraintError) as err:
         builtin("example21", q2=2.0, q4=1.0)
     assert err.value.constraint == "q4 + 2 > 2*q2"
+
+
+@pytest.mark.parametrize("drift", [(1.0, 2.0), (), 3.0])
+def test_constant_rejects_a_drift_that_is_not_one_number_per_dimension(
+        drift):
+    # a drift of another length would give a 1-d system a (n, 2) drift
+    with pytest.raises(ParameterConstraintError, match="drift") as err:
+        builtin("constant", d=1, drift=drift)
+    assert err.value.constraint == "len(drift) == d"
+    s = builtin("constant", d=2, drift=(1.0, 2.0))
+    assert s.fields(np.zeros((3, 2)))[0].shape == (3, 2)
 
 
 @pytest.mark.parametrize("name,params", [
