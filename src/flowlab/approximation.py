@@ -324,11 +324,8 @@ class LpDistance:
     """Quadrature of |a_k - b_k|^p over a centered ball, kink ball excised."""
 
     value: float
-    p: float
-    radius: float
     excised_radius: float
     excised_volume: float
-    mode: str
 
 
 def lp_distance(a: CoefficientSystem, b: CoefficientSystem, k: int,
@@ -351,6 +348,6 @@ def lp_distance(a: CoefficientSystem, b: CoefficientSystem, k: int,
     else:
         gap = a.jacobian(k, nodes) - b.jacobian(k, nodes)
         integrand = np.sum(gap * gap, axis=(-2, -1)) ** (p / 2.0)
-    return LpDistance(value=float(np.sum(weights * integrand)), p=p, radius=R,
+    return LpDistance(value=float(np.sum(weights * integrand)),
                       excised_radius=r_lo,
-                      excised_volume=ball_volume(a.d, r_lo), mode=mode)
+                      excised_volume=ball_volume(a.d, r_lo))

@@ -6,10 +6,9 @@ Every run writes three files into the output directory: config.echo.json
 column order, shortest round-trip decimals), and run.log (status and
 elapsed seconds; the only file allowed to differ between reruns). Exit codes:
 0 success, 1 unexpected error (run.log records it), 2 config/parameter
-validation error, 3 run completed but flagged unreliable: a gradient or
-moments run that excluded more than 0.1% of its paths. Only those two count
-excluded paths; converge drops failed and exploded paths, and krylov failed
-paths, without counting them, so neither exits 3.
+validation error, 3 run completed but flagged unreliable: over 0.1% of the
+paths of a gradient, moments, converge, ibp or krylov run failed, exploded
+or were gated. Rows flag nonzero excluded=, failed=, exploded=, gated=.
 """
 
 from __future__ import annotations
@@ -223,8 +222,8 @@ def _apply_overrides(config: ExperimentConfig, seed: int | None,
 
 
 # ---------------------------------------------------------------------------
-# command implementations; each returns (rows, extra_files, unreliable)
-# with rows as (estimator, t, value, std_error, n_paths, flags)
+# command implementations; each returns (rows, extra_files, PathCounts or
+# None) with rows as (estimator, t, value, std_error, n_paths, flags)
 
 def _check_dimensions(config: ExperimentConfig, system) -> None:
     """A command's start point x and direction v have one entry per
@@ -243,18 +242,6 @@ def _check_dimensions(config: ExperimentConfig, system) -> None:
                 f"{system.name}, got {i!r}")
 
 
-def _report_row(estimator: str, t: float, report, **flags) -> tuple:
-    """The row of an EstimateReport, flagged where it exceeded its moment
-    window, was unreliable or excluded paths."""
-    for key in ("window_exceeded", "unreliable"):
-        if report.notes.get(key):
-            flags[key] = True
-    if report.notes.get("n_excluded"):
-        flags["excluded"] = report.notes["n_excluded"]
-    return (estimator, t, report.value, report.std_error, report.n_paths,
-            flags)
-
-
 def _cmd_gradient(config, system, workers):
     blk = config.block
     kwargs = dict(system=system, x=blk["x"], v=blk["v"],
@@ -265,9 +252,9 @@ def _cmd_gradient(config, system, workers):
         report = est.bel_gradient(**kwargs)
     else:
         report = est.fd_gradient(delta=blk["delta"], **kwargs)
-    row = _report_row(f"gradient_{blk['method']}", blk["t"], report,
-                      payoff=blk["payoff"])
-    return [row], {}, report.unreliable
+    row = (f"gradient_{blk['method']}", blk["t"], report.value,
+           report.std_error, config.n_paths, {"payoff": blk["payoff"]})
+    return [row], {}, report.paths
 
 
 def _cmd_moments(config, system, workers):
@@ -275,8 +262,9 @@ def _cmd_moments(config, system, workers):
     report = est.derivative_moment(
         system, blk["x"], blk["v"], blk["p"], blk["t"], config.n_paths,
         config.integrator, master_seed=config.master_seed, workers=workers)
-    row = _report_row("derivative_moment", blk["t"], report, p=blk["p"])
-    return [row], {}, report.unreliable
+    row = ("derivative_moment", blk["t"], report.value, report.std_error,
+           config.n_paths, {"p": blk["p"], **report.notes})
+    return [row], {}, report.paths
 
 
 def _cmd_simulate(config, system, workers):
@@ -306,24 +294,24 @@ def _cmd_simulate(config, system, workers):
     final_norm = float(np.linalg.norm(xs[-1]))
     row = ("simulate", cfg.T, final_norm, 0.0, 1,
            {"exploded": exploded, "clamped": clamped})
-    return [row], {"trajectory.csv": "\n".join(lines) + "\n"}, False
+    return [row], {"trajectory.csv": "\n".join(lines) + "\n"}, None
 
 
 def _cmd_converge(config, system, workers):
     blk = config.block
     fam = mollified_family(system, lambda0=blk.get("lambda0"),
                            eps0=blk.get("eps0"))
+    gap_rows, paths = est.family_convergence(
+        fam, blk["eps_list"], blk["x"], blk["v"], blk["T"], config.n_paths,
+        config.integrator, master_seed=config.master_seed, workers=workers)
     rows = []
-    for r in est.family_convergence(
-            fam, blk["eps_list"], blk["x"], blk["v"], blk["T"],
-            config.n_paths, config.integrator,
-            master_seed=config.master_seed, workers=workers):
+    for r in gap_rows:
         pair = {"eps": r.eps, "eps_next": r.eps_next}
         rows.append(("converge_flow", blk["T"], r.gap_flow, r.se_flow,
                      config.n_paths, pair))
         rows.append(("converge_derivative", blk["T"], r.gap_derivative,
                      r.se_derivative, config.n_paths, pair))
-    return rows, {}, False
+    return rows, {}, paths
 
 
 def _cmd_check(config, system, workers):
@@ -336,7 +324,7 @@ def _cmd_check(config, system, workers):
         rows.append((f"check_{name}", 0.0, rep.worst_margin, 0.0, 0,
                      {"status": rep.status,
                       "skipped_points": rep.skipped_points}))
-    return rows, {}, False
+    return rows, {}, None
 
 
 def _cmd_ibp(config, system, workers):
@@ -350,7 +338,7 @@ def _cmd_ibp(config, system, workers):
              flags),
             ("ibp_max", blk["t"], report.max_residual, 0.0, blk["n_omega"],
              flags)]
-    return rows, {}, False
+    return rows, {}, report.paths
 
 
 def _cmd_krylov(config, system, workers):
@@ -364,7 +352,7 @@ def _cmd_krylov(config, system, workers):
              config.n_paths, flags),
             ("krylov_ratio", blk["T"], report.ratio, 0.0, config.n_paths,
              flags)]
-    return rows, {}, False
+    return rows, {}, report.paths
 
 
 _COMMAND_IMPL = {
@@ -384,7 +372,8 @@ def run(command: str, config_path, seed: int | None = None,
 
     Writes config.echo.json before result.csv so a partial CSV can never
     appear without its matching echo. result.csv is byte-identical across
-    reruns and worker counts for the same effective config.
+    reruns and worker counts for the same effective config. The path counts
+    of a command become the flags of each of its rows, here alone.
     """
     t_start = time.perf_counter()
     try:
@@ -409,13 +398,16 @@ def run(command: str, config_path, seed: int | None = None,
 
     try:
         _check_dimensions(config, system)
-        rows, extra_files, unreliable = _COMMAND_IMPL[config.command](
+        rows, extra_files, paths = _COMMAND_IMPL[config.command](
             config, system, int(workers))
+        noted = {} if paths is None else {  # nonzero counts flag each row
+            key: value for key, value in vars(paths).items()
+            if value and key not in ("n_paths", "clamped")}
         # inside the try: config.integrator checks T >= h
         csv_text = "".join(
             est.csv_row(estimator, system.name, config.params_hash, t,
                         value, std_error, n_paths, config.integrator.h,
-                        {"seed": config.master_seed, **flags}) + "\n"
+                        {"seed": config.master_seed, **flags, **noted}) + "\n"
             for estimator, t, value, std_error, n_paths, flags in rows)
     except (FlowlabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -433,9 +425,9 @@ def run(command: str, config_path, seed: int | None = None,
     _atomic_write(out_dir / "result.csv", est.CSV_HEADER + "\n" + csv_text)
     for name, text in extra_files.items():
         _atomic_write(out_dir / name, text)
-    status = "unreliable" if unreliable else "ok"
+    status = "unreliable" if "unreliable" in noted else "ok"
     _write_log(out_dir, config, t_start, status=status)
-    return EXIT_UNRELIABLE if unreliable else EXIT_OK
+    return EXIT_UNRELIABLE if "unreliable" in noted else EXIT_OK
 
 
 def _atomic_write(path: Path, text: str) -> None:

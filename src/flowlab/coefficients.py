@@ -365,10 +365,7 @@ class ThetaBound:
     (finite-sample) maximum over the search box."""
 
     value: float
-    argmax: np.ndarray
-    lam: float
-    box: float
-    n_points: int
+    argmax: tuple[float, ...]
 
 
 def theta_g(system: CoefficientSystem, lam: float, box: float = 50.0,
@@ -384,8 +381,7 @@ def theta_g(system: CoefficientSystem, lam: float, box: float = 50.0,
     pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
     vals = _log_energy_expression(system, lam, pts)
     i = int(np.argmax(vals))
-    return ThetaBound(value=float(vals[i]), argmax=pts[i], lam=lam, box=box,
-                      n_points=n_points)
+    return ThetaBound(value=float(vals[i]), argmax=tuple(map(float, pts[i])))
 
 
 # ---------------------------------------------------------------------------

@@ -6,30 +6,25 @@ checks, and Holder-modulus tables.
 
 Every path-batch estimator runs on one driver, `_map_paths`: it cuts the
 paths into fixed ranges of at most CHUNK_PATHS (read at call time) paths
-whose increments stay under MAX_BLOCK_BYTES, draws each
-range's increments with one `increments_block` call, maps the estimator's
-per-path `run(dws)` over the ranges, and concatenates what `run` returns in
-path-index order. An estimator keeps only its per-path computation and its
-reduction. Paths are dropped by one rule, `_kept`: a path counts unless it
-failed or exploded in any of its drivers (the Krylov check drops only failed
-paths; the BEL gradient also drops paths gated by the condition number).
-Observers that need the coefficient fields or Jacobians at the pre-step
-state read `BatchEuler.fields()` or `BatchEuler.jacobians()`, the per-step
-caches the Euler step itself uses, so each is evaluated at most once per
-step (the Jacobians at the system's `origin_policy.clamp(x)`). The step
-evaluates Jacobians only when `v` can be non-zero: the estimators that start
-from `v = 0` (`fd_gradient`, `holder_modulus`, `flow_moment_bound_check`,
-`krylov_check`) make no Jacobian call, and clamps are counted on every step
-either way.
+whose increments stay under MAX_BLOCK_BYTES, draws each range's increments
+with one `increments_block` call, maps the estimator's `run(dws)` over the
+ranges and joins, in path-index order, the `PathRecord` of the drivers
+`run` stepped and its per-path columns. Every estimate reduces with
+`_mean_se` over `PathRecord.kept`, the paths that did not fail, explode or
+get gated by the BEL condition number (nan with no kept path, a nan
+standard error with one), and every report carries the record's
+`PathCounts`; `ibp_residual` and `krylov_check` count paths they keep.
 
-`_mean_se(samples, ok)` is the one reduction: every mean and standard error
-over paths is taken by it over the kept paths. With no kept path the value
-is nan; with fewer than two the standard error is nan.
+Observers read the fields and Jacobians at the pre-step state from the
+caches the Euler step uses, `BatchEuler.fields()` and `jacobians()`, so each
+is evaluated at most once per step; the estimators that start from `v = 0`
+(`fd_gradient`, `holder_modulus`, `flow_moment_bound_check`, `krylov_check`)
+make no Jacobian call.
 
-All estimators are deterministic functions of (inputs, master_seed): paths
-are keyed by path index, chunk boundaries are fixed, and reductions run in
-path-index order, so results are bit-identical across reruns, worker counts
-and chunk sizes.
+Results are deterministic functions of (inputs, master_seed): paths are
+keyed by path index, range boundaries are fixed, every driver steps to the
+horizon and reductions run in path-index order, so estimates and counts are
+bit-identical across reruns, worker counts and chunk sizes.
 
 perfbench/traced_cli.py traces a run by patching names, so these stay: the
 module globals `ThreadPoolExecutor` and `increments_block` (looked up at call
@@ -45,6 +40,7 @@ import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,30 +85,66 @@ UNRELIABLE_FRACTION = 1e-3
 
 
 @dataclass(frozen=True)
+class PathCounts:
+    """Path counts of a run (one path may count under several causes);
+    unreliable: over UNRELIABLE_FRACTION failed, exploded or were gated."""
+
+    n_paths: int
+    excluded: int
+    failed: int
+    exploded: int
+    gated: int
+    clamped: int
+    unreliable: bool
+
+
+class PathRecord(NamedTuple):
+    """Per path: failed or exploded in any driver, gated, clamps summed."""
+
+    failed: np.ndarray
+    exploded: np.ndarray
+    gated: np.ndarray
+    clamped: np.ndarray
+
+    @classmethod
+    def of(cls, *drivers: BatchEuler, gated=False) -> "PathRecord":
+        return cls(np.logical_or.reduce([drv.failed for drv in drivers]),
+                   np.logical_or.reduce([drv.exploded for drv in drivers]),
+                   np.zeros(drivers[0].n, dtype=bool) | gated,
+                   sum(drv.clamped for drv in drivers))
+
+    @property
+    def kept(self) -> np.ndarray:
+        return ~(self.failed | self.exploded | self.gated)
+
+    def counts(self, kept: np.ndarray | None = None) -> PathCounts:
+        """The counts, excluding the paths outside kept (self.kept if None)."""
+        n = len(self.failed)
+        kept = self.kept if kept is None else kept
+        return PathCounts(n, n - int(np.sum(kept)),
+                          *(int(np.sum(col)) for col in self),
+                          int(np.sum(~self.kept)) > UNRELIABLE_FRACTION * n)
+
+
+@dataclass(frozen=True)
 class EstimateReport:
-    """Point estimate with Monte Carlo standard error and run bookkeeping."""
+    """Point estimate with Monte Carlo standard error and its path counts."""
 
     value: float
     std_error: float
-    n_paths: int
-    h: float
     notes: dict
-
-    @property
-    def unreliable(self) -> bool:
-        return bool(self.notes.get("unreliable", False))
+    paths: PathCounts
 
 
 @dataclass(frozen=True)
 class MomentWindow:
     """Horizon kappa(p)/(d+2) on which the derivative moment bound is claimed."""
 
-    p: float
     T0: float
 
     @classmethod
     def for_system(cls, system: CoefficientSystem, p: float) -> "MomentWindow":
-        return cls(p=p, T0=system.constants.kappa(p) / (system.d + 2))
+        return cls(T0=system.constants.kappa(p) / (system.d + 2))
 
 
 PAYOFFS = {
@@ -125,13 +157,14 @@ PAYOFFS = {
 
 def _map_paths(run, n_paths: int, cfg: IntegratorConfig, m: int,
                master_seed: int, workers: int = 1) -> tuple:
-    """Map run(dws) over fixed path ranges and concatenate its outputs.
+    """Map run(dws) over fixed path ranges and join its outputs.
 
-    dws is the (n, n_steps, m) increment block of one range; run returns a
-    tuple of per-path arrays with leading axis n. A range holds at most
-    CHUNK_PATHS paths and, above one path, no more than fit in
-    MAX_BLOCK_BYTES of increments. Ranges are mapped on a thread pool when
-    workers > 1; outputs are joined in path-index order.
+    dws is the (n, n_steps, m) increment block of one range; run returns
+    the PathRecord of the drivers it stepped and then per-path arrays with
+    leading axis n. A range holds at most CHUNK_PATHS paths and, above one
+    path, no more than fit in MAX_BLOCK_BYTES of increments. Ranges are
+    mapped on a thread pool when workers > 1; the records and the arrays
+    are joined in path-index order.
     """
     size = max(1, min(CHUNK_PATHS, MAX_BLOCK_BYTES // (cfg.n_steps * m * 8)))
     ranges = [(a, min(a + size, n_paths)) for a in range(0, n_paths, size)]
@@ -146,15 +179,9 @@ def _map_paths(run, n_paths: int, cfg: IntegratorConfig, m: int,
             parts = list(pool.map(chunk, ranges))
     else:
         parts = [chunk(ab) for ab in ranges]
-    return tuple(np.concatenate(cols) for cols in zip(*parts))
-
-
-def _kept(*drivers: BatchEuler) -> np.ndarray:
-    """Paths that neither failed nor exploded in any of the drivers."""
-    ok = np.ones(drivers[0].n, dtype=bool)
-    for drv in drivers:
-        ok &= ~drv.failed & ~drv.exploded
-    return ok
+    records, *cols = zip(*parts)
+    return (PathRecord(*map(np.concatenate, zip(*records))),
+            *map(np.concatenate, cols))
 
 
 def _mean_se(samples: np.ndarray, ok: np.ndarray) -> tuple[float, float]:
@@ -166,15 +193,6 @@ def _mean_se(samples: np.ndarray, ok: np.ndarray) -> tuple[float, float]:
     se = float(np.std(good, ddof=1) / math.sqrt(good.size)) if good.size > 1 \
         else math.nan
     return float(np.mean(good)), se
-
-
-def _finish(samples: np.ndarray, ok: np.ndarray, n_paths: int, h: float,
-            notes: dict) -> EstimateReport:
-    n_bad = int(n_paths - np.sum(ok))
-    notes = dict(notes)
-    notes["n_excluded"] = n_bad
-    notes["unreliable"] = n_bad > UNRELIABLE_FRACTION * n_paths
-    return EstimateReport(*_mean_se(samples, ok), n_paths, h, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -194,19 +212,13 @@ def derivative_moment(system: CoefficientSystem, x, v, p: float, t: float,
 
     def run(dws):
         drv = BatchEuler(system, x, v, dws, cfg_t).run()
-        vals = np.sum(drv.v**2, axis=-1) ** (p / 2.0)
-        return vals, _kept(drv), drv.clamped, drv.exploded
+        return PathRecord.of(drv), np.sum(drv.v**2, axis=-1) ** (p / 2.0)
 
-    samples, ok, clamped, exploded = _map_paths(
-        run, n_paths, cfg_t, system.m, master_seed, workers)
-    window = MomentWindow.for_system(system, p)
-    notes = {
-        "clamped_steps": int(np.sum(clamped)),
-        "n_exploded": int(np.sum(exploded)),
-        "window_T0": window.T0,
-        "window_exceeded": t > window.T0 + 1e-12,
-    }
-    return _finish(samples, ok, n_paths, cfg_t.h, notes)
+    paths, samples = _map_paths(run, n_paths, cfg_t, system.m, master_seed,
+                                workers)
+    exceeded = t > MomentWindow.for_system(system, p).T0 + 1e-12
+    return EstimateReport(*_mean_se(samples, paths.kept),
+                          {"window_exceeded": exceeded}, paths.counts())
 
 
 @dataclass(frozen=True)
@@ -222,9 +234,8 @@ class BoundCheckpoint:
 class FlowBoundReport:
     checkpoints: tuple[BoundCheckpoint, ...]
     theta: ThetaBound
-    lam: float
-    n_paths: int
     all_passed: bool
+    paths: PathCounts
 
 
 def flow_moment_bound_check(system: CoefficientSystem, x, lam: float, T: float,
@@ -252,20 +263,22 @@ def flow_moment_bound_check(system: CoefficientSystem, x, lam: float, T: float,
             for j, cs in enumerate(check_steps):
                 if s + 1 == cs:
                     vals[:, j] = (1.0 + np.sum(drv.x**2, axis=-1)) ** lam
-        return vals, _kept(drv)
+        return PathRecord.of(drv), vals
 
-    vals, ok = _map_paths(run, n_paths, cfg_t, system.m, master_seed, workers)
+    paths, vals = _map_paths(run, n_paths, cfg_t, system.m, master_seed,
+                             workers)
     theta = theta_g(system, lam, box=theta_box, n_points=theta_points)
     base = (1.0 + float(np.sum(np.asarray(x, dtype=float) ** 2))) ** lam
     rows = []
     for j, cs in enumerate(check_steps):
         t_j = cs * cfg_t.h
-        lhs, se = _mean_se(vals[:, j], ok)
+        lhs, se = _mean_se(vals[:, j], paths.kept)
         rhs = base * math.exp(lam * theta.value * t_j)
         rows.append(BoundCheckpoint(t=t_j, lhs=lhs, std_error=se, rhs=rhs,
                                     passed=lhs <= rhs + 3.0 * se))
-    return FlowBoundReport(checkpoints=tuple(rows), theta=theta, lam=lam,
-                           n_paths=n_paths, all_passed=all(r.passed for r in rows))
+    return FlowBoundReport(checkpoints=tuple(rows), theta=theta,
+                           all_passed=all(r.passed for r in rows),
+                           paths=paths.counts())
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +292,7 @@ def bel_gradient(system: CoefficientSystem, x, v, f, t: float, n_paths: int,
     Per path accumulates S = sum_s <Y(x_s)(v_s), dW_s> with the left-point
     Ito discretization and Y = Sigma^T A^{-1}, and returns the mean of
     f(x_t) S / t. Paths whose diffusion matrix fails the condition-number
-    gate at any step are excluded and counted; a run with more than 0.1%
-    exclusions is flagged unreliable.
+    gate at any step are excluded and counted as gated.
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -296,16 +308,13 @@ def bel_gradient(system: CoefficientSystem, x, v, f, t: float, n_paths: int,
             with np.errstate(invalid="ignore", over="ignore"):
                 contrib = np.einsum("nk,nk->n", y, dw)
             s_acc += np.where(active & ~bad, contrib, 0.0)
-        ok = _kept(drv) & ~gated
         with np.errstate(invalid="ignore"):
-            samples = np.where(ok, f(drv.x) * s_acc / t, 0.0)
-        return samples, ok, gated, drv.clamped
+            samples = f(drv.x) * s_acc / t
+        return PathRecord.of(drv, gated=gated), samples
 
-    samples, ok, gated, clamped = _map_paths(
-        run, n_paths, cfg_t, system.m, master_seed, workers)
-    notes = {"gate_failures": int(np.sum(gated)),
-             "clamped_steps": int(np.sum(clamped))}
-    return _finish(samples, ok, n_paths, cfg_t.h, notes)
+    paths, samples = _map_paths(run, n_paths, cfg_t, system.m, master_seed,
+                                workers)
+    return EstimateReport(*_mean_se(samples, paths.kept), {}, paths.counts())
 
 
 def fd_gradient(system: CoefficientSystem, x, v, f, t: float, n_paths: int,
@@ -323,11 +332,12 @@ def fd_gradient(system: CoefficientSystem, x, v, f, t: float, n_paths: int,
     def run(dws):
         up = BatchEuler(system, x + delta * v, 0.0, dws, cfg_t).run()
         dn = BatchEuler(system, x - delta * v, 0.0, dws, cfg_t).run()
-        return (f(up.x) - f(dn.x)) / (2.0 * delta), _kept(up, dn)
+        return PathRecord.of(up, dn), (f(up.x) - f(dn.x)) / (2.0 * delta)
 
-    samples, ok = _map_paths(run, n_paths, cfg_t, system.m, master_seed,
-                             workers)
-    return _finish(samples, ok, n_paths, cfg_t.h, {"delta": delta})
+    paths, samples = _map_paths(run, n_paths, cfg_t, system.m, master_seed,
+                                workers)
+    return EstimateReport(*_mean_se(samples, paths.kept), {"delta": delta},
+                          paths.counts())
 
 
 # ---------------------------------------------------------------------------
@@ -346,13 +356,13 @@ class ConvergenceRow:
 def family_convergence(fam: MollifiedFamily, eps_list, x, v, T: float,
                        n_paths: int, cfg: IntegratorConfig,
                        master_seed: int = 0,
-                       workers: int = 1) -> list[ConvergenceRow]:
+                       workers: int = 1) -> tuple[list, PathCounts]:
     """Common-noise sup-norm gaps between consecutive family members.
 
     eps_list must be sorted descending and lie inside (0, eps0); the finest
     member acts as the limit proxy. For each consecutive pair the mean over
-    paths of sup_t |F^eps - F^eps'| and sup_t |V^eps - V^eps'| on the step
-    grid is reported.
+    the paths kept by every member of sup_t |F^eps - F^eps'| and
+    sup_t |V^eps - V^eps'| on the step grid is reported, with the counts.
     """
     eps_list = [float(e) for e in eps_list]
     if sorted(eps_list, reverse=True) != eps_list:
@@ -374,16 +384,15 @@ def family_convergence(fam: MollifiedFamily, eps_list, x, v, T: float,
                 gap_v = np.linalg.norm(drivers[j].v - drivers[j + 1].v, axis=-1)
                 sup_f[:, j] = np.maximum(sup_f[:, j], gap_f)
                 sup_v[:, j] = np.maximum(sup_v[:, j], gap_v)
-        return sup_f, sup_v, _kept(*drivers)
+        return PathRecord.of(*drivers), sup_f, sup_v
 
-    sup_f, sup_v, ok = _map_paths(run, n_paths, cfg_t, fam.base.m,
-                                  master_seed, workers)
-    rows = []
-    for j in range(n_pairs):
-        rows.append(ConvergenceRow(eps_list[j], eps_list[j + 1],
-                                   *_mean_se(sup_f[:, j], ok),
-                                   *_mean_se(sup_v[:, j], ok)))
-    return rows
+    paths, sup_f, sup_v = _map_paths(run, n_paths, cfg_t, fam.base.m,
+                                     master_seed, workers)
+    ok = paths.kept
+    return [ConvergenceRow(eps_list[j], eps_list[j + 1],
+                           *_mean_se(sup_f[:, j], ok),
+                           *_mean_se(sup_v[:, j], ok))
+            for j in range(n_pairs)], paths.counts()
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +425,7 @@ class IbpReport:
     mean_residual: float
     max_residual: float
     per_omega: tuple[float, ...]
-    n_grid: int
-    h: float
+    paths: PathCounts
 
 
 def ibp_residual(system: CoefficientSystem, t: float, box: float, n_grid: int,
@@ -429,7 +437,8 @@ def ibp_residual(system: CoefficientSystem, t: float, box: float, n_grid: int,
     sequence. The residual per output component j is
     | sum w dphi_i(x) F_t^j(x) + sum w phi(x) V_t^j(x, e_i) |
     over the uniform grid on [-box, box]^d; the report carries the mean and
-    max over omega of the worst component.
+    max over omega of the worst component. A start that fails or explodes in
+    any draw is counted, not excluded: the grid quadrature keeps its exit.
     """
     for name, value, least in (("grid size n_grid", n_grid, 2),
                                ("draw count n_omega", n_omega, 1)):
@@ -448,11 +457,12 @@ def ibp_residual(system: CoefficientSystem, t: float, box: float, n_grid: int,
     dphi_vals = phi.partial(starts, i_coord)
     e_i = np.zeros(d)
     e_i[i_coord] = 1.0
-    residuals = []
+    residuals, drivers = [], []
     for omega in range(n_omega):
         dws = increments_block(master_seed, omega, 1, n_steps, cfg_t.h,
                                system.m)
         drv = BatchEuler(system, starts, e_i, dws, cfg_t).run()
+        drivers.append(drv)
         worst = 0.0
         for j in range(d):
             r = abs(weight * float(np.sum(dphi_vals * drv.x[:, j]))
@@ -461,7 +471,9 @@ def ibp_residual(system: CoefficientSystem, t: float, box: float, n_grid: int,
         residuals.append(worst)
     return IbpReport(mean_residual=float(np.mean(residuals)),
                      max_residual=float(np.max(residuals)),
-                     per_omega=tuple(residuals), n_grid=n_grid, h=cfg_t.h)
+                     per_omega=tuple(residuals),
+                     paths=PathRecord.of(*drivers).counts(
+                         kept=np.ones(len(starts), dtype=bool)))
 
 
 # ---------------------------------------------------------------------------
@@ -473,10 +485,9 @@ class KrylovReport:
     lhs_std_error: float
     a_hat: float
     b_hat: float
-    f_norm: float
     rhs_shape: float
     ratio: float
-    n_paths: int
+    paths: PathCounts
 
 
 def krylov_check(system: CoefficientSystem, x, T: float, R: float,
@@ -490,7 +501,9 @@ def krylov_check(system: CoefficientSystem, x, T: float, R: float,
     majorant shape is e^T (A_hat + B_hat^2)^{d/(2(d+1))} ||f||_{d+1} with
     A_hat, B_hat the mean occupation integrals of tr A and |X_0|. The
     dimensional constant is not constructive, so the report carries the ratio
-    lhs / shape from which any constant can be read off.
+    lhs / shape from which any constant can be read off. Failed paths are
+    excluded; exploded paths are counted and kept, since their occupation
+    integral ended at the R-ball exit when |x| + R <= guard_radius.
     """
     if R <= 0:
         raise ValueError(f"ball radius R must be positive, got {R!r}")
@@ -515,8 +528,6 @@ def krylov_check(system: CoefficientSystem, x, T: float, R: float,
             recentered = xs - x_arr
             inside &= np.linalg.norm(recentered, axis=-1) <= R
             live = inside & active
-            if not np.any(live):
-                break
             drift, sig = drv.fields()
             a_mat = np.einsum("nik,njk->nij", sig, sig)
             det = det_spd(a_mat)
@@ -527,18 +538,19 @@ def krylov_check(system: CoefficientSystem, x, T: float, R: float,
             b_acc += np.where(live,
                               np.linalg.norm(drift, axis=-1)
                               * cfg_t.h, 0.0)
-        return lhs_acc, a_acc, b_acc, ~drv.failed
+        return PathRecord.of(drv), lhs_acc, a_acc, b_acc
 
-    lhs_all, a_all, b_all, ok = _map_paths(run, n_paths, cfg_t, system.m,
-                                           master_seed, workers)
+    paths, lhs_all, a_all, b_all = _map_paths(run, n_paths, cfg_t, system.m,
+                                              master_seed, workers)
+    ok = ~paths.failed
     lhs, lhs_se = _mean_se(lhs_all, ok)
     a_hat = _mean_se(a_all, ok)[0]
     b_hat = _mean_se(b_all, ok)[0]
     shape = math.exp(T) * (a_hat + b_hat**2) ** (d / (2.0 * (d + 1))) * f_norm
     ratio = lhs / shape if shape > 0.0 else math.nan
     return KrylovReport(lhs=lhs, lhs_std_error=lhs_se, a_hat=a_hat,
-                        b_hat=b_hat, f_norm=f_norm, rhs_shape=shape,
-                        ratio=ratio, n_paths=n_paths)
+                        b_hat=b_hat, rhs_shape=shape,
+                        ratio=ratio, paths=paths.counts(kept=ok))
 
 
 # ---------------------------------------------------------------------------
@@ -555,12 +567,13 @@ class HolderRow:
 
 def holder_modulus(system: CoefficientSystem, pairs, p: float, t: float,
                    n_paths: int, cfg: IntegratorConfig, master_seed: int = 0,
-                   workers: int = 1) -> list[HolderRow]:
+                   workers: int = 1) -> tuple[list[HolderRow], PathCounts]:
     """E |F_t(x) - F_t(y)|^p / |x - y|^p per pair, common noise throughout.
 
     A locally uniform bound across pairs at fixed radius is the sampled form
     of the Lipschitz-in-mean estimate; the same increments are reused across
-    pairs so that ratio comparisons are low-noise.
+    pairs so that ratio comparisons are low-noise. Every pair reduces over
+    the paths that none of the pairs' flows dropped; the counts come last.
     """
     cfg_t = cfg.with_horizon(t)
     pairs = [(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
@@ -570,20 +583,20 @@ def holder_modulus(system: CoefficientSystem, pairs, p: float, t: float,
         raise ValueError("pair points must be distinct")
 
     def run(dws):
-        gaps, kept = [], []
+        gaps, drivers = [], []
         for x, y in pairs:
             fx = BatchEuler(system, x, 0.0, dws, cfg_t).run()
             fy = BatchEuler(system, y, 0.0, dws, cfg_t).run()
             gaps.append(np.linalg.norm(fx.x - fy.x, axis=-1) ** p)
-            kept.append(_kept(fx, fy))
-        return np.stack(gaps, axis=-1), np.stack(kept, axis=-1)
+            drivers += [fx, fy]
+        return PathRecord.of(*drivers), np.stack(gaps, axis=-1)
 
-    gaps, ok = _map_paths(run, n_paths, cfg_t, system.m, master_seed, workers)
-    rows = []
-    for j, ((x, y), sep) in enumerate(zip(pairs, seps)):
-        rows.append(HolderRow(tuple(map(float, x)), tuple(map(float, y)), sep,
-                              *_mean_se(gaps[:, j] / sep**p, ok[:, j])))
-    return rows
+    paths, gaps = _map_paths(run, n_paths, cfg_t, system.m, master_seed,
+                             workers)
+    rows = [HolderRow(tuple(map(float, x)), tuple(map(float, y)), sep,
+                      *_mean_se(gaps[:, j] / sep**p, paths.kept))
+            for j, ((x, y), sep) in enumerate(zip(pairs, seps))]
+    return rows, paths.counts()
 
 
 # ---------------------------------------------------------------------------
@@ -591,11 +604,12 @@ def holder_modulus(system: CoefficientSystem, pairs, p: float, t: float,
 
 def exp_representation_gaps(system: CoefficientSystem, x, v, p: float,
                             T: float, n_paths: int, cfg: IntegratorConfig,
-                            master_seed: int = 0,
-                            workers: int = 1) -> np.ndarray:
+                            master_seed: int = 0, workers: int = 1
+                            ) -> tuple[np.ndarray, PathCounts]:
     """Per-path relative gap between |v_T|^p and its exponential
     reconstruction |v_0|^p exp(M - Q/2 + a), summed step by step from the
-    Jacobians at the pre-step states (clamped like the Euler step)."""
+    Jacobians at the pre-step states (clamped like the Euler step), for the
+    kept paths in path order, and the counts of all paths."""
     if p < 2:
         raise ValueError(f"representation check requires p >= 2, got {p!r}")
     cfg_t = cfg.with_horizon(T)
@@ -616,10 +630,11 @@ def exp_representation_gaps(system: CoefficientSystem, x, v, p: float,
         recon = v0_norm**p * np.exp(m_acc - 0.5 * q_acc + a_acc)
         with np.errstate(divide="ignore", invalid="ignore"):
             rel = np.abs(direct - recon) / np.abs(direct)
-        return rel, _kept(drv)
+        return PathRecord.of(drv), rel
 
-    rel, ok = _map_paths(run, n_paths, cfg_t, system.m, master_seed, workers)
-    return rel[ok]
+    paths, rel = _map_paths(run, n_paths, cfg_t, system.m, master_seed,
+                            workers)
+    return rel[paths.kept], paths.counts()
 
 
 # ---------------------------------------------------------------------------

@@ -93,7 +93,8 @@ def test_c03_exponential_representation_per_path():
     s = builtin("geometric_bm", mu=0.1, sigma=0.2, d=1)
     h = 1e-3
     gaps = exp_representation_gaps(s, [1.0], [1.0], p=2.0, T=1.0,
-                                   n_paths=10000, cfg=cfg(h), master_seed=77)
+                                   n_paths=10000, cfg=cfg(h),
+                                   master_seed=77)[0]
     frac = float(np.mean(gaps < 5.0 * h))
     ok = frac >= 0.99
     assert _report(3, "exponential_representation", ok,
@@ -158,7 +159,7 @@ def test_c06_family_flow_convergence():
     fam = mollified_family(s, eps0=0.25, n_radial=12, n_angular=24)
     rows = family_convergence(fam, [0.2, 0.1, 0.05, 0.025], [0.3, 0.0],
                               [1.0, 0.0], T=0.1, n_paths=10000,
-                              cfg=cfg(h=1e-2), master_seed=606)
+                              cfg=cfg(h=1e-2), master_seed=606)[0]
     ok = True
     for i in range(len(rows) - 1):
         slack_f = 2.0 * (rows[i].se_flow + rows[i + 1].se_flow)

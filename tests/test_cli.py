@@ -254,6 +254,54 @@ def test_run_unreliable_exit_code(tmp_path):
     assert code == 3
 
 
+# a drift that carries every path out of the guard ball within the horizon
+STEEP_SYSTEM = {"name": "constant", "params": {"d": 1, "drift": [50]}}
+STEEP_RUNS = {
+    # every grid start explodes in both draws
+    "ibp": ({"ibp": {"t": 0.1, "n_grid": 41, "n_omega": 2}},
+            "exploded=41", "ibp_mean", 0.35745416284279474),
+    # every path explodes after it has left the R-ball, so the occupation
+    # integral keeps its value
+    "krylov": ({"mc": {"n_paths": 64}, "krylov": {"x": [0.0], "R": 1}},
+               "exploded=64", "krylov_lhs", 0.021187500000000015),
+}
+
+
+@pytest.mark.parametrize("command", sorted(STEEP_RUNS))
+def test_run_flags_exploded_paths_it_keeps_and_exits_unreliable(tmp_path,
+                                                                command):
+    blocks, flag, estimator, value = STEEP_RUNS[command]
+    path = write(tmp_path, "c.json", {
+        "command": command, "system": STEEP_SYSTEM,
+        "integrator": {"guard_radius": 1.5}, **blocks})
+    out = tmp_path / "o"
+    assert run(command, path, out=str(out)) == 3
+    rows = [line.split(",") for line in
+            (out / "result.csv").read_text().splitlines()[1:]]
+    for row in rows:
+        flags = row[8].split(";")
+        assert flag in flags and "unreliable" in flags
+        assert not any(f.startswith("excluded=") for f in flags)
+    assert float(dict((r[0], r[4]) for r in rows)[estimator]) == value
+    assert "status: unreliable" in (out / "run.log").read_text()
+
+
+def test_run_converge_flags_the_paths_it_excludes(tmp_path):
+    path = write(tmp_path, "c.json", {
+        "command": "converge",
+        "system": {"name": "ornstein_uhlenbeck", "params": {"d": 1}},
+        "integrator": {"h": 1e-2, "T": 0.5, "guard_radius": 1.2},
+        "mc": {"n_paths": 16},
+        "converge": {"eps_list": [0.2, 0.1], "eps0": 0.3, "x": [0.0],
+                     "v": [1.0], "T": 0.5},
+    })
+    out = tmp_path / "o"
+    assert run("converge", path, out=str(out)) == 3
+    for line in (out / "result.csv").read_text().splitlines()[1:]:
+        assert line.split(",")[8].endswith(
+            "excluded=2;exploded=2;unreliable")
+
+
 def test_run_converge_command(tmp_path):
     path = write(tmp_path, "c.json", {
         "command": "converge",
@@ -650,6 +698,20 @@ def test_run_byte_identical_across_workers_and_reruns(tmp_path):
     for tag, workers in (("a", 1), ("b", 4), ("c", 8), ("d", 1)):
         out = tmp_path / tag
         assert run("gradient", path, workers=workers, out=str(out)) == 0
+        outputs.append((out / "result.csv").read_bytes())
+    assert all(o == outputs[0] for o in outputs)
+
+
+@pytest.mark.parametrize("command", sorted(MINIMAL_BLOCKS))
+def test_every_command_byte_identical_across_workers(tmp_path, monkeypatch,
+                                                     command):
+    # ranges of three paths, so that four workers share the eight paths
+    monkeypatch.setattr(est_module, "CHUNK_PATHS", 3)
+    path = write(tmp_path, "c.json", minimal_config(command))
+    outputs = []
+    for tag, workers in (("a", 1), ("b", 4), ("c", 1)):
+        out = tmp_path / tag
+        assert run(command, path, workers=workers, out=str(out)) == 0
         outputs.append((out / "result.csv").read_bytes())
     assert all(o == outputs[0] for o in outputs)
 

@@ -320,7 +320,7 @@ def test_log_exponential_gbm_small_gap():
     s = builtin("geometric_bm", mu=0.1, sigma=0.2, d=1)
     c = cfg(h=1e-3, T=1.0)
     gaps = exp_representation_gaps(s, [1.0], [1.0], p=2.0, T=1.0, n_paths=5,
-                                   cfg=c, master_seed=42)
+                                   cfg=c, master_seed=42)[0]
     assert gaps.size == 5
     assert np.all(gaps < 5.0 * c.h), gaps
 

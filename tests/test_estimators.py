@@ -25,6 +25,7 @@ from flowlab import (
 import flowlab.estimators as est_module
 from flowlab.estimators import (
     PAYOFFS,
+    PathCounts,
     SmoothBump,
     csv_row,
     exp_representation_gaps,
@@ -139,6 +140,15 @@ def test_flow_bound_ou_holds_with_margin():
     assert rep.theta.value == pytest.approx(1.0, abs=1e-3)
 
 
+def test_flow_bound_reports_of_a_planar_system_compare_equal():
+    # the report holds the grid argmax of Theta, a point in the plane
+    def run():
+        return flow_moment_bound_check(
+            builtin("example21"), [0.3, 0.0], lam=1.0, T=0.1, n_paths=4,
+            cfg=cfg(h=0.05), n_checkpoints=2, theta_box=2.0, theta_points=8)
+    assert run() == run()
+
+
 # ---------------------------------------------------------------------------
 # gradients
 
@@ -147,7 +157,7 @@ def test_bel_gradient_additive_noise_recovers_direction():
     rep = bel_gradient(s, [0.2], [0.8], PAYOFFS["identity"], t=0.5,
                        n_paths=20000, cfg=cfg(h=2e-3))
     assert abs(rep.value - 0.8) <= 3.0 * rep.std_error
-    assert rep.notes["gate_failures"] == 0
+    assert rep.paths.gated == 0
 
 
 def test_bel_gradient_ou_exponential_decay():
@@ -169,8 +179,8 @@ def test_bel_gradient_gate_flags_unreliable():
     s = builtin("geometric_bm", mu=0.0, sigma=0.2, d=2)
     rep = bel_gradient(s, [1.0, 1.0], [1.0, 0.0], PAYOFFS["identity"], t=0.1,
                        n_paths=500, cfg=cfg(h=1e-2), cond_max=1.0 - 1e-9)
-    assert rep.notes["gate_failures"] == 500
-    assert rep.unreliable
+    assert rep.paths.gated == 500
+    assert rep.paths.unreliable
     assert math.isnan(rep.value)
 
 
@@ -210,7 +220,7 @@ def test_family_convergence_constant_base_zero_gaps():
     s = builtin("constant", sigma=1.0, d=2)
     fam = mollified_family(s, eps0=0.3)
     rows = family_convergence(fam, [0.2, 0.1, 0.05], [0.1, 0.1], [1.0, 0.0],
-                              T=0.05, n_paths=128, cfg=cfg(h=1e-2))
+                              T=0.05, n_paths=128, cfg=cfg(h=1e-2))[0]
     for row in rows:
         assert row.gap_flow == pytest.approx(0.0, abs=1e-12)
         assert row.gap_derivative == pytest.approx(0.0, abs=1e-12)
@@ -220,7 +230,7 @@ def test_family_convergence_gbm_members_close_to_base():
     s = builtin("geometric_bm", mu=0.1, sigma=0.2, d=1)
     fam = mollified_family(s, eps0=0.3)
     rows = family_convergence(fam, [0.2, 0.1, 0.05], [1.0], [1.0], T=0.05,
-                              n_paths=256, cfg=cfg(h=5e-3))
+                              n_paths=256, cfg=cfg(h=5e-3))[0]
     # affine fields mollify exactly inside the truncation ball, so the gaps
     # sit at quadrature round-off
     for row in rows:
@@ -233,7 +243,7 @@ def test_family_convergence_example21_smoke_monotone():
     fam = mollified_family(s, eps0=0.25, n_radial=8, n_angular=16)
     rows = family_convergence(fam, [0.2, 0.1, 0.05], [0.3, 0.0], [1.0, 0.0],
                               T=0.05, n_paths=400, cfg=cfg(h=5e-3),
-                              master_seed=1)
+                              master_seed=1)[0]
     gaps = [r.gap_flow for r in rows]
     ses = [r.se_flow for r in rows]
     for i in range(len(gaps) - 1):
@@ -269,22 +279,24 @@ def test_ibp_residual_gbm():
 
 def ibp_residual_shifted(system, bump, t):
     from flowlab.engine import BatchEuler, increments_block
-    from flowlab.estimators import IbpReport
+    from flowlab.estimators import IbpReport, PathRecord
     c = cfg(h=1e-3).with_horizon(t)
     axis = np.linspace(0.5, 1.5, 201)
     starts = axis[:, None]
     weight = axis[1] - axis[0]
     phi_vals = bump.value(starts)
     dphi_vals = bump.partial(starts, 0)
-    residuals = []
+    residuals, drivers = [], []
     for omega in range(3):
         dws = increments_block(0, omega, 1, c.n_steps, c.h, 1)
         drv = BatchEuler(system, starts, [1.0], dws, c).run()
+        drivers.append(drv)
         r = abs(weight * float(np.sum(dphi_vals * drv.x[:, 0]))
                 + weight * float(np.sum(phi_vals * drv.v[:, 0])))
         residuals.append(r)
     return IbpReport(float(np.mean(residuals)), float(np.max(residuals)),
-                     tuple(residuals), len(axis), c.h)
+                     tuple(residuals), PathRecord.of(*drivers).counts(
+                         kept=np.ones(len(axis), dtype=bool)))
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +372,7 @@ def test_estimators_reject_arguments_outside_their_domain(case):
 def test_holder_additive_identity_ratio():
     s = builtin("additive_noise", sigma=1.0, d=2)
     rows = holder_modulus(s, [([0.0, 0.0], [0.5, 0.5])], p=2.0, t=0.1,
-                          n_paths=200, cfg=cfg(h=1e-2))
+                          n_paths=200, cfg=cfg(h=1e-2))[0]
     assert rows[0].ratio == pytest.approx(1.0, rel=1e-12)
     assert rows[0].std_error < 1e-12
 
@@ -369,7 +381,7 @@ def test_holder_gbm_lognormal_moment():
     s = builtin("geometric_bm", mu=0.0, sigma=0.2, d=1)
     t = 0.15
     rows = holder_modulus(s, [([1.0], [1.1])], p=2.0, t=t, n_paths=10000,
-                          cfg=cfg(h=1e-3))
+                          cfg=cfg(h=1e-3))[0]
     target = math.exp(0.2**2 * t)
     assert abs(rows[0].ratio - target) / target < 0.01
 
@@ -379,7 +391,7 @@ def test_holder_example21_scale_free_ratios():
     base = np.array([0.3, 0.2])
     pairs = [(base, base + [1e-2, 0.0]), (base, base + [1e-3, 0.0])]
     rows = holder_modulus(s, pairs, p=2.0, t=0.1, n_paths=2000,
-                          cfg=cfg(h=2e-3))
+                          cfg=cfg(h=2e-3))[0]
     combined = rows[0].std_error + rows[1].std_error
     assert abs(rows[0].ratio - rows[1].ratio) <= max(2.0 * combined, 0.02)
 
@@ -399,7 +411,7 @@ def test_holder_modulus_draws_increments_once_per_chunk(monkeypatch):
     monkeypatch.setattr(est_module, "increments_block", counting)
     monkeypatch.setattr(est_module, "CHUNK_PATHS", 16)
     rows = holder_modulus(s, pairs, p=2.0, t=0.05, n_paths=40,
-                          cfg=cfg(h=1e-2))
+                          cfg=cfg(h=1e-2))[0]
     assert len(rows) == 3
     assert len(draws) == 3  # chunks of 16, 16 and 8 paths
 
@@ -417,12 +429,17 @@ def test_map_paths_bounds_the_increment_block(h, m, n_paths, sizes,
         blocks.append((first_path, n, n_steps * m_ * 8 * n))
         return np.broadcast_to(0.0, (n, n_steps, m_))
 
+    def run(dws):
+        none = np.zeros(len(dws), dtype=bool)
+        return (est_module.PathRecord(none, none, none, none.astype(int)),
+                np.full(len(dws), 1))
+
     monkeypatch.setattr(est_module, "increments_block", recording)
-    (lengths,) = est_module._map_paths(lambda dws: (np.full(len(dws), 1),),
-                                       n_paths, cfg(h=h), m, master_seed=0)
+    record, lengths = est_module._map_paths(run, n_paths, cfg(h=h), m,
+                                            master_seed=0)
     assert [n for _, n, _ in blocks] == sizes
     assert [a for a, _, _ in blocks] == list(np.cumsum([0] + sizes[:-1]))
-    assert len(lengths) == n_paths
+    assert len(lengths) == len(record.kept) == n_paths
     if sizes[0] > 1:
         assert max(b for _, _, b in blocks) <= est_module.MAX_BLOCK_BYTES
 
@@ -445,12 +462,13 @@ def _one_path_estimates(c):
         yield row.lhs, row.std_error
     fam = mollified_family(gbm, eps0=0.3)
     for row in family_convergence(fam, [0.2, 0.1], [1.0], [1.0], T=0.05,
-                                  **one):
+                                  **one)[0]:
         yield row.gap_flow, row.se_flow
         yield row.gap_derivative, row.se_derivative
     rep = krylov_check(ou, [0.0], T=0.05, R=5.0, **one)
     yield rep.lhs, rep.lhs_std_error
-    for row in holder_modulus(gbm, [([1.0], [1.1])], p=2.0, t=0.05, **one):
+    for row in holder_modulus(gbm, [([1.0], [1.1])], p=2.0, t=0.05,
+                              **one)[0]:
         yield row.ratio, row.std_error
 
 
@@ -463,6 +481,95 @@ def test_one_kept_path_gives_a_value_and_a_nan_standard_error():
     for value, se in estimates:
         assert math.isfinite(value)
         assert math.isnan(se)
+
+
+# ---------------------------------------------------------------------------
+# path counts
+
+# a guard radius that about one path in six leaves within the horizon
+LEAKY = IntegratorConfig(h=1e-2, T=0.1, guard_radius=0.5)
+NOISE = builtin("additive_noise", sigma=1.0, d=1)
+# every path leaves the guard ball, after leaving the unit ball
+STEEP = IntegratorConfig(h=1e-3, T=0.25, guard_radius=1.5)
+DRIFT = builtin("constant", d=1, drift=[50.0])
+
+
+def _counts(n_paths, excluded, exploded):
+    return PathCounts(n_paths=n_paths, excluded=excluded, failed=0,
+                      exploded=exploded, gated=0, clamped=0, unreliable=True)
+
+
+EXPLODING = {
+    "derivative_moment": (lambda: derivative_moment(
+        NOISE, [0.0], [1.0], p=2.0, t=0.1, n_paths=64, cfg=LEAKY),
+        _counts(64, 11, 11)),
+    "flow_moment_bound_check": (lambda: flow_moment_bound_check(
+        NOISE, [0.0], lam=1.0, T=0.1, n_paths=64, cfg=LEAKY, theta_box=2.0,
+        theta_points=16), _counts(64, 11, 11)),
+    "bel_gradient": (lambda: bel_gradient(
+        NOISE, [0.0], [1.0], PAYOFFS["identity"], t=0.1, n_paths=64,
+        cfg=LEAKY), _counts(64, 11, 11)),
+    # a path counts once when it explodes from either bumped start
+    "fd_gradient": (lambda: fd_gradient(
+        NOISE, [0.0], [1.0], PAYOFFS["identity"], t=0.1, n_paths=64,
+        delta=1e-2, cfg=LEAKY), _counts(64, 12, 12)),
+    "family_convergence": (lambda: family_convergence(
+        mollified_family(NOISE, eps0=0.3), [0.2, 0.1], [0.0], [1.0], T=0.1,
+        n_paths=64, cfg=LEAKY), _counts(64, 11, 11)),
+    "holder_modulus": (lambda: holder_modulus(
+        NOISE, [([0.0], [0.1])], p=2.0, t=0.1, n_paths=64, cfg=LEAKY),
+        _counts(64, 15, 15)),
+    "exp_representation_gaps": (lambda: exp_representation_gaps(
+        NOISE, [0.0], [1.0], p=2.0, T=0.1, n_paths=64, cfg=LEAKY),
+        _counts(64, 11, 11)),
+    # counted, not excluded: the occupation integrals ended at the exit
+    # from the unit ball
+    "krylov_check": (lambda: krylov_check(
+        DRIFT, [0.0], T=0.25, R=1.0, n_paths=64, cfg=STEEP),
+        _counts(64, 0, 64)),
+    # counted over the grid starts, not excluded from the quadrature
+    "ibp_residual": (lambda: ibp_residual(
+        DRIFT, t=0.1, box=1.0, n_grid=41, phi=SmoothBump(0.8, d=1),
+        i_coord=0, n_omega=2, cfg=STEEP), _counts(41, 0, 41)),
+}
+
+
+@pytest.mark.parametrize("estimator", sorted(EXPLODING))
+def test_reports_count_the_paths_of_an_exploding_system(estimator):
+    call, counts = EXPLODING[estimator]
+    report = call()
+    # the table estimators return their rows and then the counts
+    assert (report[1] if isinstance(report, tuple) else report.paths) \
+        == counts
+
+
+def test_estimates_reduce_over_the_kept_paths_only():
+    # each kept path of the common-noise difference quotient is exactly 1;
+    # an exploded path froze its two flows at different exits
+    rep = EXPLODING["fd_gradient"][0]()
+    assert rep.value == pytest.approx(1.0, rel=1e-12)
+    gaps = EXPLODING["exp_representation_gaps"][0]()[0]
+    assert gaps.size == 64 - 11
+
+
+def _cliff():
+    # finite fields on |x| < 0.4 only: paths that step past it fail
+    def value(k, x):
+        x = np.asarray(x, dtype=float)
+        field = np.zeros_like(x) if k == 0 else np.ones_like(x)
+        return np.where(np.abs(x) < 0.4, field, np.nan)
+    return make_system("cliff", 1, 1, value,
+                       lambda k, x: np.zeros(np.asarray(x).shape + (1,)))
+
+
+def test_reports_count_and_exclude_failed_paths():
+    c = cfg(h=1e-2, T=0.1)
+    fd = fd_gradient(_cliff(), [0.0], [1.0], PAYOFFS["identity"], t=0.1,
+                     n_paths=64, delta=1e-2, cfg=c)
+    assert (fd.paths.failed, fd.paths.excluded) == (18, 18)
+    assert fd.value == pytest.approx(1.0, rel=1e-12)
+    kry = krylov_check(_cliff(), [0.0], T=0.1, R=1.0, n_paths=64, cfg=c)
+    assert (kry.paths.failed, kry.paths.excluded) == (17, 17)
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +623,7 @@ def test_exp_representation_gaps_gbm_smoke(monkeypatch):
     monkeypatch.setattr(CoefficientSystem, "jacobians_stacked", counting)
     c = cfg(h=1e-3)
     gaps = exp_representation_gaps(s, [1.0], [1.0], p=2.0, T=1.0, n_paths=200,
-                                   cfg=c)
+                                   cfg=c)[0]
     assert gaps.size == 200
     assert np.quantile(gaps, 0.99) < 5.0 * 1e-3
     # the representation terms and the Euler step share one Jacobian pass
@@ -526,7 +633,8 @@ def test_exp_representation_gaps_gbm_smoke(monkeypatch):
 def test_exp_representation_gaps_zero_jacobians_exact():
     s = builtin("additive_noise", sigma=1.5, d=2)
     gaps = exp_representation_gaps(s, [0.0, 0.0], [0.6, 0.8], p=4.0, T=0.3,
-                                   n_paths=8, cfg=cfg(h=1e-2), master_seed=21)
+                                   n_paths=8, cfg=cfg(h=1e-2),
+                                   master_seed=21)[0]
     assert gaps.size == 8
     np.testing.assert_array_equal(gaps, 0.0)
 
@@ -537,7 +645,7 @@ def test_exp_representation_gaps_ou_closed_forms():
     s = builtin("ornstein_uhlenbeck", theta=1.0, sigma=1.0, d=1)
     c = cfg(h=1e-3)
     gaps = exp_representation_gaps(s, [0.0], [1.0], p=2.0, T=1.0, n_paths=4,
-                                   cfg=c, master_seed=4)
+                                   cfg=c, master_seed=4)[0]
     direct = (1.0 - c.h) ** (2 * c.n_steps)
     np.testing.assert_allclose(gaps, abs(direct - math.exp(-2.0)) / direct,
                                rtol=1e-5)

@@ -110,5 +110,5 @@ def test_bel_agrees_with_fd_on_linear_systems(b, angle, scales, x, v, seed):
     assert abs(fd.value - exact) <= 1e-12
     bel = bel_gradient(system, x, v, f, t=cfg.T, n_paths=2048, cfg=cfg,
                        master_seed=seed)
-    assert bel.notes["n_excluded"] == 0
+    assert bel.paths.excluded == 0
     assert abs(bel.value - exact) <= 5.0 * bel.std_error + abs(exact - lagged)
