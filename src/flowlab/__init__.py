@@ -12,7 +12,6 @@ from .coefficients import (
     AssumptionConstants,
     CheckSpec,
     CoefficientSystem,
-    OriginPolicy,
     SpectralReport,
     ThetaBound,
     builtin,

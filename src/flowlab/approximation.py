@@ -12,7 +12,6 @@ import numpy as np
 from .coefficients import (
     AssumptionConstants,
     CoefficientSystem,
-    OriginPolicy,
     stack_fields,
 )
 from .errors import RadiusTooSmallError
@@ -96,7 +95,7 @@ def truncate(base: CoefficientSystem, R: float) -> TruncatedSystem:
     return TruncatedSystem(
         name=f"{base.name}_trunc{R:g}", d=base.d, m=base.m, fields_fn=fields,
         jacobians_fn=jacobians, constants=base.constants,
-        origin_policy=base.origin_policy,
+        r_min=base.r_min,
         params={**dict(base.params), "R": R}, base=base, R=R)
 
 
@@ -244,12 +243,13 @@ class MollifiedFamily:
     (never below R1+1), then convolve with the radius-eps mollifier.
 
     A member's fields are Mollifier.convolve of the truncated fields, and its
-    Jacobians are the same convolution of the truncated Jacobians (base
-    Jacobians evaluated at origin_policy.clamp, chain rule through the ray
-    projection outside the sphere): D(X * eta) = (DX) * eta for locally
-    Lipschitz X. That is the exact derivative of the quadrature field
-    wherever no shifted node lies on the sphere, so there is no finite
-    difference, also where the mollifier straddles the truncation kink.
+    Jacobians are the same convolution of the truncated Jacobians (chain
+    rule through the ray projection outside the sphere): D(X * eta) =
+    (DX) * eta for locally Lipschitz X. That is the exact derivative of the
+    quadrature field wherever no shifted node lies on the sphere or inside
+    the base's r_min ball, whose Jacobians the base takes on that ball's
+    sphere, so there is no finite difference, also where the mollifier
+    straddles the truncation kink.
 
     Members are cached per eps; concurrent builders may race benignly since
     members are pure functions of the inputs.
@@ -309,9 +309,8 @@ def _build_member(fam: MollifiedFamily, eps: float) -> CoefficientSystem:
     return CoefficientSystem(
         name=f"{base.name}_eps{eps:g}", d=base.d, m=base.m,
         fields_fn=lambda x: mol.convolve(ts.fields, x),
-        jacobians_fn=lambda x: mol.convolve(
-            lambda p: ts.jacobians_stacked(ts.origin_policy.clamp(p)), x),
-        constants=base.constants, origin_policy=OriginPolicy(),
+        jacobians_fn=lambda x: mol.convolve(ts.jacobians_stacked, x),
+        constants=base.constants,
         params={**dict(base.params), "eps": eps, "lambda0": fam.lambda0,
                 "truncation_radius": radius})
 
@@ -324,7 +323,6 @@ class LpDistance:
     """Quadrature of |a_k - b_k|^p over a centered ball, kink ball excised."""
 
     value: float
-    excised_radius: float
     excised_volume: float
 
 
@@ -340,7 +338,7 @@ def lp_distance(a: CoefficientSystem, b: CoefficientSystem, k: int,
         raise ValueError("mode must be 'values' or 'jacobians'")
     r_lo = 0.0
     if mode == "jacobians":
-        r_lo = max(a.origin_policy.r_min, b.origin_policy.r_min)
+        r_lo = max(a.r_min, b.r_min)
     nodes, weights = annulus_rule(a.d, r_lo, R, n_radial, n_angular)
     if mode == "values":
         gap = a.value(k, nodes) - b.value(k, nodes)
@@ -349,5 +347,4 @@ def lp_distance(a: CoefficientSystem, b: CoefficientSystem, k: int,
         gap = a.jacobian(k, nodes) - b.jacobian(k, nodes)
         integrand = np.sum(gap * gap, axis=(-2, -1)) ** (p / 2.0)
     return LpDistance(value=float(np.sum(weights * integrand)),
-                      excised_radius=r_lo,
                       excised_volume=ball_volume(a.d, r_lo))

@@ -20,7 +20,6 @@ from .quadrature import midpoint_ball_rule, sphere_points
 
 __all__ = [
     "AssumptionConstants",
-    "OriginPolicy",
     "CoefficientSystem",
     "SpectralReport",
     "ThetaBound",
@@ -81,43 +80,6 @@ class AssumptionConstants:
 
 
 @dataclass(frozen=True)
-class OriginPolicy:
-    """How to treat declared singular points of the Jacobians.
-
-    Jacobian queries strictly inside radius r_min raise SingularPointError.
-    clamp() is the one place that moves evaluation points out of that ball:
-    `BatchEuler.jacobians()` (the Euler step counts the clamps), the
-    exponential representation check and the mollified members' base
-    Jacobians all evaluate at clamp(x), so r_min here is the only clamp
-    radius.
-    """
-
-    r_min: float = 0.0
-
-    @property
-    def singular(self) -> bool:
-        return self.r_min > 0.0
-
-    def clamp(self, x: np.ndarray) -> np.ndarray:
-        """x with points inside the r_min ball pushed onto its sphere (the
-        origin onto r_min e_1)."""
-        if not self.singular:
-            return x
-        x = np.asarray(x, dtype=float)
-        r = np.linalg.norm(x, axis=-1, keepdims=True)
-        inside = r < self.r_min
-        if not np.any(inside):
-            return x
-        at_zero = r == 0.0
-        safe_r = np.where(at_zero, 1.0, r)
-        scaled = x * (self.r_min / safe_r)
-        e1 = np.zeros(x.shape[-1])
-        e1[0] = self.r_min
-        scaled = np.where(at_zero, e1, scaled)
-        return np.where(inside, scaled, x)
-
-
-@dataclass(frozen=True)
 class CoefficientSystem:
     """Drift X_0 and diffusion fields X_1..X_m with their Jacobians.
 
@@ -128,6 +90,11 @@ class CoefficientSystem:
     the flow and its derivative flow need them. value(k, x) and
     jacobian(k, x) are accessors that index that output; make_system adapts
     per-field callables to this form.
+
+    r_min is the radius of the ball around the origin where the Jacobians
+    are singular. jacobian(k, x) and the condition checks refuse points
+    inside it, while jacobians_fn evaluates them on its sphere (the origin
+    at r_min e_1), so the flow's derivative has Jacobians along every path.
     """
 
     name: str
@@ -136,7 +103,7 @@ class CoefficientSystem:
     fields_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     jacobians_fn: Callable[[np.ndarray], np.ndarray]
     constants: AssumptionConstants
-    origin_policy: OriginPolicy = OriginPolicy()
+    r_min: float = 0.0
     params: Mapping[str, float] = field(default_factory=dict)
 
     def _check_k(self, k: int) -> None:
@@ -151,12 +118,12 @@ class CoefficientSystem:
 
     def _check_regular(self, x: np.ndarray) -> None:
         """Raise SingularPointError if any of x lies in the singular set."""
-        if self.origin_policy.singular:
+        if self.r_min > 0.0:
             r = np.linalg.norm(x, axis=-1)
-            if np.any(r < self.origin_policy.r_min):
+            if np.any(r < self.r_min):
                 raise SingularPointError(
                     f"{self.name}: Jacobian undefined for |x| < "
-                    f"{self.origin_policy.r_min:g} (got |x|={np.min(r):.3e})")
+                    f"{self.r_min:g} (got |x|={np.min(r):.3e})")
 
     def jacobian(self, k: int, x: np.ndarray) -> np.ndarray:
         """DX_k(x), read off jacobians_stacked(x); raises SingularPointError
@@ -175,11 +142,8 @@ class CoefficientSystem:
         return self.fields_fn(np.asarray(x, dtype=float))
 
     def jacobians_stacked(self, x: np.ndarray) -> np.ndarray:
-        """All Jacobians as (..., m+1, d, d) with the drift at index 0.
-
-        No singular-set guard: callers evaluate at origin_policy.clamp(x)
-        or call _check_regular(x) first.
-        """
+        """All Jacobians as (..., m+1, d, d) with the drift at index 0; a
+        point inside the r_min ball is evaluated on its sphere."""
         return self.jacobians_fn(np.asarray(x, dtype=float))
 
 
@@ -210,7 +174,6 @@ def make_system(name: str, d: int, m: int,
                 value_fn: Callable[[int, np.ndarray], np.ndarray],
                 jacobian_fn: Callable[[int, np.ndarray], np.ndarray] | None = None,
                 constants: AssumptionConstants | None = None,
-                origin_policy: OriginPolicy = OriginPolicy(),
                 params: Mapping[str, float] | None = None) -> CoefficientSystem:
     """Assemble a system from per-field callables value_fn(k, x) and
     jacobian_fn(k, x); a missing jacobian_fn falls back to central
@@ -231,7 +194,6 @@ def make_system(name: str, d: int, m: int,
                                         C3=2.0, R1=1.0)
     return CoefficientSystem(name=name, d=d, m=m, fields_fn=fields,
                              jacobians_fn=jacobians, constants=constants,
-                             origin_policy=origin_policy,
                              params=dict(params or {}))
 
 
@@ -514,7 +476,7 @@ def _check_c3(system: CoefficientSystem, spec: CheckSpec) -> ConditionReport:
     for level in range(_QUAD_LEVELS):
         nodes, weights = midpoint_ball_rule(system.d, 1.0,
                                             _QUAD_N0 * 2**level, _N_ANGULAR)
-        keep = np.linalg.norm(nodes, axis=-1) >= system.origin_policy.r_min
+        keep = np.linalg.norm(nodes, axis=-1) >= system.r_min
         skipped += int(np.sum(~keep))
         if not np.any(keep):
             return ConditionReport("c3", "skipped", None, 0.0,
@@ -697,6 +659,15 @@ def _example21(d: int = 2, q1: float = 0.8, q2: float = 0.5, q3: float = 0.5,
         # DX_0 = -c0 I - (c0'/r) x x^T and DX_k = (s'/r) e_k x^T, one closed
         # form on the core, the bump annulus 1 < r < 3 and the far shell
         r = np.linalg.norm(x, axis=-1)
+        if np.any(r < r_min):
+            # DX_0 blows up like r^{-q3}: points inside the r_min ball are
+            # evaluated on its sphere, the origin at r_min e_1
+            rk = r[:, None]
+            at_zero = rk == 0.0
+            on_sphere = np.where(at_zero, r_min * eye[0],
+                                 x * (r_min / np.where(at_zero, 1.0, rk)))
+            x = np.where(rk < r_min, on_sphere, x)
+            r = np.linalg.norm(x, axis=-1)
         g1, g2, dg1, dg2 = _bump_slopes(r)
         inv_r = 1.0 / r
         inv_r2 = inv_r * inv_r
@@ -731,9 +702,8 @@ def _example21(d: int = 2, q1: float = 0.8, q2: float = 0.5, q3: float = 0.5,
     return CoefficientSystem(
         name="example21", d=d, m=d, fields_fn=_batched(fields),
         jacobians_fn=_batched(jacobians), constants=constants,
-        # the drift Jacobian blows up like |x|^{-q3} at the origin; values
-        # use their continuous limits X_0(0) = 0, X_k(0) = e_k
-        origin_policy=OriginPolicy(r_min=r_min),
+        # values use their continuous limits X_0(0) = 0, X_k(0) = e_k
+        r_min=r_min,
         params={"d": d, "q1": q1, "q2": q2, "q3": q3, "q4": q4,
                 "r_min": r_min})
 

@@ -109,10 +109,10 @@ class BatchEuler:
     coefficients are marked failed and freeze likewise. The fields and the
     Jacobians at the pre-step state are each evaluated at most once per step
     and shared between the step and any observer through fields() and
-    jacobians(); both are dropped when the step ends. Jacobians are
-    evaluated at the system's origin_policy.clamp(x); each active path
-    inside the clamp ball counts one clamp per step, whether or not the
-    Jacobians are evaluated. advance() is the only stepping entry.
+    jacobians(); both are dropped when the step ends. The system evaluates
+    the Jacobians of a point inside its r_min ball on that ball's sphere;
+    each active path inside the ball counts one clamp per step, whether or
+    not the Jacobians are evaluated. advance() is the only stepping entry.
 
     v_t is linear in v_0, so a batch started from v_0 = 0 keeps v = 0 for
     all time. Such a batch is derivative-free: the step evaluates no
@@ -158,10 +158,9 @@ class BatchEuler:
         return self._fields
 
     def jacobians(self) -> np.ndarray:
-        """(n, m+1, d, d) Jacobians at clamp(x), evaluated once per step."""
+        """(n, m+1, d, d) Jacobians at x, evaluated once per step."""
         if self._jacobians is None:
-            self._jacobians = self.system.jacobians_stacked(
-                self.system.origin_policy.clamp(self.x))
+            self._jacobians = self.system.jacobians_stacked(self.x)
         return self._jacobians
 
     def steps(self):
@@ -182,10 +181,9 @@ class BatchEuler:
             return False
         sys_, cfg = self.system, self.cfg
         x, v, dw = self.x, self.v, self.dws[:, s, :]
-        policy = sys_.origin_policy
-        if policy.singular:
+        if sys_.r_min > 0.0:
             r = np.linalg.norm(x, axis=-1)
-            self.clamped[self.active & (r < policy.r_min)] += 1
+            self.clamped[self.active & (r < sys_.r_min)] += 1
         drift, sig = self.fields()
         x_new = x + np.einsum("nim,nm->ni", sig, dw) + drift * cfg.h
         finite = np.isfinite(x_new).all(axis=-1)

@@ -166,6 +166,8 @@ def _map_paths(run, n_paths: int, cfg: IntegratorConfig, m: int,
     mapped on a thread pool when workers > 1; the records and the arrays
     are joined in path-index order.
     """
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be at least 1, got {n_paths!r}")
     size = max(1, min(CHUNK_PATHS, MAX_BLOCK_BYTES // (cfg.n_steps * m * 8)))
     ranges = [(a, min(a + size, n_paths)) for a in range(0, n_paths, size)]
 
@@ -560,7 +562,6 @@ def krylov_check(system: CoefficientSystem, x, T: float, R: float,
 class HolderRow:
     x: tuple
     y: tuple
-    separation: float
     ratio: float
     std_error: float
 
@@ -593,7 +594,7 @@ def holder_modulus(system: CoefficientSystem, pairs, p: float, t: float,
 
     paths, gaps = _map_paths(run, n_paths, cfg_t, system.m, master_seed,
                              workers)
-    rows = [HolderRow(tuple(map(float, x)), tuple(map(float, y)), sep,
+    rows = [HolderRow(tuple(map(float, x)), tuple(map(float, y)),
                       *_mean_se(gaps[:, j] / sep**p, paths.kept))
             for j, ((x, y), sep) in enumerate(zip(pairs, seps))]
     return rows, paths.counts()
@@ -608,8 +609,8 @@ def exp_representation_gaps(system: CoefficientSystem, x, v, p: float,
                             ) -> tuple[np.ndarray, PathCounts]:
     """Per-path relative gap between |v_T|^p and its exponential
     reconstruction |v_0|^p exp(M - Q/2 + a), summed step by step from the
-    Jacobians at the pre-step states (clamped like the Euler step), for the
-    kept paths in path order, and the counts of all paths."""
+    Jacobians the Euler step used at the pre-step states, for the kept paths
+    in path order, and the counts of all paths."""
     if p < 2:
         raise ValueError(f"representation check requires p >= 2, got {p!r}")
     cfg_t = cfg.with_horizon(T)

@@ -88,3 +88,23 @@ def nan_ring_system(radius):
         return (1e6 if k == 0 else 0.0) * (0.0 * x[..., :, None] + np.eye(2))
 
     return make_system("nan_ring", 2, 2, value, jacobian)
+
+
+def clamp_to_sphere(x, r_min):
+    """x with points inside the r_min ball pushed onto its sphere and the
+    origin onto r_min e_1: the bit-level reference for the points at which
+    example21's Jacobians evaluate that ball."""
+    if not r_min > 0.0:
+        return x
+    x = np.asarray(x, dtype=float)
+    r = np.linalg.norm(x, axis=-1, keepdims=True)
+    inside = r < r_min
+    if not np.any(inside):
+        return x
+    at_zero = r == 0.0
+    safe_r = np.where(at_zero, 1.0, r)
+    scaled = x * (r_min / safe_r)
+    e1 = np.zeros(x.shape[-1])
+    e1[0] = r_min
+    scaled = np.where(at_zero, e1, scaled)
+    return np.where(inside, scaled, x)

@@ -14,6 +14,7 @@ from flowlab import (
     kp_max,
     make_system,
     theta_g,
+    truncate,
 )
 from flowlab import coefficients
 from flowlab.coefficients import (
@@ -23,7 +24,12 @@ from flowlab.coefficients import (
     stack_fields,
 )
 
-from systems import nan_ring_system, scalar_drift_system, sqrt_field_system
+from systems import (
+    clamp_to_sphere,
+    nan_ring_system,
+    scalar_drift_system,
+    sqrt_field_system,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +409,43 @@ def test_example21_closed_form_jacobians_match_central_differences(
         assert gaps[1] * 50.0 <= gaps[0], (name, gaps)
         assert gaps[1] < 1e-5 * np.max(np.abs(exact)), (name, gaps)
     assert calls == []
+
+
+def _ball_points(r_min):
+    """The origin, points inside the r_min ball and just below its radius,
+    its sphere, the core, the bump annulus and beyond R = 4."""
+    u = np.array([0.6, -0.8])
+    return np.array([
+        [0.0, 0.0], [0.5 * r_min, 0.0], [0.0, -0.25 * r_min],
+        0.5 * r_min * u, 1e-3 * r_min * u, [np.nextafter(r_min, 0.0), 0.0],
+        [r_min, 0.0], [0.0, -r_min], [0.3, 0.0], [1.5, 0.4], [-2.2, 1.1],
+        [5.0, 1.0], [0.0, -9.0]])
+
+
+@pytest.mark.parametrize("shape", ["n_d", "n_q_d", "point"])
+@pytest.mark.parametrize("system", ["example21", "example21_r1e-3",
+                                    "truncated"])
+def test_example21_jacobians_evaluate_the_ball_on_its_sphere(system, shape):
+    # the Jacobians of a point inside the r_min ball are those of its clamp
+    # image, bit for bit, and finite at the origin
+    s = {"example21": lambda: builtin("example21"),
+         "example21_r1e-3": lambda: builtin("example21", r_min=1e-3),
+         "truncated": lambda: truncate(builtin("example21"), 4.0)}[system]()
+    pts = _ball_points(s.r_min)
+    clamped = clamp_to_sphere(pts, s.r_min)
+    # no clamp image is itself inside the ball, so the Jacobians at it are
+    # taken where the clamp put it
+    assert np.all(np.linalg.norm(clamped, axis=-1) >= s.r_min)
+    assert np.any(np.linalg.norm(pts, axis=-1) < s.r_min)
+    xs = {"n_d": [pts],
+          "n_q_d": [np.stack([pts, pts[::-1]], axis=1)],
+          "point": list(pts)}[shape]
+    for x in xs:
+        jall = s.jacobians_stacked(x)
+        assert jall.shape == np.shape(x)[:-1] + (s.m + 1, s.d, s.d)
+        assert np.all(np.isfinite(jall))
+        np.testing.assert_array_equal(
+            jall, s.jacobians_stacked(clamp_to_sphere(x, s.r_min)))
 
 
 # example21 fields as they were computed before the closed-form Jacobians:

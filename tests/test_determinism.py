@@ -6,8 +6,9 @@ then backwards in one process, sharing one MollifiedFamily; each must give
 the report of the plain single-worker run, bit for bit. `ibp_residual`,
 which maps no paths, is compared at rerun level. The guard radius is small
 enough that some paths explode, so the per-path bookkeeping is joined across
-the ranges too. The callers are found by parsing estimators.py, so an
-estimator that maps paths cannot miss this check.
+the ranges too, and `bel_gradient` starts inside example21's r_min ball, so
+the Jacobians' clamp runs on every axis. The callers are found by parsing
+estimators.py, so an estimator that maps paths cannot miss this check.
 """
 
 import ast
@@ -40,6 +41,8 @@ RUN = dict(n_paths=12, cfg=CFG, master_seed=11)
 OU = builtin("ornstein_uhlenbeck", d=1)
 GBM = builtin("geometric_bm", mu=0.1, sigma=0.4, d=1)
 EX21 = builtin("example21")
+# a start inside the clamp ball, so the Jacobians evaluate it on its sphere
+EX21_BALL = builtin("example21", r_min=1e-3)
 # leaves the R-ball of krylov_check within a step or two and explodes later
 DRIFT = builtin("constant", d=1, drift=[6.0])
 FAMILY = mollified_family(GBM, eps0=0.3)
@@ -52,7 +55,7 @@ CASES = {
         EX21, X, lam=1.0, T=0.25, n_checkpoints=3, theta_box=2.0,
         theta_points=16, workers=w, **RUN),
     "bel_gradient": lambda w: bel_gradient(
-        EX21, X, V, F, t=0.25, workers=w, **RUN),
+        EX21_BALL, [5e-4, 0.0], V, F, t=0.25, workers=w, **RUN),
     "fd_gradient": lambda w: fd_gradient(
         EX21, X, V, F, t=0.25, delta=1e-2, workers=w, **RUN),
     "family_convergence": lambda w: family_convergence(
@@ -142,3 +145,12 @@ def test_harness_covers_every_map_paths_caller():
     callers = _map_paths_callers()
     assert len(callers) >= 8
     assert callers == set(CASES) - {"ibp_residual"}
+
+
+@pytest.mark.parametrize("n_paths", [0, -3])
+@pytest.mark.parametrize("name", sorted(_map_paths_callers()))
+def test_every_map_paths_caller_rejects_fewer_than_one_path(monkeypatch, name,
+                                                            n_paths):
+    monkeypatch.setitem(RUN, "n_paths", n_paths)
+    with pytest.raises(ValueError, match="n_paths must be at least 1"):
+        CASES[name](1)
