@@ -16,7 +16,6 @@ from .coefficients import (
 )
 from .errors import RadiusTooSmallError
 from .quadrature import (
-    BallRule,
     annulus_rule,
     ball_volume,
     tangent_basis,
@@ -151,15 +150,16 @@ _CONV_BLOCK_POINTS = 100_000
 class Mollifier:
     """The compactly supported bump C exp(1/(|x|^2-1)) scaled to radius eps.
 
-    norm_constant is computed with the same ball rule used for convolutions,
-    so the rule integrates the kernel to exactly 1 and mollifying a constant
-    field reproduces it to round-off.
+    norm_constant is computed with the unit ball rule (nodes, weights) used
+    for convolutions, so the rule integrates the kernel to exactly 1 and
+    mollifying a constant field reproduces it to round-off.
     """
 
     d: int
     eps: float
     norm_constant: float
-    quadrature: BallRule
+    nodes: np.ndarray = field(repr=False)           # (q, d), unit ball
+    weights: np.ndarray = field(repr=False)         # (q,)
     kernel_weights: np.ndarray = field(repr=False)  # weights*eta at unit nodes
 
     def kernel(self, y: np.ndarray) -> np.ndarray:
@@ -170,8 +170,8 @@ class Mollifier:
 
     def mass(self) -> float:
         """Quadrature of eta_eps over its support; equals 1 by construction."""
-        nodes, weights = self.quadrature.scaled(self.eps)
-        return float(np.sum(weights * self.kernel(nodes)))
+        return float(np.sum(self.weights * self.eps**self.d
+                            * self.kernel(self.nodes * self.eps)))
 
     def convolve(self, fn, x: np.ndarray):
         """(f * eta_eps)(x) = sum_q w_q f(x - eps y_q), batched over x (..., d).
@@ -184,7 +184,7 @@ class Mollifier:
         """
         x = np.asarray(x, dtype=float)
         flat = x.reshape(-1, x.shape[-1])
-        offsets = self.eps * self.quadrature.nodes          # (q, d)
+        offsets = self.eps * self.nodes                     # (q, d)
         w = self.kernel_weights
 
         def block(pts):
@@ -211,11 +211,11 @@ def mollifier(d: int, eps: float, n_radial: int | None = None,
     """Build a mollifier of radius eps with the dimension's default ball rule."""
     if eps <= 0:
         raise ValueError("mollifier radius eps must be positive")
-    rule = unit_ball_rule(d, n_radial, n_angular)
-    eta = _bump_kernel(np.sum(rule.nodes**2, axis=-1))
-    norm = 1.0 / float(np.sum(rule.weights * eta))
-    return Mollifier(d=d, eps=eps, norm_constant=norm, quadrature=rule,
-                     kernel_weights=rule.weights * eta * norm)
+    nodes, weights = unit_ball_rule(d, n_radial, n_angular)
+    eta = _bump_kernel(np.sum(nodes**2, axis=-1))
+    norm = 1.0 / float(np.sum(weights * eta))
+    return Mollifier(d=d, eps=eps, norm_constant=norm, nodes=nodes,
+                     weights=weights, kernel_weights=weights * eta * norm)
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,12 @@ def _params_schema(name: str) -> dict:
             for key, default in builtin_parameters(name).items()}
 
 
+# the horizon each command integrates to, a whole number of steps h to 1e-9
+_HORIZONS = {"gradient": ("gradient", "t"), "moments": ("moments", "t"),
+             "ibp": ("ibp", "t"), "converge": ("converge", "T"),
+             "krylov": ("krylov", "T"), "simulate": ("integrator", "T")}
+
+
 def parse_config(path, command: str | None = None) -> ExperimentConfig:
     """Load, validate and canonicalize a JSON experiment config.
 
@@ -205,6 +211,12 @@ def parse_config(path, command: str | None = None) -> ExperimentConfig:
                                       SCHEMA[section])
            for section in ("integrator", "mc", "output", cmd)},
     }
+    if cmd in _HORIZONS:  # the integrator would round it to the step grid
+        section, key = _HORIZONS[cmd]
+        steps = resolved[section][key] / resolved["integrator"]["h"]
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise ConfigError(f"{section}.{key} must be a whole number of "
+                              f"steps integrator.h, got {steps:.6g} steps")
     return ExperimentConfig(command=cmd, resolved=resolved,
                             params_hash=_hash_config(resolved))
 

@@ -4,8 +4,9 @@ Every key maps to (default, domain). A default of REQUIRED marks a key the
 user must supply; every other default is materialized into the echoed
 config, and a default of None means "auto", which the key also accepts when
 given. parse_config checks each given value against its domain before
-anything is written. Only what needs the built system is checked later: the
-length of the points x and v, ibp.i < d, eps < eps0 and T >= h.
+anything is written, and that the horizon the command integrates to is a
+whole number of steps h. Only what needs the built system is checked later:
+the length of the points x and v, ibp.i < d, eps < eps0 and T >= h.
 """
 
 import math

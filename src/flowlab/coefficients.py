@@ -16,7 +16,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import ParameterConstraintError, SingularPointError
-from .quadrature import midpoint_ball_rule, sphere_points
+from .quadrature import box_grid, midpoint_ball_rule, spherical_product
 
 __all__ = [
     "AssumptionConstants",
@@ -338,9 +338,7 @@ def theta_g(system: CoefficientSystem, lam: float, box: float = 50.0,
     d = system.d
     if n_points is None:
         n_points = 401 if d <= 2 else 101
-    axis = np.linspace(-box, box, n_points)
-    grids = np.meshgrid(*([axis] * d), indexing="ij")
-    pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
+    pts, _ = box_grid(d, box, n_points)
     vals = _log_energy_expression(system, lam, pts)
     i = int(np.argmax(vals))
     return ThetaBound(value=float(vals[i]), argmax=tuple(map(float, pts[i])))
@@ -391,8 +389,7 @@ class ConditionReport:
 def _probe_points(spec: CheckSpec, d: int, r_lo: float = 0.0) -> np.ndarray:
     radii = np.geomspace(max(r_lo, 1e-3 * spec.radius), spec.radius,
                          _N_RADIAL)
-    dirs, _ = sphere_points(d, _N_ANGULAR)
-    return (radii[:, None, None] * dirs[None, :, :]).reshape(-1, d)
+    return spherical_product(radii, 1.0, d, _N_ANGULAR)[0]
 
 
 def check_assumptions(system: CoefficientSystem,
@@ -416,26 +413,24 @@ def check_assumptions(system: CoefficientSystem,
     reports["c1"] = _margin_report("c1", lo - c.C1 / (1.0 + r**c.p1), pts,
                                    {"C1": c.C1, "p1": c.p1})
 
+    # one field pass for (c2aa) and (c2); the first offsets are y = 0
+    offsets = spherical_product(np.linspace(0.0, c.delta, _DELTA_SAMPLES),
+                                1.0, d, _DELTA_SAMPLES)[0]
+    drift, sigma = system.fields(pts + offsets[:, None])
+
     # (c2aa): |X_k(x)| <= C2 (1 + |x|^p2) for k = 0..m
-    norms = np.linalg.norm(stack_fields(*system.fields(pts)), axis=-1)
+    norms = np.linalg.norm(stack_fields(drift[0], sigma[0]), axis=-1)
     reports["c2aa"] = _margin_report("c2aa", c.C2 * (1.0 + r**c.p2) - norms.T,
                                      pts, {"C2": c.C2, "p2": c.p2})
 
     # (c2): sup_{|y| <= delta} p sum |X_k(x+y)|^2 + <x, X_0(x+y)> <= C(p)(1+|x|^2)
-    y_dirs, _ = sphere_points(d, _DELTA_SAMPLES)
-    y_radii = np.linspace(0.0, c.delta, _DELTA_SAMPLES)
-    offsets = (y_radii[:, None, None] * y_dirs[None, :, :]).reshape(-1, d)
-    best = {p: -np.inf for p in spec.p_list}
-    for y in offsets:
-        drift, sigma = system.fields(pts + y)
-        s = np.zeros(len(pts))
-        for k in range(system.m):
-            s += np.sum(sigma[..., k] ** 2, axis=-1)
-        inner = np.sum(pts * drift, axis=-1)
-        for p in spec.p_list:
-            best[p] = np.maximum(best[p], (p * s + inner) / (1.0 + r * r))
+    s = np.zeros(drift.shape[:-1])
+    for k in range(system.m):
+        s += np.sum(sigma[..., k] ** 2, axis=-1)
+    inner = np.sum(pts * drift, axis=-1)
     reports["c2"] = _constant_report(
-        "c2", {p: float(np.max(b)) for p, b in best.items()},
+        "c2", {p: float(np.max((p * s + inner) / (1.0 + r * r)))
+               for p in spec.p_list},
         {"delta": c.delta})
 
     # (c3): refinement study of the exponential-integrability quadrature

@@ -52,6 +52,7 @@ class IntegratorConfig:
 
     @property
     def n_steps(self) -> int:
+        """round(T / h); the CLI rejects a T between two grid points."""
         return int(round(self.T / self.h))
 
     def with_horizon(self, t: float) -> "IntegratorConfig":
@@ -142,10 +143,8 @@ class BatchEuler:
         self.dws = dws
         self.n = n
         self.n_steps = dws.shape[1]
-        self.active = np.ones(n, dtype=bool)
         self.exploded = np.zeros(n, dtype=bool)
         self.failed = np.zeros(n, dtype=bool)
-        self.exit_step = np.full(n, -1, dtype=int)
         self.clamped = np.zeros(n, dtype=int)
         self.step_index = 0
         self._fields = None
@@ -166,7 +165,8 @@ class BatchEuler:
     def steps(self):
         """Yield (s, x_s, v_s, dw_s, active) before each step is applied."""
         for s in range(self.n_steps):
-            yield s, self.x, self.v, self.dws[:, s, :], self.active
+            yield (s, self.x, self.v, self.dws[:, s, :],
+                   ~(self.failed | self.exploded))
             self.advance()
 
     def run(self):
@@ -181,9 +181,10 @@ class BatchEuler:
             return False
         sys_, cfg = self.system, self.cfg
         x, v, dw = self.x, self.v, self.dws[:, s, :]
+        active = ~(self.failed | self.exploded)
         if sys_.r_min > 0.0:
             r = np.linalg.norm(x, axis=-1)
-            self.clamped[self.active & (r < sys_.r_min)] += 1
+            self.clamped[active & (r < sys_.r_min)] += 1
         drift, sig = self.fields()
         x_new = x + np.einsum("nim,nm->ni", sig, dw) + drift * cfg.h
         finite = np.isfinite(x_new).all(axis=-1)
@@ -203,19 +204,13 @@ class BatchEuler:
         # valid for the pre-step x only (an observer may have cached them);
         # dropping them now frees them when the step ends
         self._fields = self._jacobians = None
-        newly_failed = self.active & ~finite
         out = np.linalg.norm(np.where(finite[:, None], x_new, 0.0), axis=-1) \
             > cfg.guard_radius
-        newly_exploded = self.active & finite & out
-
-        move = self.active & finite
+        move = active & finite
         self.x = np.where(move[:, None], x_new, x)
         self.v = np.where(move[:, None], v_new, v)
-        self.failed |= newly_failed
-        self.exploded |= newly_exploded
-        stop = newly_failed | newly_exploded
-        self.exit_step[stop] = s + 1
-        self.active &= ~stop
+        self.failed |= active & ~finite
+        self.exploded |= move & out
         self.step_index = s + 1
         return True
 

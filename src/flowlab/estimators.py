@@ -59,7 +59,7 @@ from .engine import (
     exp_representation_terms,
     increments_block,
 )
-from .quadrature import ball_volume
+from .quadrature import ball_volume, box_grid
 
 __all__ = [
     "EstimateReport",
@@ -338,8 +338,7 @@ def fd_gradient(system: CoefficientSystem, x, v, f, t: float, n_paths: int,
 
     paths, samples = _map_paths(run, n_paths, cfg_t, system.m, master_seed,
                                 workers)
-    return EstimateReport(*_mean_se(samples, paths.kept), {"delta": delta},
-                          paths.counts())
+    return EstimateReport(*_mean_se(samples, paths.kept), {}, paths.counts())
 
 
 # ---------------------------------------------------------------------------
@@ -450,10 +449,7 @@ def ibp_residual(system: CoefficientSystem, t: float, box: float, n_grid: int,
     cfg_t = cfg.with_horizon(t)
     n_steps = cfg_t.n_steps
     d = system.d
-    axis = np.linspace(-box, box, n_grid)
-    spacing = axis[1] - axis[0]
-    mesh = np.meshgrid(*([axis] * d), indexing="ij")
-    starts = np.stack([g.reshape(-1) for g in mesh], axis=-1)
+    starts, spacing = box_grid(d, box, n_grid)
     weight = spacing**d
     phi_vals = phi.value(starts)
     dphi_vals = phi.partial(starts, i_coord)

@@ -1,20 +1,20 @@
 """Quadrature rules on balls and spheres, plus small geometry helpers.
 
-The ball rules are spherical products: Gauss-Legendre in the radius times an
-angular set (equal-weight angles in 2d, a degree-11 50-point sphere set in 3d).
-All rules are returned for the unit ball and rescaled by callers.
+Every sampled point set is built here: spherical products of radii and an
+angular set (equal-weight angles in 2d, a degree-11 50-point sphere set in
+3d), and the uniform grid on a box. Rules return (nodes, weights).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "BallRule",
+    "spherical_product",
+    "box_grid",
     "unit_ball_rule",
     "annulus_rule",
     "ball_volume",
@@ -22,19 +22,6 @@ __all__ = [
     "midpoint_ball_rule",
     "tangent_basis",
 ]
-
-
-@dataclass(frozen=True)
-class BallRule:
-    """Nodes/weights integrating over the unit ball in R^d: sum w_i f(x_i)."""
-
-    d: int
-    nodes: np.ndarray    # (n, d)
-    weights: np.ndarray  # (n,)
-
-    def scaled(self, radius: float) -> tuple[np.ndarray, np.ndarray]:
-        """Nodes and weights for the ball of the given radius."""
-        return self.nodes * radius, self.weights * radius**self.d
 
 
 def _gauss_legendre(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
@@ -97,9 +84,28 @@ def sphere_points(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     raise ValueError(f"sphere rules implemented for d <= 3, got d={d}")
 
 
+def spherical_product(r: np.ndarray, wr: np.ndarray | float, d: int,
+                      n_angular: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes r_i u_j, radius-major, and weights wr_i r_i^(d-1) w_j for the
+    directions u_j and weights w_j of sphere_points(d, n_angular)."""
+    dirs, wd = sphere_points(d, n_angular)
+    nodes = r[:, None, None] * dirs[None, :, :]
+    weights = (wr * r ** (d - 1))[:, None] * wd[None, :]
+    return nodes.reshape(-1, d), weights.reshape(-1)
+
+
+def box_grid(d: int, box: float, n_points: int) -> tuple[np.ndarray, float]:
+    """The n_points^d nodes of the uniform grid on [-box, box]^d, first
+    coordinate slowest, and the grid spacing."""
+    axis = np.linspace(-box, box, n_points)
+    mesh = np.meshgrid(*([axis] * d), indexing="ij")
+    return np.stack([g.reshape(-1) for g in mesh], axis=-1), axis[1] - axis[0]
+
+
 def unit_ball_rule(d: int, n_radial: int | None = None,
-                   n_angular: int | None = None) -> BallRule:
-    """Product quadrature for the unit ball.
+                   n_angular: int | None = None
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Product quadrature (nodes, weights) for the unit ball.
 
     Defaults: d=1 uses 64-point Gauss-Legendre on [-1, 1]; d=2 uses 32 radial
     x 64 angular nodes; d=3 uses 24 radial nodes times the 50-point sphere set.
@@ -107,12 +113,12 @@ def unit_ball_rule(d: int, n_radial: int | None = None,
     if d == 1:
         n_radial = 64 if n_radial is None else n_radial
         x, w = _gauss_legendre(n_radial, -1.0, 1.0)
-        return BallRule(1, x[:, None], w)
+        return x[:, None], w
     if d in (2, 3):
         if n_radial is None:
             n_radial = 32 if d == 2 else 24
         n_angular = 64 if n_angular is None else n_angular
-        return BallRule(d, *annulus_rule(d, 0.0, 1.0, n_radial, n_angular))
+        return annulus_rule(d, 0.0, 1.0, n_radial, n_angular)
     raise ValueError(f"ball rules implemented for d <= 3, got d={d}")
 
 
@@ -121,11 +127,8 @@ def annulus_rule(d: int, r_inner: float, r_outer: float, n_radial: int,
     """Spherical-product rule over {r_inner <= |x| <= r_outer}."""
     if not 0.0 <= r_inner < r_outer:
         raise ValueError("need 0 <= r_inner < r_outer")
-    r, wr = _gauss_legendre(n_radial, r_inner, r_outer)
-    dirs, wd = sphere_points(d, n_angular)
-    nodes = r[:, None, None] * dirs[None, :, :]
-    weights = (wr * r ** (d - 1))[:, None] * wd[None, :]
-    return nodes.reshape(-1, d), weights.reshape(-1)
+    return spherical_product(*_gauss_legendre(n_radial, r_inner, r_outer), d,
+                             n_angular)
 
 
 def ball_volume(d: int, radius: float) -> float:
@@ -142,10 +145,7 @@ def midpoint_ball_rule(d: int, radius: float, n_radial: int,
     """
     step = radius / n_radial
     r = (np.arange(n_radial) + 0.5) * step
-    dirs, wd = sphere_points(d, n_angular)
-    nodes = r[:, None, None] * dirs[None, :, :]
-    weights = (step * r ** (d - 1))[:, None] * wd[None, :]
-    return nodes.reshape(-1, d), weights.reshape(-1)
+    return spherical_product(r, step, d, n_angular)
 
 
 def tangent_basis(u: np.ndarray) -> np.ndarray:

@@ -516,6 +516,32 @@ def test_run_rejects_unknown_params_and_non_numbers(tmp_path, capsys, case):
     assert not out.exists()
 
 
+# the key of the horizon each command integrates to
+HORIZON_KEYS = {"gradient": "gradient.t", "moments": "moments.t",
+                "ibp": "ibp.t", "converge": "converge.T",
+                "krylov": "krylov.T", "simulate": "integrator.T"}
+
+
+@pytest.mark.parametrize("command", sorted(HORIZON_KEYS))
+def test_run_rejects_a_horizon_that_is_not_a_whole_number_of_steps(
+        tmp_path, capsys, command):
+    # round(t / h) steps: t = 1.0 on h = 0.3 would integrate 3 steps, to
+    # 0.9, under a row that reports t = 1.0; 0.9 itself is 3 steps to
+    # round-off
+    section, name = HORIZON_KEYS[command].split(".")
+    config = minimal_config(command)
+    config["integrator"] = {"h": 0.3, "T": 0.9}
+    config[section][name] = 0.9
+    parse_config(write(tmp_path, "whole.json", config))
+    config[section][name] = 1.0
+    path = write(tmp_path, "c.json", config)
+    out = tmp_path / "o"
+    assert run(command, path, out=str(out)) == 2
+    assert f"{HORIZON_KEYS[command]} must be a whole number of steps" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name", ["nope", ["ornstein_uhlenbeck"]],
                          ids=["unknown", "list"])
 def test_run_rejects_a_system_name_that_is_not_a_builtin(tmp_path, capsys,
@@ -805,13 +831,15 @@ TRACED_CASES = {
     }, {"engine.step.calls": 10, "coefficients.fields.calls": 10,
         "coefficients.jacobians.calls": None}),
     # no steps: one Jacobian pass per (c3) quadrature level for every p,
-    # and one outside R1 for (c4) and (c4aa); fields once for (c1), once
-    # for (c2aa) and once per (c2) offset, 6 radii x 6 directions
+    # and one outside R1 for (c4) and (c4aa); fields once for (c1) on the
+    # 24 x 16 probes, and once for (c2aa) and (c2) on the probes shifted by
+    # every (c2) offset, 6 radii x 6 directions, the first of which is y = 0
     "check": ({
         "command": "check",
         "system": {"name": "example21", "params": {}},
         "check": {"p_list": [1, 2]},
-    }, {"engine.step.calls": None, "coefficients.fields.calls": 38,
+    }, {"engine.step.calls": None, "coefficients.fields.calls": 2,
+        "coefficients.fields.points": 384 + 36 * 384,
         "coefficients.jacobians.calls": 4,
         "coefficients.jacobians.points": 256 + 512 + 1024 + 384}),
 }

@@ -18,14 +18,19 @@ from flowlab import (
 )
 from flowlab import coefficients
 from flowlab.coefficients import (
+    _constant_report,
+    _margin_report,
     _smooth_step,
     fd_jacobian,
     gated_right_inverse,
     stack_fields,
+    sym_eig_range,
 )
+from flowlab.quadrature import sphere_points
 
 from systems import (
     clamp_to_sphere,
+    linear_system,
     nan_ring_system,
     scalar_drift_system,
     sqrt_field_system,
@@ -290,6 +295,72 @@ def test_check_a_nan_sample_does_not_hide_a_violation():
         assert reports[name].status == "fail"
         assert np.isnan(reports[name].worst_margin)
         assert np.linalg.norm(reports[name].worst_point) == pytest.approx(10.0)
+
+
+def _reference_c1_c2(system, spec):
+    """(c1), (c2aa) and (c2) as the checker computed them with one field
+    call per probe set and per (c2) offset: the bit-level reference of its
+    single field pass over every offset."""
+    c, d = system.constants, system.d
+    radii = np.geomspace(1e-3 * spec.radius, spec.radius, 24)
+    dirs, _ = sphere_points(d, 16)
+    pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, d)
+    r = np.linalg.norm(pts, axis=-1)
+    lo, _ = sym_eig_range(diffusion_matrix(system, pts))
+    c1 = _margin_report("c1", lo - c.C1 / (1.0 + r**c.p1), pts,
+                        {"C1": c.C1, "p1": c.p1})
+    norms = np.linalg.norm(stack_fields(*system.fields(pts)), axis=-1)
+    c2aa = _margin_report("c2aa", c.C2 * (1.0 + r**c.p2) - norms.T, pts,
+                          {"C2": c.C2, "p2": c.p2})
+    y_dirs, _ = sphere_points(d, 6)
+    y_radii = np.linspace(0.0, c.delta, 6)
+    offsets = (y_radii[:, None, None] * y_dirs[None, :, :]).reshape(-1, d)
+    best = {p: -np.inf for p in spec.p_list}
+    for y in offsets:
+        drift, sigma = system.fields(pts + y)
+        s = np.zeros(len(pts))
+        for k in range(system.m):
+            s += np.sum(sigma[..., k] ** 2, axis=-1)
+        inner = np.sum(pts * drift, axis=-1)
+        for p in spec.p_list:
+            best[p] = np.maximum(best[p], (p * s + inner) / (1.0 + r * r))
+    c2 = _constant_report("c2", {p: float(np.max(b)) for p, b in best.items()},
+                          {"delta": c.delta})
+    return {"c1": c1, "c2aa": c2aa, "c2": c2}
+
+
+CHECKED_SYSTEMS = {
+    "example21": lambda: builtin("example21"),
+    "example21_d3": lambda: builtin("example21", d=3, q4=0.7),
+    "example21_q2neg": lambda: builtin("example21", q2=-0.5),
+    "ou_d2": lambda: builtin("ornstein_uhlenbeck", d=2),
+    "gbm": lambda: builtin("geometric_bm"),
+    "constant_d2": lambda: builtin("constant", d=2, drift=(0.5, -1.0)),
+    "additive_noise": lambda: builtin("additive_noise", sigma=0.5),
+    "linear": linear_system,
+    "sqrt_field": sqrt_field_system,
+    "pure_drift": scalar_drift_system,
+    "nan_ring": lambda: nan_ring_system(radius=5.0),
+}
+
+
+@pytest.mark.parametrize("spec", [CheckSpec(),
+                                  CheckSpec(radius=3.0, p_list=(1.0, 2.0, 4.0))],
+                         ids=["default", "r3_p124"])
+@pytest.mark.parametrize("name", sorted(CHECKED_SYSTEMS))
+def test_check_c1_c2_one_field_pass_bit_identical_to_per_offset_calls(
+        name, spec):
+    # (c2aa) and (c2) read one field pass over every offset, and nan samples
+    # (nan_ring) and the 50-point sphere set (d = 3) keep their bits too
+    system = CHECKED_SYSTEMS[name]()
+    reports = check_assumptions(system, spec)
+    for key, ref in _reference_c1_c2(system, spec).items():
+        got = reports[key]
+        assert got.status == ref.status, key
+        assert np.float64(got.worst_margin).tobytes() == \
+            np.float64(ref.worst_margin).tobytes(), key
+        assert np.array_equal(got.worst_point, ref.worst_point), key
+        assert repr(got.detail) == repr(ref.detail), key
 
 
 def test_check_all_singular_quadrature_counts_its_nodes_once():
