@@ -44,7 +44,7 @@ from .coefficients import (
     builtin_parameters,
     check_assumptions,
 )
-from .engine import BatchEuler, IntegratorConfig
+from .engine import BatchEuler, IntegratorConfig, whole_steps
 from .errors import (
     ConfigError,
     FlowlabError,
@@ -211,12 +211,12 @@ def parse_config(path, command: str | None = None) -> ExperimentConfig:
                                       SCHEMA[section])
            for section in ("integrator", "mc", "output", cmd)},
     }
-    if cmd in _HORIZONS:  # the integrator would round it to the step grid
+    if cmd in _HORIZONS:
         section, key = _HORIZONS[cmd]
-        steps = resolved[section][key] / resolved["integrator"]["h"]
-        if abs(steps - round(steps)) > 1e-9 * steps:
+        t, h = resolved[section][key], resolved["integrator"]["h"]
+        if not whole_steps(t, h):
             raise ConfigError(f"{section}.{key} must be a whole number of "
-                              f"steps integrator.h, got {steps:.6g} steps")
+                              f"steps integrator.h, got {t / h:.6g} steps")
     return ExperimentConfig(command=cmd, resolved=resolved,
                             params_hash=_hash_config(resolved))
 

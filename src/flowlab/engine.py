@@ -24,11 +24,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import ndtri
 
-from .coefficients import CoefficientSystem
+from .coefficients import CoefficientSystem, row_norm
 from .errors import ZeroDerivativeStateError
 
 __all__ = [
     "IntegratorConfig",
+    "whole_steps",
     "increments_block",
     "BatchEuler",
 ]
@@ -52,11 +53,18 @@ class IntegratorConfig:
 
     @property
     def n_steps(self) -> int:
-        """round(T / h); the CLI rejects a T between two grid points."""
+        """round(T / h); callers that divide by T check whole_steps(T, h)."""
         return int(round(self.T / self.h))
 
     def with_horizon(self, t: float) -> "IntegratorConfig":
         return replace(self, T=t)
+
+
+def whole_steps(t: float, h: float) -> bool:
+    """Whether t is a whole number of steps h, to 1e-9 relative: a t
+    between two grid points would be rounded to one of them."""
+    steps = t / h
+    return abs(steps - round(steps)) <= 1e-9 * steps
 
 
 # bytes of raw Philox words held at once while a block is transformed
@@ -183,7 +191,7 @@ class BatchEuler:
         x, v, dw = self.x, self.v, self.dws[:, s, :]
         active = ~(self.failed | self.exploded)
         if sys_.r_min > 0.0:
-            r = np.linalg.norm(x, axis=-1)
+            r = row_norm(x)
             self.clamped[active & (r < sys_.r_min)] += 1
         drift, sig = self.fields()
         x_new = x + np.einsum("nim,nm->ni", sig, dw) + drift * cfg.h
@@ -204,8 +212,7 @@ class BatchEuler:
         # valid for the pre-step x only (an observer may have cached them);
         # dropping them now frees them when the step ends
         self._fields = self._jacobians = None
-        out = np.linalg.norm(np.where(finite[:, None], x_new, 0.0), axis=-1) \
-            > cfg.guard_radius
+        out = row_norm(np.where(finite[:, None], x_new, 0.0)) > cfg.guard_radius
         move = active & finite
         self.x = np.where(move[:, None], x_new, x)
         self.v = np.where(move[:, None], v_new, v)

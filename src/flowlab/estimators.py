@@ -50,6 +50,7 @@ from .coefficients import (
     CoefficientSystem,
     det_spd,
     gated_right_inverse,
+    row_norm,
     theta_g,
     ThetaBound,
 )
@@ -58,6 +59,7 @@ from .engine import (
     IntegratorConfig,
     exp_representation_terms,
     increments_block,
+    whole_steps,
 )
 from .quadrature import ball_volume, box_grid
 
@@ -294,10 +296,14 @@ def bel_gradient(system: CoefficientSystem, x, v, f, t: float, n_paths: int,
     Per path accumulates S = sum_s <Y(x_s)(v_s), dW_s> with the left-point
     Ito discretization and Y = Sigma^T A^{-1}, and returns the mean of
     f(x_t) S / t. Paths whose diffusion matrix fails the condition-number
-    gate at any step are excluded and counted as gated.
+    gate at any step are excluded and counted as gated. t must be a whole
+    number of steps cfg.h, since the weight is divided by t.
     """
     if t <= 0:
         raise ValueError("t must be positive")
+    if not whole_steps(t, cfg.h):
+        raise ValueError(f"t = {t:g} must be a whole number of steps "
+                         f"h = {cfg.h:g}, got {t / cfg.h:.6g} steps")
     cfg_t = cfg.with_horizon(t)
 
     def run(dws):
@@ -381,8 +387,8 @@ def family_convergence(fam: MollifiedFamily, eps_list, x, v, T: float,
             for drv in drivers:
                 drv.advance()
             for j in range(n_pairs):
-                gap_f = np.linalg.norm(drivers[j].x - drivers[j + 1].x, axis=-1)
-                gap_v = np.linalg.norm(drivers[j].v - drivers[j + 1].v, axis=-1)
+                gap_f = row_norm(drivers[j].x - drivers[j + 1].x)
+                gap_v = row_norm(drivers[j].v - drivers[j + 1].v)
                 sup_f[:, j] = np.maximum(sup_f[:, j], gap_f)
                 sup_v[:, j] = np.maximum(sup_v[:, j], gap_v)
         return PathRecord.of(*drivers), sup_f, sup_v
@@ -524,7 +530,7 @@ def krylov_check(system: CoefficientSystem, x, T: float, R: float,
         inside = np.ones(drv.n, dtype=bool)
         for s, xs, _, _, active in drv.steps():
             recentered = xs - x_arr
-            inside &= np.linalg.norm(recentered, axis=-1) <= R
+            inside &= row_norm(recentered) <= R
             live = inside & active
             drift, sig = drv.fields()
             a_mat = np.einsum("nik,njk->nij", sig, sig)
@@ -533,9 +539,7 @@ def krylov_check(system: CoefficientSystem, x, T: float, R: float,
             lhs_acc += np.where(live, fv * det**power * cfg_t.h, 0.0)
             a_acc += np.where(live,
                               np.trace(a_mat, axis1=-2, axis2=-1) * cfg_t.h, 0.0)
-            b_acc += np.where(live,
-                              np.linalg.norm(drift, axis=-1)
-                              * cfg_t.h, 0.0)
+            b_acc += np.where(live, row_norm(drift) * cfg_t.h, 0.0)
         return PathRecord.of(drv), lhs_acc, a_acc, b_acc
 
     paths, lhs_all, a_all, b_all = _map_paths(run, n_paths, cfg_t, system.m,
@@ -584,7 +588,7 @@ def holder_modulus(system: CoefficientSystem, pairs, p: float, t: float,
         for x, y in pairs:
             fx = BatchEuler(system, x, 0.0, dws, cfg_t).run()
             fy = BatchEuler(system, y, 0.0, dws, cfg_t).run()
-            gaps.append(np.linalg.norm(fx.x - fy.x, axis=-1) ** p)
+            gaps.append(row_norm(fx.x - fy.x) ** p)
             drivers += [fx, fy]
         return PathRecord.of(*drivers), np.stack(gaps, axis=-1)
 

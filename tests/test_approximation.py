@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from flowlab import approximation
 from flowlab import (
+    CoefficientSystem,
     RadiusTooSmallError,
     builtin,
     lp_distance,
@@ -361,6 +363,51 @@ def test_family_member_jacobian_smooth_vs_transition(probe):
     x = MEMBER_PROBES[probe]
     fd = fd_jacobian(lambda p: stack_fields(*member.fields(p)), x, 1e-7)
     np.testing.assert_allclose(member.jacobians_stacked(x), fd, atol=1e-6)
+
+
+def _member_points():
+    """37 example21 member probes, not a multiple of any block below: the
+    origin, the core, the bump annulus, both sides of the truncation sphere
+    R = 4 and the frozen region beyond it."""
+    rng = np.random.default_rng(5)
+    radii = np.concatenate([[0.0, 1e-7, 0.5, 1.5, 2.5, 3.95, 4.05, 6.0],
+                            rng.uniform(0.0, 7.0, 29)])
+    angles = rng.uniform(0.0, 2.0 * np.pi, radii.size)
+    return radii[:, None] * np.stack([np.cos(angles), np.sin(angles)], -1)
+
+
+def test_member_convolution_blocks_do_not_change_a_bit(monkeypatch):
+    # each point's q shifts stay in one block, so the block size moves no
+    # bit; every block reaches the base in at most max(q, block) points
+    member = mollified_family(builtin("example21"), eps0=0.25).member(0.1)
+    q = len(approximation.mollifier(2, 0.1).weights)
+    pts = _member_points()
+    sizes = []
+
+    def spy(name):
+        original = getattr(CoefficientSystem, name)
+
+        def counting(self, x):
+            x = np.asarray(x, dtype=float)
+            if x.ndim == 3:  # shifted points (n, q, d) from convolve
+                sizes.append(x.shape[0] * x.shape[1])
+            return original(self, x)
+        monkeypatch.setattr(CoefficientSystem, name, counting)
+
+    spy("fields")
+    spy("jacobians_stacked")
+    outputs = {}
+    for block in (1, q - 1, q, 16_384, 100_000):
+        monkeypatch.setattr(approximation, "_CONV_BLOCK_POINTS", block)
+        sizes.clear()
+        results = [*member.fields(pts), member.jacobians_stacked(pts),
+                   *member.fields(pts[5]), member.jacobians_stacked(pts[5])]
+        assert sizes and max(sizes) <= max(q, block), block
+        # a one-point call gives the bits of its row in the batch
+        for batch, one in zip(results[:3], results[3:]):
+            assert batch[5].tobytes() == one.tobytes(), block
+        outputs[block] = [(r.shape, r.tobytes()) for r in results]
+    assert all(out == outputs[1] for out in outputs.values())
 
 
 def test_family_ellipticity_floor_example21():

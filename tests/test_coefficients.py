@@ -13,6 +13,7 @@ from flowlab import (
     diffusion_matrix,
     kp_max,
     make_system,
+    mollified_family,
     theta_g,
     truncate,
 )
@@ -23,9 +24,11 @@ from flowlab.coefficients import (
     _smooth_step,
     fd_jacobian,
     gated_right_inverse,
+    row_norm,
     stack_fields,
     sym_eig_range,
 )
+from flowlab.engine import BatchEuler, IntegratorConfig
 from flowlab.quadrature import sphere_points
 
 from systems import (
@@ -35,6 +38,67 @@ from systems import (
     scalar_drift_system,
     sqrt_field_system,
 )
+
+
+# ---------------------------------------------------------------------------
+# row norm
+
+def _norm_inputs(d):
+    """Rows of width d: random, zero, subnormal, 1e200 (whose square
+    overflows), inf and nan entries, with either sign."""
+    rng = np.random.default_rng(d)
+    x = rng.standard_normal((60, d)) * 10.0 ** rng.integers(-3, 4, (60, d))
+    specials = [0.0, -0.0, 5e-324, -2.5e-320, 1e200, -1e200, np.inf,
+                -np.inf, np.nan]
+    for i, value in enumerate(specials):
+        x[i] = value                              # whole row
+        x[len(specials) + i, i % d] = value       # one entry
+    x[2 * len(specials)] = specials[:d] + [0.0] * max(0, d - len(specials))
+    return x
+
+
+@pytest.mark.parametrize("d", range(1, 11))
+def test_row_norm_is_bitwise_linalg_norm(d):
+    x = _norm_inputs(d)
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        for arr in (*x[:, None, :], x, x.reshape(12, 5, d),
+                    x.reshape(5, 12, d).transpose(1, 0, 2)):
+            mine, ref = row_norm(arr), np.linalg.norm(arr, axis=-1)
+            assert type(mine) is type(ref)
+            assert np.shape(mine) == np.shape(ref)
+            assert np.asarray(mine).tobytes() == np.asarray(ref).tobytes()
+        for row in x:  # shape (d,): a scalar, as from np.linalg.norm
+            mine, ref = row_norm(row), np.linalg.norm(row, axis=-1)
+            assert type(mine) is type(ref)
+            assert np.asarray(mine).tobytes() == np.asarray(ref).tobytes()
+
+
+def test_euler_steps_and_member_calls_take_no_linalg_norm(monkeypatch):
+    # every radius and guard norm of a step and of a member call goes
+    # through row_norm; a start in the r_min ball runs the Jacobians' clamp
+    s = builtin("example21")
+    rng = np.random.default_rng(3)
+    x0 = rng.uniform(-1.5, 1.5, (16, 2))
+    x0[0] = [5e-7, 0.0]
+    dws = rng.normal(0.0, 0.1, (16, 10, 2))
+    member = mollified_family(s, eps0=0.25, n_radial=4,
+                              n_angular=8).member(0.1)
+    # a core point and one beyond the truncation sphere R = 4
+    pts = np.array([[0.3, 0.1], [5.0, -1.0]])
+    calls = []
+    norm = np.linalg.norm
+
+    def counting(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return norm(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "norm", counting)
+    drv = BatchEuler(s, x0, [1.0, 0.0], dws,
+                     IntegratorConfig(h=1e-2, T=0.1)).run()
+    assert drv.step_index == 10 and drv.clamped[0] >= 1
+    assert calls == []
+    member.fields(pts)
+    member.jacobians_stacked(pts)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

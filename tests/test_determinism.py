@@ -1,14 +1,17 @@
 """Determinism harness over every path estimator.
 
 Each caller of the driver `_map_paths` runs at every combination of worker
-count, CHUNK_PATHS and MAX_BLOCK_BYTES below, all cases first forwards and
-then backwards in one process, sharing one MollifiedFamily; each must give
-the report of the plain single-worker run, bit for bit. `ibp_residual`,
-which maps no paths, is compared at rerun level. The guard radius is small
-enough that some paths explode, so the per-path bookkeeping is joined across
-the ranges too, and `bel_gradient` starts inside example21's r_min ball, so
-the Jacobians' clamp runs on every axis. The callers are found by parsing
-estimators.py, so an estimator that maps paths cannot miss this check.
+count, CHUNK_PATHS, MAX_BLOCK_BYTES and the mollifier's _CONV_BLOCK_POINTS
+below, all cases first forwards and then backwards in one process, sharing
+one MollifiedFamily; each must give the report of the plain single-worker
+run, bit for bit. `ibp_residual`, which maps no paths, is compared at rerun
+level. The guard radius is small enough that some paths explode, so the
+per-path bookkeeping is joined across the ranges too, `bel_gradient` starts
+inside example21's r_min ball, so the Jacobians' clamp runs on every axis,
+and `family_convergence` starts on example21's truncation sphere, so a
+convolution block may hold both truncated and untruncated points. The
+callers are found by parsing estimators.py, so an estimator that maps paths
+cannot miss this check.
 """
 
 import ast
@@ -20,6 +23,7 @@ import struct
 import numpy as np
 import pytest
 
+import flowlab.approximation as approx_module
 import flowlab.estimators as est_module
 from flowlab import (
     IntegratorConfig,
@@ -45,7 +49,10 @@ EX21 = builtin("example21")
 EX21_BALL = builtin("example21", r_min=1e-3)
 # leaves the R-ball of krylov_check within a step or two and explodes later
 DRIFT = builtin("constant", d=1, drift=[6.0])
-FAMILY = mollified_family(GBM, eps0=0.3)
+# a 32-node rule; truncated at R = 4 for every eps below
+FAMILY = mollified_family(EX21, eps0=0.25, n_radial=4, n_angular=8)
+# the guard of CFG would stop family paths started on the sphere
+FAMILY_CFG = IntegratorConfig(h=0.05, T=0.25, guard_radius=10.0)
 X, V, F = [0.3, 0.0], [1.0, 0.0], PAYOFFS["sin"]
 
 CASES = {
@@ -59,7 +66,8 @@ CASES = {
     "fd_gradient": lambda w: fd_gradient(
         EX21, X, V, F, t=0.25, delta=1e-2, workers=w, **RUN),
     "family_convergence": lambda w: family_convergence(
-        FAMILY, [0.2, 0.1, 0.05], [0.9], [1.0], T=0.25, workers=w, **RUN),
+        FAMILY, [0.2, 0.1, 0.05], [3.97, 0.0], V, T=0.25, workers=w,
+        **{**RUN, "cfg": FAMILY_CFG}),
     "krylov_check": lambda w: krylov_check(
         DRIFT, [0.0], T=0.25, R=0.3, workers=w, **RUN),
     "holder_modulus": lambda w: holder_modulus(
@@ -75,8 +83,11 @@ CASES = {
 # a block cap of a few paths: 40 bytes of increments per path and noise
 # dimension at five steps
 SMALL_BLOCK = 256
+# two points of FAMILY's 32-node rule per convolution block
+SMALL_CONV_BLOCK = 64
 DRIVER_SETTINGS = list(itertools.product(
-    (1, 2, 4), (1, 7, 4096), (est_module.MAX_BLOCK_BYTES, SMALL_BLOCK)))
+    (1, 2, 4), (1, 7, 4096), (est_module.MAX_BLOCK_BYTES, SMALL_BLOCK),
+    (approx_module._CONV_BLOCK_POINTS, SMALL_CONV_BLOCK)))
 
 
 def _bits(obj):
@@ -98,16 +109,18 @@ def _bits(obj):
 
 def _cases():
     for name in CASES:
-        settings = [(1, 4096, est_module.MAX_BLOCK_BYTES)] \
+        settings = [(1, 4096, est_module.MAX_BLOCK_BYTES,
+                     approx_module._CONV_BLOCK_POINTS)] \
             if name == "ibp_residual" else DRIVER_SETTINGS
         for setting in settings:
             yield name, setting
 
 
 def _run(name, setting, monkeypatch):
-    workers, chunk, block = setting
+    workers, chunk, block, conv_block = setting
     monkeypatch.setattr(est_module, "CHUNK_PATHS", chunk)
     monkeypatch.setattr(est_module, "MAX_BLOCK_BYTES", block)
+    monkeypatch.setattr(approx_module, "_CONV_BLOCK_POINTS", conv_block)
     return _bits(CASES[name](workers))
 
 

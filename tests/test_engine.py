@@ -333,3 +333,10 @@ def test_integrator_config_validation():
         IntegratorConfig(h=0.1, T=0.05)
     with pytest.raises(ValueError):
         IntegratorConfig(h=0.1, T=1.0, guard_radius=0.0)
+
+
+@pytest.mark.parametrize("t,h,whole", [
+    (1.0, 1e-3, True), (0.1, 0.01, True), (0.9, 0.3, True), (0.25, 0.05, True),
+    (1.0, 0.3, False), (0.1, 8e-3, False), (0.25, 0.1, False)])
+def test_whole_steps_accepts_grid_horizons_only(t, h, whole):
+    assert engine.whole_steps(t, h) is whole

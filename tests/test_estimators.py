@@ -168,6 +168,15 @@ def test_bel_gradient_ou_exponential_decay():
     assert abs(rep.value - target) <= max(3.0 * rep.std_error, 0.02 * target)
 
 
+def test_bel_gradient_rejects_a_horizon_between_grid_points():
+    # the weight is divided by t, so rounding t to 3 steps of 0.3 would
+    # report the gradient at horizon 0.9 divided by 1.0
+    s = builtin("ornstein_uhlenbeck", d=1)
+    with pytest.raises(ValueError, match=r"t = 1 .* h = 0\.3"):
+        bel_gradient(s, [0.0], [1.0], PAYOFFS["identity"], t=1.0,
+                     n_paths=20, cfg=cfg(h=0.3, T=0.9))
+
+
 def test_bel_gradient_constant_payoff_centers_on_zero():
     s = builtin("ornstein_uhlenbeck", d=1)
     rep = bel_gradient(s, [0.3], [1.0], PAYOFFS["constant"], t=0.5,
