@@ -472,7 +472,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None,
                         help="override mc.master_seed")
     parser.add_argument("--workers", type=int, default=1,
-                        help="worker threads; results are independent of this")
+                        help="worker processes (at most one per usable CPU); "
+                             "results are independent of this")
     parser.add_argument("--out", default=None,
                         help="output directory (fallback: FLOWLAB_OUT)")
     args = parser.parse_args(argv)

@@ -1,8 +1,16 @@
 """Exception types shared across the package."""
 
+import copyreg
+
 
 class FlowlabError(Exception):
     """Base class for all flowlab errors."""
+
+    def __reduce__(self):
+        # rebuilt without __init__, from its args and attributes, so that a
+        # subclass whose __init__ takes more than the message survives the
+        # pickle round trip from a worker process
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class SingularPointError(FlowlabError):

@@ -8,8 +8,9 @@ Every path-batch estimator runs on one driver, `_map_paths`: it cuts the
 paths into fixed ranges of at most CHUNK_PATHS (read at call time) paths
 whose increments stay under MAX_BLOCK_BYTES, draws each range's increments
 with one `increments_block` call, maps the estimator's `run(dws)` over the
-ranges and joins, in path-index order, the `PathRecord` of the drivers
-`run` stepped and its per-path columns. Every estimate reduces with
+ranges (on forked worker processes when workers > 1) and joins, in
+path-index order, the `PathRecord` of the drivers `run` stepped and its
+per-path columns. Every estimate reduces with
 `_mean_se` over `PathRecord.kept`, the paths that did not fail, explode or
 get gated by the BEL condition number (nan with no kept path, a nan
 standard error with one), and every report carries the record's
@@ -27,18 +28,22 @@ horizon and reductions run in path-index order, so estimates and counts are
 bit-identical across reruns, worker counts and chunk sizes.
 
 perfbench/traced_cli.py traces a run by patching names, so these stay: the
-module globals `ThreadPoolExecutor` and `increments_block` (looked up at call
-time), the public functions in `__all__`, `BatchEuler.advance` as the only
-stepping entry, the `CoefficientSystem.fields` and `jacobians_stacked`
-methods, and the `BatchEuler` attributes `n`, `v`, `step_index`, `n_steps`,
-`clamped`, `exploded` and `failed`.
+module global `increments_block` (looked up at call time), the public
+functions in `__all__`, `BatchEuler.advance` as the only stepping entry, the
+`CoefficientSystem.fields` and `jacobians_stacked` methods, and the
+`BatchEuler` attributes `n`, `v`, `step_index`, `n_steps`, `clamped`,
+`exploded` and `failed`. The module global `ThreadPoolExecutor` is unused
+and kept only because the tracer subclasses it when it installs.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
+import os
+import traceback
+# unused: kept because perfbench/traced_cli.py subclasses it when it installs
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -164,9 +169,10 @@ def _map_paths(run, n_paths: int, cfg: IntegratorConfig, m: int,
     dws is the (n, n_steps, m) increment block of one range; run returns
     the PathRecord of the drivers it stepped and then per-path arrays with
     leading axis n. A range holds at most CHUNK_PATHS paths and, above one
-    path, no more than fit in MAX_BLOCK_BYTES of increments. Ranges are
-    mapped on a thread pool when workers > 1; the records and the arrays
-    are joined in path-index order.
+    path, no more than fit in MAX_BLOCK_BYTES of increments. When workers > 1
+    and there is more than one range, the ranges are mapped on
+    min(workers, ranges, usable CPUs) forked processes (`_fork_map`); the
+    records and the arrays are joined in path-index order.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be at least 1, got {n_paths!r}")
@@ -178,14 +184,90 @@ def _map_paths(run, n_paths: int, cfg: IntegratorConfig, m: int,
         return run(increments_block(master_seed, a, b - a, cfg.n_steps, cfg.h,
                                     m))
 
-    if workers > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(chunk, ranges))
+    procs = min(workers, len(ranges), len(os.sched_getaffinity(0)))
+    if procs > 1:
+        parts = _fork_map(chunk, ranges, procs)
     else:
         parts = [chunk(ab) for ab in ranges]
     records, *cols = zip(*parts)
     return (PathRecord(*map(np.concatenate, zip(*records))),
             *map(np.concatenate, cols))
+
+
+def _fork_map(fn, items: list, procs: int) -> list:
+    """[fn(item) for item in items], on procs forked processes.
+
+    Process k maps items k, k + procs, ... and sends each result back
+    pickled as soon as it has it; fn reaches it through fork, so nothing is
+    pickled on the way in. An exception in a worker is raised here, with its
+    type (the worker's traceback is a note on it), once every item before
+    its own is mapped, so it is the exception the serial map raises. A worker
+    that dies before it sends all it owes raises BrokenProcessPool at once.
+    No worker outlives the call.
+    """
+    # imported here, so that a serial run does not pay for the import
+    import multiprocessing.connection
+
+    ctx = multiprocessing.get_context("fork")
+    started, owed = [], {}  # owed: pipe -> (process, results still to come)
+    out, got, errors = [None] * len(items), [False] * len(items), {}
+    try:
+        for k in range(procs):
+            mine = range(k, len(items), procs)
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_map_in_worker,
+                               args=(fn, items, mine, send))
+            started.append(proc)
+            proc.start()
+            send.close()
+            owed[recv] = proc, len(mine)
+        while True:
+            if errors:
+                first = min(errors)
+                if all(got[:first]):
+                    raise errors[first]
+            elif all(got):
+                return out
+            for conn in multiprocessing.connection.wait(list(owed)):
+                proc, left = owed.pop(conn)
+                try:
+                    j, ok, value = conn.recv()
+                except EOFError:
+                    from concurrent.futures.process import BrokenProcessPool
+                    proc.join()
+                    raise BrokenProcessPool(
+                        f"a worker process died (exit code {proc.exitcode}) "
+                        f"with {left} of its path ranges unsent") from None
+                if ok:
+                    out[j], got[j] = value, True
+                else:
+                    errors[j] = value
+                if ok and left > 1:
+                    owed[conn] = proc, left - 1
+                else:
+                    conn.close()
+    except BaseException:
+        for proc in started:
+            proc.kill()
+        raise
+    finally:
+        for conn in owed:
+            conn.close()
+        for proc in started:
+            proc.join()
+
+
+def _map_in_worker(fn, items: list, mine: range, conn) -> None:
+    """The body of a `_fork_map` worker: send (j, True, fn(items[j])) for
+    each j in mine, or (j, False, exception) and stop."""
+    for j in mine:
+        try:
+            conn.send((j, True, fn(items[j])))
+        except BaseException as exc:
+            if hasattr(exc, "add_note"):  # Python 3.11 on
+                exc.add_note("in a worker process:\n" + traceback.format_exc())
+            conn.send((j, False, exc))
+            return
 
 
 def _mean_se(samples: np.ndarray, ok: np.ndarray) -> tuple[float, float]:

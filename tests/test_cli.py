@@ -20,7 +20,9 @@ import flowlab.estimators as est_module
 from flowlab import CheckSpec, builtin, check_assumptions
 from flowlab.cli import main, parse_config, run
 from flowlab.cli_defaults import SCHEMA
-from flowlab.errors import ConfigError
+from flowlab.errors import ConfigError, IntegrationError
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write(tmp_path, name, payload):
@@ -769,10 +771,66 @@ def test_main_entry_point(tmp_path):
     assert code == 0
 
 
+def test_worker_error_exits_alike_at_one_and_two_workers(tmp_path, capsys,
+                                                         monkeypatch):
+    draw = est_module.increments_block
+
+    def failing(master_seed, first_path, *args):
+        if first_path >= 3:  # every range but the first
+            raise IntegrationError(f"non-finite at path {first_path}",
+                                   step=1, point=[0.0])
+        return draw(master_seed, first_path, *args)
+
+    monkeypatch.setattr(est_module, "increments_block", failing)
+    monkeypatch.setattr(est_module, "CHUNK_PATHS", 3)
+    path = write(tmp_path, "c.json", minimal_config("gradient"))
+    seen = []
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        code = run("gradient", path, workers=workers, out=str(out))
+        status = [line for line in (out / "run.log").read_text().splitlines()
+                  if line.startswith("status:")]
+        seen.append((code, capsys.readouterr().err, status))
+    assert seen[0] == seen[1]
+    assert seen[0][0] == 2
+    assert seen[0][1] == "error: non-finite at path 3\n"
+
+
+_KILLED_WORKER = """
+import os, signal, sys
+import flowlab.estimators as est
+from flowlab.cli import main
+
+draw = est.increments_block
+
+def dying(master_seed, first_path, *args):
+    if first_path >= 3:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return draw(master_seed, first_path, *args)
+
+est.increments_block = dying
+est.CHUNK_PATHS = 3
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_dead_worker_exits_1_with_run_log(tmp_path):
+    path = write(tmp_path, "c.json", minimal_config("gradient"))
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-c", _KILLED_WORKER, "gradient", str(path),
+         "--workers", "2", "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert "BrokenProcessPool" in proc.stderr
+    log = (out / "run.log").read_text()
+    assert "status: failed: BrokenProcessPool" in log
+    assert not (out / "result.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # tracing
-
-ROOT = Path(__file__).resolve().parent.parent
 
 
 # 10 steps each: one example21 BEL flow, four mollified members of example21

@@ -1,7 +1,15 @@
 """Tests for the Monte Carlo estimators against closed-form oracles."""
 
+import inspect
 import math
+import multiprocessing
+import os
+import pickle
+import subprocess
+import sys
+import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +30,7 @@ from flowlab import (
     make_system,
     mollified_family,
 )
+import flowlab.errors as errors
 import flowlab.estimators as est_module
 from flowlab.estimators import (
     PAYOFFS,
@@ -451,6 +460,145 @@ def test_map_paths_bounds_the_increment_block(h, m, n_paths, sizes,
     assert len(lengths) == len(record.kept) == n_paths
     if sizes[0] > 1:
         assert max(b for _, _, b in blocks) <= est_module.MAX_BLOCK_BYTES
+
+
+# ---------------------------------------------------------------------------
+# worker processes
+
+def _range_record(dws):
+    """A run that returns each path's first noise value; increments are
+    stubbed by _stub_increments."""
+    none = np.zeros(len(dws), dtype=bool)
+    return (est_module.PathRecord(none, none, none, none.astype(int)),
+            dws[:, 0, 0].copy())
+
+
+def _stub_increments(master_seed, first_path, n, n_steps, h, m):
+    """Increments whose value is the path index."""
+    return np.broadcast_to(np.arange(first_path, first_path + n,
+                                     dtype=float)[:, None, None],
+                           (n, n_steps, m))
+
+
+@pytest.mark.parametrize("workers, n_paths, procs", [
+    (10_000, 40, 3),    # bounded by the usable CPUs
+    (10_000, 16, 2),    # bounded by the two ranges
+    (2, 40, 2),         # bounded by workers
+    (1, 40, None),      # serial
+    (10_000, 8, None),  # one range: serial
+])
+def test_map_paths_bounds_the_process_count(monkeypatch, workers, n_paths,
+                                            procs):
+    calls = []
+
+    def recording(fn, items, n):
+        calls.append(n)
+        return [fn(item) for item in items]
+
+    monkeypatch.setattr(est_module.os, "sched_getaffinity",
+                        lambda pid: {0, 1, 2})
+    monkeypatch.setattr(est_module, "_fork_map", recording)
+    monkeypatch.setattr(est_module, "increments_block", _stub_increments)
+    monkeypatch.setattr(est_module, "CHUNK_PATHS", 8)
+    record, first = est_module._map_paths(_range_record, n_paths, cfg(h=0.5),
+                                          1, master_seed=0, workers=workers)
+    assert calls == ([] if procs is None else [procs])
+    assert first.tolist() == list(range(n_paths))
+
+
+def test_fork_map_joins_in_order_and_leaves_no_worker(monkeypatch):
+    monkeypatch.setattr(est_module, "increments_block", _stub_increments)
+    monkeypatch.setattr(est_module, "CHUNK_PATHS", 3)
+    record, first = est_module._map_paths(_range_record, 20, cfg(h=0.5), 1,
+                                          master_seed=0, workers=2)
+    assert first.tolist() == list(range(20))
+    assert len(record.kept) == 20
+    assert multiprocessing.active_children() == []
+
+
+def test_fork_map_raises_the_serial_error_with_its_type(monkeypatch):
+    # ranges [0, 3), [3, 6), [6, 9), ... on two workers: the first worker
+    # fails on [6, 9) at once, the second on [3, 6) a moment later, and the
+    # serial map's error, from [3, 6), is the one raised
+    def failing(dws):
+        if dws[0, 0, 0] == 3.0:
+            time.sleep(0.3)
+            raise errors.IntegrationError(f"in {os.getpid()}", step=4,
+                                          point=np.array([1.0, 2.0]))
+        if dws[0, 0, 0] == 6.0:
+            raise ValueError("a later range")
+        return _range_record(dws)
+
+    monkeypatch.setattr(est_module, "increments_block", _stub_increments)
+    monkeypatch.setattr(est_module, "CHUNK_PATHS", 3)
+    with pytest.raises(errors.IntegrationError) as info:
+        est_module._map_paths(failing, 20, cfg(h=0.5), 1, master_seed=0,
+                              workers=2)
+    assert str(info.value) != f"in {os.getpid()}"  # raised in a worker
+    assert info.value.step == 4
+    assert info.value.point.tolist() == [1.0, 2.0]
+    assert multiprocessing.active_children() == []
+
+
+_KILLED_WORKER = """
+import multiprocessing, os, signal, time
+import flowlab.estimators as est
+from flowlab import IntegratorConfig
+
+def increments(master_seed, first_path, n, n_steps, h, m):
+    if first_path == 0:
+        time.sleep(60)  # the other worker: stopped, not waited for
+    else:
+        os.kill(os.getpid(), signal.SIGKILL)
+
+def run(dws):
+    raise AssertionError("unreachable")
+
+est.increments_block = increments
+est.CHUNK_PATHS = 4
+start = time.perf_counter()
+try:
+    est._map_paths(run, 8, IntegratorConfig(h=0.5, T=1.0), 1, 0, workers=2)
+except Exception as exc:
+    print(type(exc).__name__, time.perf_counter() - start,
+          multiprocessing.active_children() == [])
+"""
+
+
+def test_fork_map_raises_when_a_worker_dies():
+    # in a child interpreter, so that a hang fails the test at the timeout
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", _KILLED_WORKER],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    name, seconds, reaped = proc.stdout.split()
+    assert name == "BrokenProcessPool"
+    assert float(seconds) < 20.0
+    assert reaped == "True"
+
+
+def test_every_flowlab_error_survives_pickle():
+    examples = {
+        errors.FlowlabError: errors.FlowlabError("base"),
+        errors.SingularPointError: errors.SingularPointError("at 0"),
+        errors.RadiusTooSmallError: errors.RadiusTooSmallError("R < 3"),
+        errors.ParameterConstraintError: errors.ParameterConstraintError(
+            "q3 too small", constraint="q3 > 2(1 - q1)"),
+        errors.IntegrationError: errors.IntegrationError(
+            "non-finite", step=7, point=[0.5, np.inf]),
+        errors.ZeroDerivativeStateError: errors.ZeroDerivativeStateError(
+            "v = 0"),
+        errors.ConfigError: errors.ConfigError("bad key"),
+    }
+    assert set(examples) == {
+        obj for obj in vars(errors).values()
+        if inspect.isclass(obj) and issubclass(obj, errors.FlowlabError)}
+    for cls, exc in examples.items():
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is cls
+        assert str(back) == str(exc) and back.args == exc.args
+        assert vars(back) == vars(exc)
 
 
 # ---------------------------------------------------------------------------
