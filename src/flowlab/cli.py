@@ -274,8 +274,10 @@ def _cmd_moments(config, system, workers):
     report = est.derivative_moment(
         system, blk["x"], blk["v"], blk["p"], blk["t"], config.n_paths,
         config.integrator, master_seed=config.master_seed, workers=workers)
+    t0 = est.MomentWindow.for_system(system, blk["p"]).T0
     row = ("derivative_moment", blk["t"], report.value, report.std_error,
-           config.n_paths, {"p": blk["p"], **report.notes})
+           config.n_paths,
+           {"p": blk["p"], "window_exceeded": blk["t"] > t0 + 1e-12})
     return [row], {}, report.paths
 
 

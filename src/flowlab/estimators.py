@@ -8,13 +8,13 @@ Every path-batch estimator runs on one driver, `_map_paths`: it cuts the
 paths into fixed ranges of at most CHUNK_PATHS (read at call time) paths
 whose increments stay under MAX_BLOCK_BYTES, draws each range's increments
 with one `increments_block` call, maps the estimator's `run(dws)` over the
-ranges (on forked worker processes when workers > 1) and joins, in
-path-index order, the `PathRecord` of the drivers `run` stepped and its
-per-path columns. Every estimate reduces with
-`_mean_se` over `PathRecord.kept`, the paths that did not fail, explode or
-get gated by the BEL condition number (nan with no kept path, a nan
-standard error with one), and every report carries the record's
-`PathCounts`; `ibp_residual` and `krylov_check` count paths they keep.
+ranges (on a pool of forked worker processes when workers > 1) and joins,
+in path-index order, the `PathRecord` of the drivers `run` stepped and its
+per-path columns. Every estimate reduces with `_mean_se` over
+`PathRecord.kept`, the paths that did not fail, explode or get gated by the
+BEL condition number (nan with no kept path, a nan standard error with
+one), and every report carries the record's `PathCounts`; `ibp_residual`
+and `krylov_check` count paths they keep.
 
 Observers read the fields and Jacobians at the pre-step state from the
 caches the Euler step uses, `BatchEuler.fields()` and `jacobians()`, so each
@@ -41,7 +41,6 @@ from __future__ import annotations
 import math
 import numbers
 import os
-import traceback
 # unused: kept because perfbench/traced_cli.py subclasses it when it installs
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass
@@ -139,7 +138,6 @@ class EstimateReport:
 
     value: float
     std_error: float
-    notes: dict
     paths: PathCounts
 
 
@@ -170,7 +168,7 @@ def _map_paths(run, n_paths: int, cfg: IntegratorConfig, m: int,
     the PathRecord of the drivers it stepped and then per-path arrays with
     leading axis n. A range holds at most CHUNK_PATHS paths and, above one
     path, no more than fit in MAX_BLOCK_BYTES of increments. When workers > 1
-    and there is more than one range, the ranges are mapped on
+    and there is more than one range, the ranges are mapped on a pool of
     min(workers, ranges, usable CPUs) forked processes (`_fork_map`); the
     records and the arrays are joined in path-index order.
     """
@@ -195,79 +193,43 @@ def _map_paths(run, n_paths: int, cfg: IntegratorConfig, m: int,
 
 
 def _fork_map(fn, items: list, procs: int) -> list:
-    """[fn(item) for item in items], on procs forked processes.
+    """[fn(item) for item in items], on a pool of procs forked processes.
 
-    Process k maps items k, k + procs, ... and sends each result back
-    pickled as soon as it has it; fn reaches it through fork, so nothing is
-    pickled on the way in. An exception in a worker is raised here, with its
-    type (the worker's traceback is a note on it), once every item before
-    its own is mapped, so it is the exception the serial map raises. A worker
-    that dies before it sends all it owes raises BrokenProcessPool at once.
-    No worker outlives the call.
+    fn reaches the workers through fork (`_adopt` is the pool's
+    initializer), so only the items and the results are pickled. The first
+    exception in item order is raised here with its type, as the serial map
+    raises it, and the worker's traceback is its __cause__; the items not yet
+    started are cancelled. A worker that dies raises BrokenProcessPool and
+    stops the others. No worker outlives the call.
     """
     # imported here, so that a serial run does not pay for the import
-    import multiprocessing.connection
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-    ctx = multiprocessing.get_context("fork")
-    started, owed = [], {}  # owed: pipe -> (process, results still to come)
-    out, got, errors = [None] * len(items), [False] * len(items), {}
-    try:
-        for k in range(procs):
-            mine = range(k, len(items), procs)
-            recv, send = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_map_in_worker,
-                               args=(fn, items, mine, send))
-            started.append(proc)
-            proc.start()
-            send.close()
-            owed[recv] = proc, len(mine)
-        while True:
-            if errors:
-                first = min(errors)
-                if all(got[:first]):
-                    raise errors[first]
-            elif all(got):
-                return out
-            for conn in multiprocessing.connection.wait(list(owed)):
-                proc, left = owed.pop(conn)
-                try:
-                    j, ok, value = conn.recv()
-                except EOFError:
-                    from concurrent.futures.process import BrokenProcessPool
-                    proc.join()
-                    raise BrokenProcessPool(
-                        f"a worker process died (exit code {proc.exitcode}) "
-                        f"with {left} of its path ranges unsent") from None
-                if ok:
-                    out[j], got[j] = value, True
-                else:
-                    errors[j] = value
-                if ok and left > 1:
-                    owed[conn] = proc, left - 1
-                else:
-                    conn.close()
-    except BaseException:
-        for proc in started:
-            proc.kill()
-        raise
-    finally:
-        for conn in owed:
-            conn.close()
-        for proc in started:
-            proc.join()
+    with ProcessPoolExecutor(procs, multiprocessing.get_context("fork"),
+                             initializer=_adopt, initargs=(fn,)) as pool:
+        return list(pool.map(_call_adopted, items))
 
 
-def _map_in_worker(fn, items: list, mine: range, conn) -> None:
-    """The body of a `_fork_map` worker: send (j, True, fn(items[j])) for
-    each j in mine, or (j, False, exception) and stop."""
-    for j in mine:
-        try:
-            conn.send((j, True, fn(items[j])))
-        except BaseException as exc:
-            if hasattr(exc, "add_note"):  # Python 3.11 on
-                exc.add_note("in a worker process:\n" + traceback.format_exc())
-            conn.send((j, False, exc))
-            return
+_adopted = None  # in a `_fork_map` worker: the fn it maps
+
+
+def _adopt(fn) -> None:
+    global _adopted
+    _adopted = fn
+
+
+def _call_adopted(item):
+    return _adopted(item)
+
+
+def _on_grid(cfg: IntegratorConfig, t: float) -> IntegratorConfig:
+    """cfg with horizon t; raises ValueError when t is not a whole number
+    of steps cfg.h, which with_horizon would round."""
+    if not whole_steps(t, cfg.h):
+        raise ValueError(f"t = {t:g} must be a whole number of steps "
+                         f"h = {cfg.h:g}, got {t / cfg.h:.6g} steps")
+    return cfg.with_horizon(t)
 
 
 def _mean_se(samples: np.ndarray, ok: np.ndarray) -> tuple[float, float]:
@@ -289,8 +251,8 @@ def derivative_moment(system: CoefficientSystem, x, v, p: float, t: float,
                       workers: int = 1) -> EstimateReport:
     """Mean of |v_t|^p across paths.
 
-    The moment bound is only claimed for t inside the window T0(p); outside it
-    the estimate is still returned with a window_exceeded note.
+    The moment bound is only claimed for t inside the window T0(p)
+    (`MomentWindow`); outside it the estimate is still returned.
     """
     if p <= 0:
         raise ValueError(f"moment order p must be positive, got {p!r}")
@@ -302,9 +264,7 @@ def derivative_moment(system: CoefficientSystem, x, v, p: float, t: float,
 
     paths, samples = _map_paths(run, n_paths, cfg_t, system.m, master_seed,
                                 workers)
-    exceeded = t > MomentWindow.for_system(system, p).T0 + 1e-12
-    return EstimateReport(*_mean_se(samples, paths.kept),
-                          {"window_exceeded": exceeded}, paths.counts())
+    return EstimateReport(*_mean_se(samples, paths.kept), paths.counts())
 
 
 @dataclass(frozen=True)
@@ -383,10 +343,7 @@ def bel_gradient(system: CoefficientSystem, x, v, f, t: float, n_paths: int,
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    if not whole_steps(t, cfg.h):
-        raise ValueError(f"t = {t:g} must be a whole number of steps "
-                         f"h = {cfg.h:g}, got {t / cfg.h:.6g} steps")
-    cfg_t = cfg.with_horizon(t)
+    cfg_t = _on_grid(cfg, t)
 
     def run(dws):
         drv = BatchEuler(system, x, v, dws, cfg_t)
@@ -404,7 +361,7 @@ def bel_gradient(system: CoefficientSystem, x, v, f, t: float, n_paths: int,
 
     paths, samples = _map_paths(run, n_paths, cfg_t, system.m, master_seed,
                                 workers)
-    return EstimateReport(*_mean_se(samples, paths.kept), {}, paths.counts())
+    return EstimateReport(*_mean_se(samples, paths.kept), paths.counts())
 
 
 def fd_gradient(system: CoefficientSystem, x, v, f, t: float, n_paths: int,
@@ -426,7 +383,7 @@ def fd_gradient(system: CoefficientSystem, x, v, f, t: float, n_paths: int,
 
     paths, samples = _map_paths(run, n_paths, cfg_t, system.m, master_seed,
                                 workers)
-    return EstimateReport(*_mean_se(samples, paths.kept), {}, paths.counts())
+    return EstimateReport(*_mean_se(samples, paths.kept), paths.counts())
 
 
 # ---------------------------------------------------------------------------
@@ -528,13 +485,14 @@ def ibp_residual(system: CoefficientSystem, t: float, box: float, n_grid: int,
     over the uniform grid on [-box, box]^d; the report carries the mean and
     max over omega of the worst component. A start that fails or explodes in
     any draw is counted, not excluded: the grid quadrature keeps its exit.
+    t must be a whole number of steps cfg.h.
     """
     for name, value, least in (("grid size n_grid", n_grid, 2),
                                ("draw count n_omega", n_omega, 1)):
         if not (isinstance(value, numbers.Integral) and value >= least):
             raise ValueError(f"{name} must be an integer of at least "
                              f"{least}, got {value!r}")
-    cfg_t = cfg.with_horizon(t)
+    cfg_t = _on_grid(cfg, t)
     n_steps = cfg_t.n_steps
     d = system.d
     starts, spacing = box_grid(d, box, n_grid)

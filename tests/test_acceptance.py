@@ -179,10 +179,11 @@ def test_c07_integration_by_parts():
 
     s = builtin("example21")
     bump = SmoothBump(radius=0.4, d=2)
+    # t = 0.096 is a whole number of steps on every level: 12, 24 and 48
     levels = [(33, 8e-3), (65, 4e-3), (129, 2e-3)]
     residuals = []
     for n_grid, h in levels:
-        r = ibp_residual(s, t=0.1, box=0.5, n_grid=n_grid, phi=bump,
+        r = ibp_residual(s, t=0.096, box=0.5, n_grid=n_grid, phi=bump,
                          i_coord=0, n_omega=3, cfg=cfg(h), master_seed=701)
         residuals.append(r.mean_residual)
     decreasing = residuals[0] > residuals[1] > residuals[2]

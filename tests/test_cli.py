@@ -256,6 +256,22 @@ def test_run_unreliable_exit_code(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("p, t, exceeded", [
+    (2.0, 0.1, False),  # T0(2) = 1/6 on this system
+    (2.0, 0.2, True),
+    (4.0, 0.1, True),   # T0(4) = 1/12
+])
+def test_moments_row_flags_a_horizon_beyond_the_window(tmp_path, p, t,
+                                                       exceeded):
+    config = minimal_config("moments")
+    config["moments"].update(p=p, t=t)
+    path = write(tmp_path, "m.json", config)
+    out = tmp_path / "out"
+    assert run("moments", path, out=str(out)) == 0
+    flags = (out / "result.csv").read_text().splitlines()[1].split(",")[8]
+    assert ("window_exceeded" in flags.split(";")) == exceeded
+
+
 # a drift that carries every path out of the guard ball within the horizon
 STEEP_SYSTEM = {"name": "constant", "params": {"d": 1, "drift": [50]}}
 STEEP_RUNS = {
@@ -794,6 +810,29 @@ def test_worker_error_exits_alike_at_one_and_two_workers(tmp_path, capsys,
     assert seen[0] == seen[1]
     assert seen[0][0] == 2
     assert seen[0][1] == "error: non-finite at path 3\n"
+
+
+def test_unexpected_worker_error_exits_1_with_its_traceback(tmp_path,
+                                                            monkeypatch):
+    # the worker's traceback is the cause of the error the parent raises,
+    # so run.log names the function that raised in the worker
+    draw = est_module.increments_block
+
+    def draw_that_breaks(master_seed, first_path, *args):
+        if first_path >= 3:
+            raise RuntimeError("broken draw")
+        return draw(master_seed, first_path, *args)
+
+    monkeypatch.setattr(est_module.os, "sched_getaffinity",
+                        lambda pid: {0, 1})
+    monkeypatch.setattr(est_module, "increments_block", draw_that_breaks)
+    monkeypatch.setattr(est_module, "CHUNK_PATHS", 3)
+    path = write(tmp_path, "c.json", minimal_config("gradient"))
+    out = tmp_path / "out"
+    assert run("gradient", path, workers=2, out=str(out)) == 1
+    log = (out / "run.log").read_text()
+    assert "status: failed: RuntimeError: broken draw" in log
+    assert "draw_that_breaks" in log
 
 
 _KILLED_WORKER = """

@@ -7,6 +7,7 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
 import time
 import warnings
 from pathlib import Path
@@ -70,7 +71,7 @@ def test_derivative_moment_zero_jacobians_exact():
                             n_paths=500, cfg=cfg(h=1e-2))
     assert rep.value == pytest.approx(1.0, abs=1e-14)
     assert rep.std_error < 1e-14
-    assert not rep.notes["window_exceeded"]
+    assert 0.05 <= MomentWindow.for_system(s, 3.0).T0  # inside the window
 
 
 def test_derivative_moment_ou_deterministic_decay():
@@ -78,7 +79,7 @@ def test_derivative_moment_ou_deterministic_decay():
     rep = derivative_moment(s, [0.0], [1.0], p=2.0, t=1.0, n_paths=200,
                             cfg=cfg(h=1e-3))
     assert abs(rep.value - math.exp(-2.0)) < 3e-4
-    assert rep.notes["window_exceeded"]  # t = 1 > T0(2) = 1/6
+    assert 1.0 > MomentWindow.for_system(s, 2.0).T0  # T0(2) = 1/6
 
 
 def test_derivative_moment_gbm_lognormal_oracle():
@@ -359,15 +360,17 @@ def test_krylov_ratio_stable_across_starts_example21():
 # ---------------------------------------------------------------------------
 # estimator domains, for callers that do not come through a config
 
-def _ibp(n_grid=11, n_omega=1):
-    return ibp_residual(builtin("additive_noise", d=1), 0.05, 1.0, n_grid,
-                        SmoothBump(0.8, d=1), 0, n_omega, cfg(h=1e-2))
+def _ibp(n_grid=11, n_omega=1, t=0.05, h=1e-2):
+    return ibp_residual(builtin("additive_noise", d=1), t, 1.0, n_grid,
+                        SmoothBump(0.8, d=1), 0, n_omega, cfg(h=h))
 
 
 OUTSIDE_THE_DOMAIN = {
     "ibp_residual(n_grid=1)": (lambda: _ibp(n_grid=1), "n_grid"),
     "ibp_residual(n_grid=2.5)": (lambda: _ibp(n_grid=2.5), "n_grid"),
     "ibp_residual(n_omega=0)": (lambda: _ibp(n_omega=0), "n_omega"),
+    "ibp_residual(t=0.1, h=8e-3)": (lambda: _ibp(t=0.1, h=8e-3),
+                                    r"t = 0.1 .* h = 0.008"),
     "derivative_moment(p=0)": (lambda: derivative_moment(
         builtin("additive_noise", d=1), [0.0], [1.0], 0, 0.05, 8,
         cfg(h=1e-2)), "moment order p"),
@@ -538,6 +541,30 @@ def test_fork_map_raises_the_serial_error_with_its_type(monkeypatch):
     assert info.value.step == 4
     assert info.value.point.tolist() == [1.0, 2.0]
     assert multiprocessing.active_children() == []
+
+
+def test_fork_map_stops_at_the_first_error(monkeypatch, tmp_path):
+    # 40 one-path ranges of 50 ms each on two workers; range 0 raises, and
+    # the ranges not yet started are cancelled
+    def slow(dws):
+        first = int(dws[0, 0, 0])
+        (tmp_path / str(first)).touch()
+        time.sleep(0.05)
+        if first == 0:
+            raise ValueError("range 0")
+        return _range_record(dws)
+
+    monkeypatch.setattr(est_module.os, "sched_getaffinity",
+                        lambda pid: {0, 1})
+    monkeypatch.setattr(est_module, "increments_block", _stub_increments)
+    monkeypatch.setattr(est_module, "CHUNK_PATHS", 1)
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="range 0"):
+        est_module._map_paths(slow, 40, cfg(h=0.5), 1, master_seed=0,
+                              workers=2)
+    assert len(list(tmp_path.iterdir())) < 10
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads
 
 
 _KILLED_WORKER = """
