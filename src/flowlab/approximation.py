@@ -196,6 +196,14 @@ class Mollifier:
         in blocks of 32_768 and 5.9 ms in blocks of 16_384, so the knee lies
         between 32k and 64k; a member's fields plus Jacobians of 32 points
         took 11.7 ms at 16_384, 12.7 ms at 32_768 and 22.4 ms at 100_000.
+        Those timings come from a warm loop. In a process left at glibc's
+        dynamic malloc thresholds, each block's freed temporaries go back
+        to the kernel and the next block faults them in again: a 4-member
+        example21 step on 32 points faulted about 14.5k pages and took
+        70-74 ms. The CLI fixes the thresholds (`cli._keep_freed_heap`);
+        then the step faults a few dozen pages, and 16_384 stays the
+        fastest block: at best 33.7 ms over 120 steps, against 36.0 ms at
+        8_192 and 38.9 ms at 4_096 (2 vCPU).
         """
         x = np.asarray(x, dtype=float)
         flat = x.reshape(-1, x.shape[-1])

@@ -4,7 +4,8 @@ estimators, and write reproducible artifacts.
 Every run writes three files into the output directory: config.echo.json
 (the fully resolved config with its canonical hash), result.csv (fixed
 column order, shortest round-trip decimals), and run.log (status and
-elapsed seconds; the only file allowed to differ between reruns). Exit codes:
+elapsed seconds, peak memory and page faults; the only file allowed to
+differ between reruns). Exit codes:
 0 success, 1 unexpected error (run.log records it), 2 config/parameter
 validation error, 3 run completed but flagged unreliable: over 0.1% of the
 paths of a gradient, moments, converge, ibp or krylov run failed, exploded
@@ -14,9 +15,11 @@ or were gated. Rows flag nonzero excluded=, failed=, exploded=, gated=.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import os
+import resource
 import sys
 import time
 import traceback
@@ -453,18 +456,52 @@ def _atomic_write(path: Path, text: str) -> None:
 def _write_log(out_dir: Path, config: ExperimentConfig, t_start: float,
                status: str, detail: str = "") -> None:
     elapsed = time.perf_counter() - t_start
+    # this process, and its workers once reaped (zeros when none ran);
+    # ru_maxrss is in kilobytes
+    own = resource.getrusage(resource.RUSAGE_SELF)
+    workers = resource.getrusage(resource.RUSAGE_CHILDREN)
     lines = [
         f"command: {config.command}",
         f"params_hash: {config.params_hash}",
         f"master_seed: {config.master_seed}",
         f"status: {status}",
         f"elapsed_seconds: {elapsed:.3f}",
+        f"peak_rss_mb: {own.ru_maxrss * 1024 / 1e6:.2f}",
+        f"workers_peak_rss_mb: {workers.ru_maxrss * 1024 / 1e6:.2f}",
+        f"minor_page_faults: {own.ru_minflt + workers.ru_minflt}",
         f"finished_at: {time.strftime('%Y-%m-%dT%H:%M:%S')}",
     ]
     (out_dir / "run.log").write_text("\n".join(lines) + "\n" + detail)
 
 
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_freed_heap() -> None:
+    """Have glibc keep freed memory in the heap of this process.
+
+    A mollified member's Jacobians free megabytes of temporaries per
+    convolution block. Under glibc's dynamic thresholds those go back to
+    the kernel and the next block faults them in again, about 14k minor
+    faults per converge step of 4 members. With both thresholds fixed they
+    are reused; either one alone turns the dynamic adjustment off and
+    faults more. Forked workers inherit the setting. Only main() calls
+    this, since the process is then the CLI's own; a no-op without glibc's
+    mallopt.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def main(argv=None) -> int:
+    _keep_freed_heap()
     parser = argparse.ArgumentParser(
         prog="flowlab",
         description="Monte Carlo experiments on stochastic flows with "

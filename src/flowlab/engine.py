@@ -53,7 +53,9 @@ class IntegratorConfig:
 
     @property
     def n_steps(self) -> int:
-        """round(T / h); callers that divide by T check whole_steps(T, h)."""
+        """round(T / h). The CLI and every path estimator check
+        whole_steps(T, h) first (`estimators._on_grid`), so the steps they
+        integrate end at T."""
         return int(round(self.T / self.h))
 
     def with_horizon(self, t: float) -> "IntegratorConfig":

@@ -22,6 +22,11 @@ is evaluated at most once per step; the estimators that start from `v = 0`
 (`fd_gradient`, `holder_modulus`, `flow_moment_bound_check`, `krylov_check`)
 make no Jacobian call.
 
+Every path estimator takes its horizon through `_on_grid`, which raises
+ValueError, naming the argument, on a horizon that is not a whole number of
+steps h: the integrator would step to the nearest grid point and the report
+would carry the horizon it was given.
+
 Results are deterministic functions of (inputs, master_seed): paths are
 keyed by path index, range boundaries are fixed, every driver steps to the
 horizon and reductions run in path-index order, so estimates and counts are
@@ -223,11 +228,12 @@ def _call_adopted(item):
     return _adopted(item)
 
 
-def _on_grid(cfg: IntegratorConfig, t: float) -> IntegratorConfig:
-    """cfg with horizon t; raises ValueError when t is not a whole number
-    of steps cfg.h, which with_horizon would round."""
+def _on_grid(cfg: IntegratorConfig, t: float,
+             name: str = "t") -> IntegratorConfig:
+    """cfg with horizon t; raises ValueError, naming the argument, when t
+    is not a whole number of steps cfg.h, which with_horizon would round."""
     if not whole_steps(t, cfg.h):
-        raise ValueError(f"t = {t:g} must be a whole number of steps "
+        raise ValueError(f"{name} = {t:g} must be a whole number of steps "
                          f"h = {cfg.h:g}, got {t / cfg.h:.6g} steps")
     return cfg.with_horizon(t)
 
@@ -256,7 +262,7 @@ def derivative_moment(system: CoefficientSystem, x, v, p: float, t: float,
     """
     if p <= 0:
         raise ValueError(f"moment order p must be positive, got {p!r}")
-    cfg_t = cfg.with_horizon(t)
+    cfg_t = _on_grid(cfg, t)
 
     def run(dws):
         drv = BatchEuler(system, x, v, dws, cfg_t).run()
@@ -295,7 +301,7 @@ def flow_moment_bound_check(system: CoefficientSystem, x, lam: float, T: float,
     checkpoint passes when the empirical mean does not exceed the bound by
     more than three standard errors.
     """
-    cfg_t = cfg.with_horizon(T)
+    cfg_t = _on_grid(cfg, T, "T")
     n_steps = cfg_t.n_steps
     check_steps = [max(1, round((j + 1) * n_steps / n_checkpoints))
                    for j in range(n_checkpoints)]
@@ -372,7 +378,7 @@ def fd_gradient(system: CoefficientSystem, x, v, f, t: float, n_paths: int,
     consume identical increments."""
     if delta <= 0:
         raise ValueError("bump size delta must be positive")
-    cfg_t = cfg.with_horizon(t)
+    cfg_t = _on_grid(cfg, t)
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
 
@@ -414,7 +420,7 @@ def family_convergence(fam: MollifiedFamily, eps_list, x, v, T: float,
     if sorted(eps_list, reverse=True) != eps_list:
         raise ValueError("eps_list must be sorted descending")
     members = [fam.member(e) for e in eps_list]
-    cfg_t = cfg.with_horizon(T)
+    cfg_t = _on_grid(cfg, T, "T")
     n_steps = cfg_t.n_steps
     n_pairs = len(members) - 1
 
@@ -558,7 +564,7 @@ def krylov_check(system: CoefficientSystem, x, T: float, R: float,
             f_norm = (T * ball_volume(d, R)) ** (1.0 / (d + 1))
     if f_norm is None:
         raise ValueError("custom f requires its cylinder L^{d+1} norm f_norm")
-    cfg_t = cfg.with_horizon(T)
+    cfg_t = _on_grid(cfg, T, "T")
     x_arr = np.asarray(x, dtype=float)
     power = 1.0 / (d + 1)
 
@@ -616,7 +622,7 @@ def holder_modulus(system: CoefficientSystem, pairs, p: float, t: float,
     pairs so that ratio comparisons are low-noise. Every pair reduces over
     the paths that none of the pairs' flows dropped; the counts come last.
     """
-    cfg_t = cfg.with_horizon(t)
+    cfg_t = _on_grid(cfg, t)
     pairs = [(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
              for x, y in pairs]
     seps = [float(np.linalg.norm(x - y)) for x, y in pairs]
@@ -653,7 +659,7 @@ def exp_representation_gaps(system: CoefficientSystem, x, v, p: float,
     in path order, and the counts of all paths."""
     if p < 2:
         raise ValueError(f"representation check requires p >= 2, got {p!r}")
-    cfg_t = cfg.with_horizon(T)
+    cfg_t = _on_grid(cfg, T, "T")
     v0_norm = float(np.linalg.norm(v))
 
     def run(dws):

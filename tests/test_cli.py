@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -866,6 +867,71 @@ def test_dead_worker_exits_1_with_run_log(tmp_path):
     log = (out / "run.log").read_text()
     assert "status: failed: BrokenProcessPool" in log
     assert not (out / "result.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# memory
+
+def cli_run_log(tmp_path, name, config, *args):
+    """Run the CLI on config in a fresh process; run.log as a dict."""
+    path = write(tmp_path, f"{name}.json", config)
+    out = tmp_path / name
+    proc = subprocess.run(
+        [sys.executable, "-m", "flowlab.cli", config["command"], str(path),
+         "--out", str(out), *args],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = (out / "run.log").read_text().splitlines()
+    return dict(line.split(": ", 1) for line in lines)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_log_records_memory(tmp_path, workers):
+    # two ranges, so that two workers fork when two CPUs are usable
+    config = minimal_config("gradient")
+    config["mc"]["n_paths"] = 2 * est_module.CHUNK_PATHS
+    log = cli_run_log(tmp_path, "g", config, "--workers", str(workers))
+    assert float(log["peak_rss_mb"]) > 10.0
+    assert int(log["minor_page_faults"]) > 0
+    forked = workers > 1 and len(os.sched_getaffinity(0)) > 1
+    assert (float(log["workers_peak_rss_mb"]) > 0.0) == forked
+
+
+# h = 1e-2 throughout; each case's horizon is set to its step count
+FAULT_CASES = {
+    # the ex21_converge benchmark workload's members
+    "converge": ({
+        "command": "converge",
+        "system": {"name": "example21", "params": {}},
+        "integrator": {"h": 1e-2, "T": 0.1},
+        "mc": {"n_paths": 32},
+        "converge": {"eps_list": [0.2, 0.1, 0.05, 0.025], "eps0": 0.25,
+                     "x": [0.3, 0.0], "v": [1.0, 0.0]},
+    }, "T"),
+    "ibp": ({
+        "command": "ibp",
+        "system": {"name": "example21", "params": {}},
+        "integrator": {"h": 1e-2, "T": 0.1},
+        "ibp": {"n_grid": 101},
+    }, "t"),
+}
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the allocator thresholds are glibc's")
+@pytest.mark.parametrize("command", sorted(FAULT_CASES))
+def test_page_faults_do_not_grow_with_the_step_count(tmp_path, command):
+    # freed work memory stays in the heap (cli._keep_freed_heap): without
+    # it, converge faulted about 14.6k pages per step back in, and ibp 650
+    config, horizon = FAULT_CASES[command]
+    faults = {}
+    for steps in (1, 10):
+        block = {**config[command], horizon: steps * 1e-2}
+        log = cli_run_log(tmp_path, f"{command}{steps}",
+                          {**config, command: block})
+        faults[steps] = int(log["minor_page_faults"])
+    assert (faults[10] - faults[1]) / 9 < 1000, faults
 
 
 # ---------------------------------------------------------------------------

@@ -365,7 +365,32 @@ def _ibp(n_grid=11, n_omega=1, t=0.05, h=1e-2):
                         SmoothBump(0.8, d=1), 0, n_omega, cfg(h=h))
 
 
+# a horizon of 0.1 is 3.33 steps of h = 3e-2
+OFF_GRID = {"n_paths": 4, "cfg": cfg(h=3e-2)}
+ADDITIVE = builtin("additive_noise", d=1)
+
+
 OUTSIDE_THE_DOMAIN = {
+    "derivative_moment(t=0.1, h=3e-2)": (lambda: derivative_moment(
+        ADDITIVE, [0.0], [1.0], 2.0, t=0.1, **OFF_GRID),
+        r"t = 0.1 .* h = 0.03"),
+    "flow_moment_bound_check(T=0.1, h=3e-2)": (
+        lambda: flow_moment_bound_check(ADDITIVE, [0.0], 1.0, T=0.1,
+                                        **OFF_GRID), r"T = 0.1 .* h = 0.03"),
+    "fd_gradient(t=0.1, h=3e-2)": (lambda: fd_gradient(
+        ADDITIVE, [0.0], [1.0], PAYOFFS["identity"], t=0.1, delta=1e-2,
+        **OFF_GRID), r"t = 0.1 .* h = 0.03"),
+    "family_convergence(T=0.1, h=3e-2)": (lambda: family_convergence(
+        mollified_family(ADDITIVE, eps0=0.3), [0.2, 0.1], [0.0], [1.0], T=0.1,
+        **OFF_GRID), r"T = 0.1 .* h = 0.03"),
+    "krylov_check(T=0.1, h=3e-2)": (lambda: krylov_check(
+        ADDITIVE, [0.0], T=0.1, R=1.0, **OFF_GRID), r"T = 0.1 .* h = 0.03"),
+    "holder_modulus(t=0.1, h=3e-2)": (lambda: holder_modulus(
+        ADDITIVE, [([0.0], [0.5])], 2.0, t=0.1, **OFF_GRID),
+        r"t = 0.1 .* h = 0.03"),
+    "exp_representation_gaps(T=0.1, h=3e-2)": (
+        lambda: exp_representation_gaps(ADDITIVE, [0.0], [1.0], 2.0, T=0.1,
+                                        **OFF_GRID), r"T = 0.1 .* h = 0.03"),
     "ibp_residual(n_grid=1)": (lambda: _ibp(n_grid=1), "n_grid"),
     "ibp_residual(n_grid=2.5)": (lambda: _ibp(n_grid=2.5), "n_grid"),
     "ibp_residual(n_omega=0)": (lambda: _ibp(n_omega=0), "n_omega"),
