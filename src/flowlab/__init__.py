@@ -6,7 +6,14 @@ diagnostics, the truncate-then-mollify smoothing pipeline, a deterministic
 Euler-Maruyama engine for the coupled state/derivative system, and the
 estimator suite (gradient formulas, moment bounds, convergence and
 integration-by-parts checks).
+
+_import_seconds is the time the imports below took (numpy and scipy
+included, when this is their first import); the CLI's run.log records it.
 """
+
+from time import perf_counter as _perf_counter
+
+_import_start = _perf_counter()
 
 from .coefficients import (
     AssumptionConstants,
@@ -57,5 +64,7 @@ from .errors import (
     SingularPointError,
     ZeroDerivativeStateError,
 )
+
+_import_seconds = _perf_counter() - _import_start
 
 __version__ = "0.1.0"

@@ -3,9 +3,9 @@ estimators, and write reproducible artifacts.
 
 Every run writes three files into the output directory: config.echo.json
 (the fully resolved config with its canonical hash), result.csv (fixed
-column order, shortest round-trip decimals), and run.log (status and
-elapsed seconds, peak memory and page faults; the only file allowed to
-differ between reruns). Exit codes:
+column order, shortest round-trip decimals), and run.log (status,
+elapsed and import seconds, peak memory and page faults; the only file
+allowed to differ between reruns). Exit codes:
 0 success, 1 unexpected error (run.log records it), 2 config/parameter
 validation error, 3 run completed but flagged unreliable: over 0.1% of the
 paths of a gradient, moments, converge, ibp or krylov run failed, exploded
@@ -28,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _import_seconds
 from . import engine
 from . import estimators as est
 from .approximation import mollified_family
@@ -393,6 +394,9 @@ def run(command: str, config_path, seed: int | None = None,
     of a command become the flags of each of its rows, here alone.
     """
     t_start = time.perf_counter()
+    # rusage of the children reaped so far, such as those of a launcher
+    # that exec'd this interpreter: _write_log reports what the run adds
+    children_start = resource.getrusage(resource.RUSAGE_CHILDREN)
     try:
         if workers < 1:
             raise ConfigError(f"--workers must be at least 1, got {workers}")
@@ -428,14 +432,16 @@ def run(command: str, config_path, seed: int | None = None,
             for estimator, t, value, std_error, n_paths, flags in rows)
     except (FlowlabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        _write_log(out_dir, config, t_start, status=f"failed: {exc}")
+        _write_log(out_dir, config, t_start, children_start,
+                   status=f"failed: {exc}")
         return EXIT_CONFIG
     except Exception as exc:
         # last resort, so that every failure after the echo ends in run.log
         # (with the traceback) and a documented exit code
         message = f"{type(exc).__name__}: {exc}"
         print(f"error: {message}", file=sys.stderr)
-        _write_log(out_dir, config, t_start, status=f"failed: {message}",
+        _write_log(out_dir, config, t_start, children_start,
+                   status=f"failed: {message}",
                    detail=traceback.format_exc())
         return EXIT_UNEXPECTED
 
@@ -443,7 +449,7 @@ def run(command: str, config_path, seed: int | None = None,
     for name, text in extra_files.items():
         _atomic_write(out_dir / name, text)
     status = "unreliable" if "unreliable" in noted else "ok"
-    _write_log(out_dir, config, t_start, status=status)
+    _write_log(out_dir, config, t_start, children_start, status=status)
     return EXIT_UNRELIABLE if "unreliable" in noted else EXIT_OK
 
 
@@ -454,21 +460,29 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def _write_log(out_dir: Path, config: ExperimentConfig, t_start: float,
-               status: str, detail: str = "") -> None:
+               children_start: resource.struct_rusage, status: str,
+               detail: str = "") -> None:
     elapsed = time.perf_counter() - t_start
-    # this process, and its workers once reaped (zeros when none ran);
-    # ru_maxrss is in kilobytes
+    # this process, and its workers once reaped; ru_maxrss is in kilobytes.
+    # Children reaped before run() began (children_start) are left out: their
+    # faults are subtracted, and the workers' peak reads 0 when no child was
+    # reaped since. A maximum cannot be split, so when workers ran, a larger
+    # peak of such an earlier child would still be reported as theirs
     own = resource.getrusage(resource.RUSAGE_SELF)
-    workers = resource.getrusage(resource.RUSAGE_CHILDREN)
+    children = resource.getrusage(resource.RUSAGE_CHILDREN)
+    reaped = children != children_start
+    workers_kb = children.ru_maxrss if reaped else 0
+    worker_faults = children.ru_minflt - children_start.ru_minflt
     lines = [
         f"command: {config.command}",
         f"params_hash: {config.params_hash}",
         f"master_seed: {config.master_seed}",
         f"status: {status}",
         f"elapsed_seconds: {elapsed:.3f}",
+        f"import_seconds: {_import_seconds:.3f}",
         f"peak_rss_mb: {own.ru_maxrss * 1024 / 1e6:.2f}",
-        f"workers_peak_rss_mb: {workers.ru_maxrss * 1024 / 1e6:.2f}",
-        f"minor_page_faults: {own.ru_minflt + workers.ru_minflt}",
+        f"workers_peak_rss_mb: {workers_kb * 1024 / 1e6:.2f}",
+        f"minor_page_faults: {own.ru_minflt + worker_faults}",
         f"finished_at: {time.strftime('%Y-%m-%dT%H:%M:%S')}",
     ]
     (out_dir / "run.log").write_text("\n".join(lines) + "\n" + detail)

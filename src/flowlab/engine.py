@@ -15,14 +15,25 @@ paths, one path included, with coefficients frozen at the pre-step state:
 
     x+ = x + sum_k X_k(x) dW^k + X_0(x) h
     v+ = v + sum_k DX_k(x)(v) dW^k + DX_0(x)(v) h
+
+The inverse CDF is scipy's ndtri ufunc, loaded from scipy.special._ufuncs
+alone (_load_ndtri), not from the scipy.special package: the package's
+__init__ also loads its array-API layer, which pulls in numpy.f2py,
+numpy.testing, unittest and more, and about doubled the time it takes to
+import flowlab, for this one ufunc.
 """
 
 from __future__ import annotations
 
+import os
+import sys
+import types
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtri
+# by name, so that numpy.random, which numpy 2 loads on first use, loads
+# with flowlab and not in the first increments_block call
+from numpy.random import Philox
 
 from .coefficients import CoefficientSystem, row_norm
 from .errors import ZeroDerivativeStateError
@@ -33,6 +44,36 @@ __all__ = [
     "increments_block",
     "BatchEuler",
 ]
+
+
+def _load_ndtri():
+    """scipy.special.ndtri, without running scipy.special's __init__.
+
+    When scipy.special is loaded already, its ndtri is taken. Otherwise a
+    bare placeholder stands in for the package while its _ufuncs extension
+    is imported, and is removed again. A later `import scipy.special` then
+    runs the real __init__, which reuses the loaded _ufuncs, so its ndtri
+    is this object. The extensions _ufuncs itself imports (_gufuncs,
+    _special_ufuncs, ...) stay in sys.modules but are not set as
+    attributes of that later package; `from scipy.special import _gufuncs`
+    still finds them.
+    """
+    special = sys.modules.get("scipy.special")
+    if special is not None:
+        return special.ndtri
+    import scipy
+    placeholder = types.ModuleType("scipy.special")
+    placeholder.__path__ = [os.path.join(scipy.__path__[0], "special")]
+    sys.modules["scipy.special"] = placeholder
+    try:
+        from scipy.special._ufuncs import ndtri
+    finally:
+        if sys.modules.get("scipy.special") is placeholder:
+            del sys.modules["scipy.special"]
+    return ndtri
+
+
+ndtri = _load_ndtri()
 
 
 @dataclass(frozen=True)
@@ -87,7 +128,7 @@ def increments_block(master_seed: int, first_path: int, n_paths: int,
     flat = out.reshape(n_paths, n_draws)
     rows = max(1, min(n_paths, _RAW_BUFFER_BYTES // (8 * max(n_draws, 1))))
     raw = np.empty((rows, n_draws), dtype=np.uint64)
-    bitgen = np.random.Philox(key=0)
+    bitgen = Philox(key=0)
     state = {"bit_generator": "Philox",
              "state": {"counter": (0, 0, 0, 0), "key": (master_seed, 0)},
              "buffer": (0, 0, 0, 0), "buffer_pos": 4,

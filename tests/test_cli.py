@@ -872,13 +872,14 @@ def test_dead_worker_exits_1_with_run_log(tmp_path):
 # ---------------------------------------------------------------------------
 # memory
 
-def cli_run_log(tmp_path, name, config, *args):
-    """Run the CLI on config in a fresh process; run.log as a dict."""
+def cli_run_log(tmp_path, name, config, *args, launcher=()):
+    """Run the CLI on config in a fresh process, started through the
+    launcher command if one is given; run.log as a dict."""
     path = write(tmp_path, f"{name}.json", config)
     out = tmp_path / name
     proc = subprocess.run(
-        [sys.executable, "-m", "flowlab.cli", config["command"], str(path),
-         "--out", str(out), *args],
+        [*launcher, sys.executable, "-m", "flowlab.cli", config["command"],
+         str(path), "--out", str(out), *args],
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -896,6 +897,16 @@ def test_run_log_records_memory(tmp_path, workers):
     assert int(log["minor_page_faults"]) > 0
     forked = workers > 1 and len(os.sched_getaffinity(0)) > 1
     assert (float(log["workers_peak_rss_mb"]) > 0.0) == forked
+    assert 0.0 < float(log["import_seconds"]) < 5.0
+
+
+def test_run_log_leaves_out_a_launchers_children(tmp_path):
+    # a shell reaps /bin/true, then execs Python: rusage counters survive
+    # exec, so that child is counted in RUSAGE_CHILDREN from the start
+    launcher = ["sh", "-c", '/bin/true; exec "$0" "$@"']
+    log = cli_run_log(tmp_path, "g", minimal_config("gradient"),
+                      "--workers", "1", launcher=launcher)
+    assert log["workers_peak_rss_mb"] == "0.00"
 
 
 # h = 1e-2 throughout; each case's horizon is set to its step count

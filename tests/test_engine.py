@@ -1,7 +1,11 @@
 """Tests for the deterministic increment generator and the Euler integrator."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +47,40 @@ def simulate(tmp_path, system, block, integrator):
 
 # ---------------------------------------------------------------------------
 # increments
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# what importing the scipy.special package adds for one ufunc (its array-API
+# layer clones numpy, with f2py and testing): over half of `import flowlab`
+NOT_IMPORTED = ("scipy.special", "scipy._lib.array_api_compat", "numpy.f2py",
+                "numpy.testing")
+
+_IMPORT_PROBE = """
+import json, sys
+if {scipy_first}:
+    import scipy.special
+import flowlab.cli
+loaded = [name for name in {names!r} if name in sys.modules]
+import scipy.special
+import flowlab.engine
+print(json.dumps([loaded, flowlab.engine.ndtri is scipy.special.ndtri]))
+"""
+
+
+@pytest.mark.parametrize("scipy_first", [False, True])
+def test_cli_imports_only_the_ndtri_ufunc(scipy_first):
+    # a fresh interpreter: this one has imported scipy.special above
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         _IMPORT_PROBE.format(scipy_first=scipy_first, names=NOT_IMPORTED)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded, same_ndtri = json.loads(proc.stdout)
+    assert same_ndtri
+    if not scipy_first:
+        assert loaded == []
+
 
 def test_increments_deterministic():
     a = increments_block(123, 7, 1, 50, 0.01, 2)[0]
