@@ -23,7 +23,7 @@ from .coefficients import (
     ThetaBound,
     builtin,
     check_assumptions,
-    diffusion_matrix,
+    gram,
     kp_max,
     make_system,
     theta_g,

@@ -274,8 +274,9 @@ class MollifiedFamily:
     sphere, so there is no finite difference, also where the mollifier
     straddles the truncation kink.
 
-    Members are cached per eps; concurrent builders may race benignly since
-    members are pure functions of the inputs.
+    member(eps) builds its member on every call, in about half a
+    millisecond for example21; a member is a pure function of the family
+    and eps.
     """
 
     base: CoefficientSystem
@@ -283,8 +284,6 @@ class MollifiedFamily:
     eps0: float
     n_radial: int | None = None
     n_angular: int | None = None
-    _cache: dict[float, CoefficientSystem] = field(default_factory=dict,
-                                                   repr=False)
 
     def truncation_radius(self, eps: float) -> float:
         return max(eps ** (-self.lambda0), self.base.constants.R1 + 1.0)
@@ -293,11 +292,7 @@ class MollifiedFamily:
         if not 0.0 < eps < self.eps0:
             raise ValueError(
                 f"eps must lie in (0, eps0) = (0, {self.eps0:g}), got {eps:g}")
-        cached = self._cache.get(eps)
-        if cached is None:
-            cached = _build_member(self, eps)
-            self._cache[eps] = cached
-        return cached
+        return _build_member(self, eps)
 
 
 def mollified_family(base: CoefficientSystem, lambda0: float | None = None,

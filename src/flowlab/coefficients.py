@@ -28,7 +28,7 @@ __all__ = [
     "make_system",
     "builtin",
     "builtin_parameters",
-    "diffusion_matrix",
+    "gram",
     "kp_max",
     "theta_g",
     "check_assumptions",
@@ -191,20 +191,17 @@ def stack_fields(drift: np.ndarray, sigma: np.ndarray) -> np.ndarray:
 
 def make_system(name: str, d: int, m: int,
                 value_fn: Callable[[int, np.ndarray], np.ndarray],
-                jacobian_fn: Callable[[int, np.ndarray], np.ndarray] | None = None,
+                jacobian_fn: Callable[[int, np.ndarray], np.ndarray],
                 constants: AssumptionConstants | None = None,
                 params: Mapping[str, float] | None = None) -> CoefficientSystem:
     """Assemble a system from per-field callables value_fn(k, x) and
-    jacobian_fn(k, x); a missing jacobian_fn falls back to central
-    differences of all fields at once."""
+    jacobian_fn(k, x)."""
     def fields(x):
         drift = value_fn(0, x)
         return drift, np.stack([value_fn(k, x) for k in range(1, m + 1)],
                                axis=-1)
 
     def jacobians(x):
-        if jacobian_fn is None:
-            return fd_jacobian(lambda p: stack_fields(*fields(p)), x)
         return np.stack([jacobian_fn(k, x) for k in range(m + 1)], axis=-3)
 
     if constants is None:
@@ -266,14 +263,11 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # operations
 
-def diffusion_matrix(system: CoefficientSystem, x: np.ndarray) -> np.ndarray:
-    """A(x) with entries a_ij = sum_k X_ki(x) X_kj(x); symmetric PSD."""
-    sig = system.sigma(x)
-    a = np.einsum("...ik,...jk->...ij", sig, sig)
-    if not np.all(np.isfinite(a)):
-        raise SingularPointError(
-            f"{system.name}: diffusion matrix not finite at x={np.asarray(x)!r}")
-    return a
+def gram(sig: np.ndarray) -> np.ndarray:
+    """The diffusion matrix A = Sigma Sigma^T, a_ij = sum_k X_ki X_kj, of
+    sigma (..., d, m), batched; A at points x is gram(system.sigma(x)).
+    Every A in flowlab is formed here."""
+    return np.einsum("...ik,...jk->...ij", sig, sig)
 
 
 def gated_right_inverse(sig: np.ndarray, xi: np.ndarray,
@@ -281,7 +275,7 @@ def gated_right_inverse(sig: np.ndarray, xi: np.ndarray,
     """(Sigma^T A^{-1} xi, gated, smallest eigenvalue of A) for A = Sigma
     Sigma^T, batched; gated marks where A is not positive definite or
     cond(A) exceeds cond_max, and the right inverse there is meaningless."""
-    a = np.einsum("...ik,...jk->...ij", sig, sig)
+    a = gram(sig)
     lo, hi = sym_eig_range(a)
     gated = ~(lo > 0.0) | (hi > cond_max * lo)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -417,8 +411,11 @@ def check_assumptions(system: CoefficientSystem,
 
     These are grid-level checks, not proofs: pass means no violation was found
     at the sampled points, fail carries the worst violating point, and a nan
-    sample fails its condition. (c3) is skipped when every quadrature node is
-    singular, and (c4) and (c4aa) when any probe outside R1 is.
+    sample fails its condition. (c1), (c2aa) and (c2) read one field pass
+    over the probes shifted by every (c2) offset; (c1) and (c2aa) read its
+    y = 0 slice, and (c1) forms A there with gram. (c3) is skipped when every
+    quadrature node is singular, and (c4) and (c4aa) when any probe outside
+    R1 is.
     """
     c = system.constants
     d = system.d
@@ -427,15 +424,17 @@ def check_assumptions(system: CoefficientSystem,
     pts = _probe_points(spec, d)
     r = row_norm(pts)
 
-    # (c1): smallest eigenvalue of A(x) >= C1 / (1 + |x|^p1)
-    lo, _ = sym_eig_range(diffusion_matrix(system, pts))
-    reports["c1"] = _margin_report("c1", lo - c.C1 / (1.0 + r**c.p1), pts,
-                                   {"C1": c.C1, "p1": c.p1})
-
-    # one field pass for (c2aa) and (c2); the first offsets are y = 0
+    # one field pass for (c1), (c2aa) and (c2); the first offsets are y = 0
     offsets = spherical_product(np.linspace(0.0, c.delta, _DELTA_SAMPLES),
                                 1.0, d, _DELTA_SAMPLES)[0]
     drift, sigma = system.fields(pts + offsets[:, None])
+
+    # (c1): smallest eigenvalue of A(x) >= C1 / (1 + |x|^p1), read off the
+    # y = 0 slice; an inf entry of A makes inf - inf there, a nan margin
+    with np.errstate(invalid="ignore", over="ignore"):
+        lo, _ = sym_eig_range(gram(sigma[0]))
+    reports["c1"] = _margin_report("c1", lo - c.C1 / (1.0 + r**c.p1), pts,
+                                   {"C1": c.C1, "p1": c.p1})
 
     # (c2aa): |X_k(x)| <= C2 (1 + |x|^p2) for k = 0..m
     norms = row_norm(stack_fields(drift[0], sigma[0]))

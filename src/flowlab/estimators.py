@@ -59,6 +59,7 @@ from .coefficients import (
     CoefficientSystem,
     det_spd,
     gated_right_inverse,
+    gram,
     row_norm,
     theta_g,
     ThetaBound,
@@ -579,7 +580,7 @@ def krylov_check(system: CoefficientSystem, x, T: float, R: float,
             inside &= row_norm(recentered) <= R
             live = inside & active
             drift, sig = drv.fields()
-            a_mat = np.einsum("nik,njk->nij", sig, sig)
+            a_mat = gram(sig)
             det = det_spd(a_mat)
             fv = f(s * cfg_t.h, recentered)
             lhs_acc += np.where(live, fv * det**power * cfg_t.h, 0.0)

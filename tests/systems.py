@@ -90,6 +90,31 @@ def nan_ring_system(radius):
     return make_system("nan_ring", 2, 2, value, jacobian)
 
 
+def nan_sigma_system(radius=5.0):
+    """d = m = 2, X_0(x) = -x and the basis fields X_k(x) = e_k, with the
+    diffusion fields and their Jacobians nan where |x| >= radius: a
+    diffusion matrix that is not finite on the outer probes."""
+    eye = np.eye(2)
+
+    def outside(x):
+        return np.linalg.norm(x, axis=-1)[..., None] >= radius
+
+    def value(k, x):
+        x = np.asarray(x, dtype=float)
+        if k == 0:
+            return -x
+        return np.where(outside(x), np.nan, eye[k - 1])
+
+    def jacobian(k, x):
+        x = np.asarray(x, dtype=float)
+        if k == 0:
+            return np.broadcast_to(-eye, x.shape + (2,)).copy()
+        return np.where(outside(x)[..., None], np.nan,
+                        np.zeros(x.shape + (2,)))
+
+    return make_system("nan_sigma", 2, 2, value, jacobian)
+
+
 def clamp_to_sphere(x, r_min):
     """x with points inside the r_min ball pushed onto its sphere and the
     origin onto r_min e_1: the bit-level reference for the points at which

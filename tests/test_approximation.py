@@ -31,18 +31,26 @@ def abs_field_1d():
     def value(k, x):
         x = np.asarray(x, dtype=float)
         return np.abs(x) if k == 1 else np.zeros_like(x)
+
+    def jacobian(k, x):
+        x = np.asarray(x, dtype=float)
+        return (np.sign(x) if k == 1 else np.zeros_like(x))[..., None]
     constants = AssumptionConstants(p1=0.5, p2=1.0, p3=6.5, p4=3.5, p5=0.5,
                                     C1=0.5, C2=2.0, C3=2.0, R1=1.0)
-    return make_system("abs_field", 1, 1, value, None, constants)
+    return make_system("abs_field", 1, 1, value, jacobian, constants)
 
 
 def square_field_1d():
     def value(k, x):
         x = np.asarray(x, dtype=float)
         return x * x if k == 1 else np.zeros_like(x)
+
+    def jacobian(k, x):
+        x = np.asarray(x, dtype=float)
+        return (2.0 * x if k == 1 else np.zeros_like(x))[..., None]
     constants = AssumptionConstants(p1=0.5, p2=2.0, p3=6.5, p4=3.5, p5=1.0,
                                     C1=0.5, C2=2.0, C3=3.0, R1=1.0)
-    return make_system("square_field", 1, 1, value, None, constants)
+    return make_system("square_field", 1, 1, value, jacobian, constants)
 
 
 # ---------------------------------------------------------------------------
@@ -301,15 +309,14 @@ def test_family_member_constant_base_equals_base():
                                        atol=1e-10)
 
 
-def test_family_member_range_gate_and_cache():
+def test_family_member_range_gate():
     s = builtin("constant", sigma=1.0, d=1)
     fam = mollified_family(s, eps0=0.2)
     with pytest.raises(ValueError):
         fam.member(0.25)
     with pytest.raises(ValueError):
         fam.member(-0.1)
-    m1 = fam.member(0.1)
-    assert fam.member(0.1) is m1
+    assert fam.member(0.1).params["eps"] == 0.1
 
 
 def test_family_rejects_inadmissible_lambda0():

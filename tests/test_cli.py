@@ -1,10 +1,12 @@
 """Tests for config parsing, artifact writing, exit codes and determinism."""
 
 import contextlib
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import platform
 import subprocess
 import sys
@@ -17,11 +19,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flowlab
 import flowlab.estimators as est_module
-from flowlab import CheckSpec, builtin, check_assumptions
+from flowlab import CheckSpec, builtin, check_assumptions, cli
 from flowlab.cli import main, parse_config, run
 from flowlab.cli_defaults import SCHEMA
 from flowlab.errors import ConfigError, IntegrationError
+
+from systems import nan_sigma_system
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -193,6 +198,12 @@ def test_run_writes_the_row_context_on_every_row(tmp_path, command):
         assert fields[8].startswith("seed=")
 
 
+def read_rows(out):
+    """result.csv as {name: its fields}."""
+    return {line.split(",")[0]: line.split(",") for line in
+            (out / "result.csv").read_text().splitlines()[1:]}
+
+
 def test_run_check_rejects_invalid_example21(tmp_path, capsys):
     path = write(tmp_path, "c.json", {
         "command": "check",
@@ -212,8 +223,7 @@ def test_run_check_prints_the_empirical_constants(tmp_path):
     })
     out = tmp_path / "o"
     assert run("check", path, out=str(out)) == 0
-    rows = {line.split(",")[0]: line.split(",") for line in
-            (out / "result.csv").read_text().splitlines()[1:]}
+    rows = read_rows(out)
     reports = check_assumptions(builtin("example21"),
                                 CheckSpec(radius=10.0, p_list=(1, 2)))
     for name in ("c2", "c4aa"):
@@ -221,6 +231,24 @@ def test_run_check_prints_the_empirical_constants(tmp_path):
         assert math.isfinite(value)
         assert value == max(reports[name].detail["empirical_C"].values())
         assert "status=pass" in rows[f"check_{name}"][8]
+
+
+def test_run_check_fails_a_diffusion_matrix_that_is_not_finite(
+        tmp_path, monkeypatch):
+    # nan diffusion fields on the outer probes fail (c1) in its row; they
+    # do not end the run in a validation error
+    monkeypatch.setattr(cli, "builtin",
+                        lambda name, **params: nan_sigma_system())
+    path = write(tmp_path, "c.json", {
+        "command": "check",
+        "system": {"name": "ornstein_uhlenbeck", "params": {"d": 2}},
+    })
+    out = tmp_path / "o"
+    assert run("check", path, out=str(out)) == 0
+    rows = read_rows(out)
+    assert len(rows) == 6
+    assert "status=fail" in rows["check_c1"][8]
+    assert rows["check_c1"][4] == "nan"
 
 
 def test_run_simulate_zero_coefficients_constant_rows(tmp_path):
@@ -1005,18 +1033,31 @@ TRACED_CASES = {
     }, {"engine.step.calls": 10, "coefficients.fields.calls": 10,
         "coefficients.jacobians.calls": None}),
     # no steps: one Jacobian pass per (c3) quadrature level for every p,
-    # and one outside R1 for (c4) and (c4aa); fields once for (c1) on the
-    # 24 x 16 probes, and once for (c2aa) and (c2) on the probes shifted by
-    # every (c2) offset, 6 radii x 6 directions, the first of which is y = 0
+    # and one outside R1 for (c4) and (c4aa); fields once, for (c1), (c2aa)
+    # and (c2), on the 24 x 16 probes shifted by every (c2) offset, 6 radii
+    # x 6 directions, the first of which is y = 0
     "check": ({
         "command": "check",
         "system": {"name": "example21", "params": {}},
         "check": {"p_list": [1, 2]},
-    }, {"engine.step.calls": None, "coefficients.fields.calls": 2,
-        "coefficients.fields.points": 384 + 36 * 384,
+    }, {"engine.step.calls": None, "coefficients.fields.calls": 1,
+        "coefficients.fields.points": 36 * 384,
         "coefficients.jacobians.calls": 4,
         "coefficients.jacobians.points": 256 + 512 + 1024 + 384}),
 }
+
+
+def test_every_exported_name_resolves():
+    # the tracer wraps every name in estimators.__all__ by getattr, so a
+    # stale export would end a --trace 1 run before its first step
+    modules = [importlib.import_module(f"flowlab.{info.name}")
+               for info in pkgutil.iter_modules(flowlab.__path__)]
+    exporting = [module for module in modules if hasattr(module, "__all__")]
+    assert est_module in exporting
+    for module in exporting:
+        missing = [name for name in module.__all__
+                   if not hasattr(module, name)]
+        assert missing == [], module.__name__
 
 
 @pytest.mark.parametrize("case", sorted(TRACED_CASES))

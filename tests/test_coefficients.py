@@ -1,5 +1,9 @@
 """Tests for coefficient systems, spectral diagnostics and condition checks."""
 
+import ast
+import inspect
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,7 +14,7 @@ from flowlab import (
     SingularPointError,
     builtin,
     check_assumptions,
-    diffusion_matrix,
+    gram,
     kp_max,
     make_system,
     mollified_family,
@@ -35,6 +39,7 @@ from systems import (
     clamp_to_sphere,
     linear_system,
     nan_ring_system,
+    nan_sigma_system,
     scalar_drift_system,
     sqrt_field_system,
 )
@@ -104,23 +109,28 @@ def test_euler_steps_and_member_calls_take_no_linalg_norm(monkeypatch):
 # ---------------------------------------------------------------------------
 # diffusion matrix
 
-def test_diffusion_matrix_constant_scalar():
+def diffusion_matrix(s, x):
+    """A(x) = Sigma(x) Sigma(x)^T for the system s."""
+    return gram(s.sigma(np.asarray(x, dtype=float)))
+
+
+def test_gram_constant_scalar():
     s = builtin("constant", sigma=2.0, d=1)
-    a = diffusion_matrix(s, np.array([0.3]))
+    a = diffusion_matrix(s, [0.3])
     assert a.shape == (1, 1)
     assert a[0, 0] == pytest.approx(4.0, abs=0.0)
 
 
-def test_diffusion_matrix_example21_identity_at_origin():
+def test_gram_example21_identity_at_origin():
     s = builtin("example21")
     a = diffusion_matrix(s, np.zeros(2))
     np.testing.assert_allclose(a, np.eye(2), atol=1e-14)
 
 
-def test_diffusion_matrix_example21_far_field():
+def test_gram_example21_far_field():
     # q2 = 0.5, |x| = 9 is outside both bumps: X_k = |x|^{1/2} e_k, A = 9 I
     s = builtin("example21", q2=0.5)
-    a = diffusion_matrix(s, np.array([9.0, 0.0]))
+    a = diffusion_matrix(s, [9.0, 0.0])
     np.testing.assert_allclose(a, 9.0 * np.eye(2), rtol=1e-12)
     a2 = diffusion_matrix(s, 9.0 / np.sqrt(2.0) * np.ones(2))
     np.testing.assert_allclose(a2, 9.0 * np.eye(2), rtol=1e-12)
@@ -131,7 +141,7 @@ def test_diffusion_matrix_example21_far_field():
     ("ornstein_uhlenbeck", {"d": 2}),
     ("geometric_bm", {"d": 2}),
 ])
-def test_diffusion_matrix_symmetric_psd(name, params):
+def test_gram_symmetric_psd(name, params):
     s = builtin(name, **params)
     rng = np.random.default_rng(7)
     for _ in range(25):
@@ -139,6 +149,67 @@ def test_diffusion_matrix_symmetric_psd(name, params):
         a = diffusion_matrix(s, x)
         assert np.max(np.abs(a - a.T)) < 1e-14
         assert np.linalg.eigvalsh(a)[0] >= -1e-12
+
+
+# the entries a faster gram must keep: signed zeros, subnormals, the edge of
+# overflow, infinities and nan
+GRAM_SPECIALS = np.array([0.0, -0.0, 5e-324, -2.5e-310, 1e200, -1e200,
+                          np.inf, -np.inf, np.nan])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("lead", [(), (7,), (5, 3)],
+                         ids=["(d,m)", "(n,d,m)", "(n,q,d,m)"])
+def test_gram_bit_identical_to_einsum(m, lead):
+    # the contract of gram: np.einsum("...ik,...jk->...ij") bit for bit,
+    # also where a product overflows or meets inf * 0; a nan entry must
+    # stay nan, but its payload is not part of the contract
+    rng = np.random.default_rng(m)
+    for d in (1, 2, 3):
+        sig = rng.normal(size=lead + (d, m)) * 10.0 ** rng.integers(
+            -3, 3, size=lead + (d, m))
+        flat = sig.reshape(-1)
+        at = rng.choice(flat.size, size=min(flat.size, 2 * len(GRAM_SPECIALS)),
+                        replace=False)
+        flat[at] = np.resize(GRAM_SPECIALS, len(at))
+        want = np.einsum("...ik,...jk->...ij", sig, sig)
+        got = gram(sig)
+        assert got.shape == want.shape == lead + (d, d)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.int64),
+                              want[~nan].view(np.int64)), (d, m, lead)
+
+
+def _sigma_sigma_t_einsums(path):
+    """(line, subscripts) of every np.einsum(spec, a, a) in the module at
+    path whose two operands are the same expression and that sums over the
+    last index of both: a product a a^T."""
+    sites = []
+    for call in ast.walk(ast.parse(path.read_text())):
+        if not (isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)
+                and call.func.attr == "einsum" and len(call.args) == 3
+                and isinstance(call.args[0], ast.Constant)):
+            continue
+        inputs, _, out = call.args[0].value.replace("...", "").partition("->")
+        left, right = inputs.split(",")
+        if (ast.dump(call.args[1]) == ast.dump(call.args[2])
+                and left[-1] == right[-1] and left[-1] not in out):
+            sites.append((call.lineno, call.args[0].value))
+    return sites
+
+
+def test_gram_is_the_only_sigma_sigma_transpose():
+    # every A = Sigma Sigma^T is formed by coefficients.gram, so that a
+    # faster kernel there serves the checker, the BEL weight and krylov
+    src = Path(coefficients.__file__).parent
+    found = [(path.name, *site) for path in sorted(src.glob("*.py"))
+             for site in _sigma_sigma_t_einsums(path)]
+    lines, first = inspect.getsourcelines(gram)
+    assert [(name, spec) for name, _, spec in found] == [
+        ("coefficients.py", "...ik,...jk->...ij")]
+    assert first <= found[0][1] < first + len(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +273,10 @@ def test_right_inverse_matches_pseudoinverse_nondiagonal():
             return np.zeros_like(x)
         return np.broadcast_to(cols[:, k - 1], x.shape).copy()
 
-    s = make_system("skew_columns", 2, 2, value)
+    def jacobian(k, x):
+        return np.zeros(np.shape(x) + (2,))
+
+    s = make_system("skew_columns", 2, 2, value, jacobian)
     for _ in range(10):
         xi = rng.normal(size=2)
         y, gated, _ = right_inverse(s, np.zeros(2), xi)
@@ -346,6 +420,22 @@ def test_check_example21_passes_at_order_one():
         assert reports[name].passed, f"{name}: {reports[name].detail}"
 
 
+def test_check_fails_a_diffusion_matrix_that_is_not_finite():
+    # the diffusion fields are nan on the probes with |x| >= 5: (c1) reads A
+    # off the checker's one field pass and fails there with a nan margin,
+    # as (c2aa) and (c2) do, and every other report is still made
+    reports = check_assumptions(nan_sigma_system(radius=5.0))
+    assert sorted(reports) == ["c1", "c2", "c2aa", "c3", "c4", "c4aa"]
+    for name in ("c1", "c2aa", "c2"):
+        assert reports[name].status == "fail", name
+        assert np.isnan(reports[name].worst_margin), name
+    # the worst point is the first nan sample: the innermost probe ring
+    # outside |x| = 5
+    radii = np.geomspace(1e-2, 10.0, 24)
+    assert np.linalg.norm(reports["c1"].worst_point) == pytest.approx(
+        radii[radii >= 5.0][0], rel=1e-12)
+
+
 def test_check_a_nan_sample_does_not_hide_a_violation():
     # the drift 1e6 x breaks (c2aa) and (c4) at every probe; a ring of nan
     # samples on the outermost probes must fail them too, not drop the
@@ -370,7 +460,8 @@ def _reference_c1_c2(system, spec):
     dirs, _ = sphere_points(d, 16)
     pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, d)
     r = np.linalg.norm(pts, axis=-1)
-    lo, _ = sym_eig_range(diffusion_matrix(system, pts))
+    sig = system.sigma(pts)
+    lo, _ = sym_eig_range(np.einsum("...ik,...jk->...ij", sig, sig))
     c1 = _margin_report("c1", lo - c.C1 / (1.0 + r**c.p1), pts,
                         {"C1": c.C1, "p1": c.p1})
     norms = np.linalg.norm(stack_fields(*system.fields(pts)), axis=-1)
@@ -405,6 +496,7 @@ CHECKED_SYSTEMS = {
     "sqrt_field": sqrt_field_system,
     "pure_drift": scalar_drift_system,
     "nan_ring": lambda: nan_ring_system(radius=5.0),
+    "nan_sigma": nan_sigma_system,
 }
 
 
@@ -667,19 +759,14 @@ def test_make_system_adapts_per_field_callables():
     def jacobian(k, x):
         return np.cos(x @ a[k].T)[..., None] * a[k]
 
-    analytic = make_system("sines", 2, 2, value, jacobian)
-    fd = make_system("sines_fd", 2, 2, value)
+    s = make_system("sines", 2, 2, value, jacobian)
     x = rng.normal(size=(10, 2))
-    drift, sigma = fd.fields(x)
+    drift, sigma = s.fields(x)
     np.testing.assert_array_equal(drift, value(0, x))
     for k in range(3):
         if k:
             np.testing.assert_array_equal(sigma[..., k - 1], value(k, x))
-        np.testing.assert_array_equal(analytic.jacobian(k, x), jacobian(k, x))
-        np.testing.assert_array_equal(
-            fd.jacobian(k, x), fd_jacobian(lambda p: value(k, p), x))
-        np.testing.assert_allclose(fd.jacobian(k, x), jacobian(k, x),
-                                   atol=1e-9)
+        np.testing.assert_array_equal(s.jacobian(k, x), jacobian(k, x))
 
 
 def test_ornstein_uhlenbeck_fields():

@@ -213,8 +213,13 @@ def test_integrate_reports_nonfinite_coefficients(tmp_path, monkeypatch,
             return np.where(np.abs(x) > 2.0, np.nan, -x)
         return np.ones_like(x)
 
-    monkeypatch.setattr(cli, "builtin",
-                        lambda name, **params: make_system("bad", 1, 1, value))
+    def jacobian(k, x):
+        x = np.asarray(x, dtype=float)
+        return (np.where(np.abs(x) > 2.0, np.nan, -1.0) if k == 0
+                else np.zeros_like(x))[..., None]
+
+    monkeypatch.setattr(cli, "builtin", lambda name, **params: make_system(
+        "bad", 1, 1, value, jacobian))
     code, out = simulate(tmp_path, {"name": "ornstein_uhlenbeck"},
                          {"x": [3.0], "v": [0.0]}, {"h": 0.01, "T": 0.1})
     assert code == 2

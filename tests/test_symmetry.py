@@ -1,4 +1,4 @@
-"""example21 in d = 2 commutes with signed permutations, bit for bit.
+"""example21 commutes with signed permutations, in d = 2 and d = 3.
 
 example21 is radial: X_0(x) = -c0(r) x and X_k(x) = s(r) e_k. For a signed
 permutation Q, written (perm, sign) with (Qx)_i = sign_i x_{perm_i}, that
@@ -8,10 +8,20 @@ DX_k(Qx)_ij = sign_k sign_i sign_j DX_{perm_k}(x)_{perm_i perm_j}: the
 diffusion fields are permuted with their signs. So the Euler map driven by
 the noise Q dW satisfies x(Qx0) = Q x(x0) and v(Qx0, Qv0) = Q v(x0, v0).
 
-In d = 2 these hold exactly in floating point: a signed permutation only
-moves entries and flips signs, and the one reordering it causes, the sum of
-the two squares in |x|, is commutative. Entries are compared with ==, so a
-0.0 that comes out as -0.0 still matches.
+Most of these hold exactly in floating point: a signed permutation only
+moves entries and flips signs, and the one reordering it causes is the sum
+of the squares in |x| (coefficients.row_norm adds them in column order).
+Entries are compared with ==, so a 0.0 that comes out as -0.0 still
+matches. What is exact depends on that order:
+- in d = 2 every signed permutation is exact, since a + b = b + a;
+- in d = 3 the sign flips are exact, and so is the swap of axes 0 and 1,
+  since (a + b) + c = (b + a) + c; only K_p's value is not, because
+  eigvalsh reduces the permuted matrix with other roundings (up to a few
+  hundred ulp; its matrix is still compared with ==);
+- a 3-cycle gives (b + c) + a, so |x| can move in its last bit, and that
+  grows along the paths (measured: 6e-15 on x, 2e-14 on v, relative to the
+  largest entry). It is compared within 1e-12, relative to each entry plus
+  1e-12 of the largest one, a bound that still fails a wrong index.
 
 Every start lies outside the r_min ball: inside it the Jacobians are taken
 on its sphere, and at the origin at r_min e_1, a point that the swap and
@@ -20,6 +30,8 @@ step into the ball are (the projection onto the sphere commutes with Q),
 and the second parameter set has a ball large enough that some do.
 """
 
+from functools import cache
+
 import numpy as np
 import pytest
 
@@ -27,11 +39,20 @@ from flowlab import IntegratorConfig, builtin
 from flowlab.coefficients import _kp, row_norm
 from flowlab.engine import BatchEuler
 
-# (perm, sign) with (Qx)_i = sign_i x_{perm_i}
+# the tolerances of the entries and of K_p's value: 0 compares with ==
+EXACT = (0.0, 0.0)
+EXACT_BUT_EIGENVALUE = (0.0, 1e-12)
+CLOSE = (1e-12, 1e-12)
+
+# name: ((perm, sign) with (Qx)_i = sign_i x_{perm_i}, its tolerances)
 SIGNED_PERMUTATIONS = {
-    "swap": ([1, 0], [1.0, 1.0]),
-    "sign_flip": ([0, 1], [-1.0, 1.0]),
-    "rotation_90": ([1, 0], [-1.0, 1.0]),
+    "d2-swap": (([1, 0], [1.0, 1.0]), EXACT),
+    "d2-sign_flip": (([0, 1], [-1.0, 1.0]), EXACT),
+    "d2-rotation_90": (([1, 0], [-1.0, 1.0]), EXACT),
+    "d3-sign_flip": (([0, 1, 2], [-1.0, 1.0, 1.0]), EXACT),
+    "d3-sign_flip_all": (([0, 1, 2], [-1.0, -1.0, -1.0]), EXACT),
+    "d3-swap": (([1, 0, 2], [1.0, 1.0, 1.0]), EXACT_BUT_EIGENVALUE),
+    "d3-cycle": (([1, 2, 0], [1.0, 1.0, 1.0]), CLOSE),
 }
 
 # the defaults, and a set with q2 < 0 and an r_min ball that paths enter
@@ -45,8 +66,19 @@ N_PATHS, N_STEPS, H = 512, 500, 2e-3
 
 
 def signed_permutation(name):
-    perm, sign = SIGNED_PERMUTATIONS[name]
-    return np.array(perm), np.array(sign)
+    """(Q as (perm, sign), the entry tolerance, the K_p value tolerance)."""
+    (perm, sign), (tol, kp_tol) = SIGNED_PERMUTATIONS[name]
+    return (np.array(perm), np.array(sign)), tol, kp_tol
+
+
+def assert_close(got, want, tol):
+    """got == want entry for entry, or within tol of each entry plus tol of
+    the largest one."""
+    if tol == 0.0:
+        np.testing.assert_array_equal(got, want)
+    else:
+        np.testing.assert_allclose(got, want, rtol=tol,
+                                   atol=tol * np.max(np.abs(want)))
 
 
 def act(q, x):
@@ -69,81 +101,103 @@ def act_jacobians(q, jall):
     return np.concatenate([act_matrix(q, jall[:, :1]), diffusion], axis=1)
 
 
-def starts(r_min, n=N_PATHS, seed=0):
+def starts(r_min, d, n=N_PATHS, seed=0):
     """n points, a third each in the core (r < 1, outside 2 r_min), the bump
-    annulus 1 < r < 3 and the shell 3 < r < 5."""
+    annulus 1 < r < 3 and the shell 3 < r < 5, in uniform directions."""
     rng = np.random.default_rng(seed)
     lo = np.array([2.0 * r_min, 1.0, 3.0])
     hi = np.array([1.0, 3.0, 5.0])
     region = np.arange(n) % 3
     r = rng.uniform(lo[region], hi[region])
-    angle = rng.uniform(0.0, 2.0 * np.pi, n)
-    return r[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    u = rng.standard_normal((n, d))
+    return r[:, None] * u / row_norm(u)[:, None]
 
 
-@pytest.fixture(scope="module", params=sorted(PARAMS))
-def system(request):
-    return builtin("example21", d=2, **PARAMS[request.param])
+@cache
+def system(params, d):
+    return builtin("example21", d=d, **PARAMS[params])
 
 
-def test_starts_cover_the_three_regions(system):
-    r = row_norm(starts(system.r_min))
-    assert np.all(r >= 2.0 * system.r_min)
+def system_of(params, name):
+    """The system in the dimension of the signed permutation name."""
+    return system(params, len(SIGNED_PERMUTATIONS[name][0][0]))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("params", sorted(PARAMS))
+def test_starts_cover_the_three_regions(params, d):
+    r = row_norm(starts(system(params, d).r_min, d))
+    assert np.all(r >= 2.0 * system(params, d).r_min)
     for lo, hi in ((0.0, 1.0), (1.0, 3.0), (3.0, np.inf)):
         assert np.sum((r > lo) & (r < hi)) > N_PATHS // 4
 
 
 @pytest.mark.parametrize("name", sorted(SIGNED_PERMUTATIONS))
-def test_fields_and_jacobians_commute(system, name):
-    q = signed_permutation(name)
-    x = starts(system.r_min)
-    drift, sigma = system.fields(x)
-    drift_q, sigma_q = system.fields(act(q, x))
-    np.testing.assert_array_equal(drift_q, act(q, drift))
-    np.testing.assert_array_equal(sigma_q, act_matrix(q, sigma))
-    jall = system.jacobians_stacked(x)
-    np.testing.assert_array_equal(system.jacobians_stacked(act(q, x)),
-                                  act_jacobians(q, jall))
+@pytest.mark.parametrize("params", sorted(PARAMS))
+def test_fields_and_jacobians_commute(params, name):
+    s = system_of(params, name)
+    q, tol, _ = signed_permutation(name)
+    x = starts(s.r_min, s.d)
+    drift, sigma = s.fields(x)
+    drift_q, sigma_q = s.fields(act(q, x))
+    assert_close(drift_q, act(q, drift), tol)
+    assert_close(sigma_q, act_matrix(q, sigma), tol)
+    assert_close(s.jacobians_stacked(act(q, x)),
+                 act_jacobians(q, s.jacobians_stacked(x)), tol)
 
 
 @pytest.mark.parametrize("name", sorted(SIGNED_PERMUTATIONS))
 @pytest.mark.parametrize("p", [0.5, 1.0, 3.0])
-def test_kp_is_invariant(system, name, p):
-    q = signed_permutation(name)
-    x = starts(system.r_min)
-    kp, mat = _kp(system.jacobians_stacked(x), p)
-    kp_q, mat_q = _kp(system.jacobians_stacked(act(q, x)), p)
-    np.testing.assert_array_equal(mat_q, act_matrix(q, mat))
-    np.testing.assert_array_equal(kp_q, kp)
+@pytest.mark.parametrize("params", sorted(PARAMS))
+def test_kp_is_invariant(params, name, p):
+    s = system_of(params, name)
+    q, tol, kp_tol = signed_permutation(name)
+    x = starts(s.r_min, s.d)
+    kp, mat = _kp(s.jacobians_stacked(x), p)
+    kp_q, mat_q = _kp(s.jacobians_stacked(act(q, x)), p)
+    assert_close(mat_q, act_matrix(q, mat), tol)
+    assert_close(kp_q, kp, kp_tol)
 
 
-def run_euler(system, x0, v0, dws):
+def run_euler(s, x0, v0, dws):
     cfg = IntegratorConfig(h=H, T=N_STEPS * H)
-    return BatchEuler(system, x0, v0, dws, cfg).run()
+    return BatchEuler(s, x0, v0, dws, cfg).run()
 
 
-@pytest.fixture(scope="module")
-def base_run(system):
+@cache
+def base_run(params, d):
+    s = system(params, d)
     rng = np.random.default_rng(1)
-    x0 = starts(system.r_min)
-    v0 = rng.standard_normal((N_PATHS, 2))
-    dws = rng.standard_normal((N_PATHS, N_STEPS, 2)) * np.sqrt(H)
-    return x0, v0, dws, run_euler(system, x0, v0, dws)
+    x0 = starts(s.r_min, d)
+    v0 = rng.standard_normal((N_PATHS, d))
+    dws = rng.standard_normal((N_PATHS, N_STEPS, d)) * np.sqrt(H)
+    return x0, v0, dws, run_euler(s, x0, v0, dws)
 
 
-def test_wide_ball_paths_are_clamped(system, base_run):
+@pytest.fixture(scope="module", autouse=True)
+def drop_cached_runs():
+    # the cached runs hold every path's noise; free them with the module
+    yield
+    base_run.cache_clear()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("params", sorted(PARAMS))
+def test_wide_ball_paths_are_clamped(params, d):
     # the harness reaches the clamp where the ball is large enough
-    clamped = base_run[3].clamped
-    assert (clamped.sum() > 0) == (system.r_min >= 0.05)
+    clamped = base_run(params, d)[3].clamped
+    assert (clamped.sum() > 0) == (system(params, d).r_min >= 0.05)
 
 
 @pytest.mark.parametrize("name", sorted(SIGNED_PERMUTATIONS))
-def test_euler_map_commutes(system, base_run, name):
-    q = signed_permutation(name)
-    x0, v0, dws, drv = base_run
-    drv_q = run_euler(system, act(q, x0), act(q, v0), act(q, dws))
-    np.testing.assert_array_equal(drv_q.x, act(q, drv.x))
-    np.testing.assert_array_equal(drv_q.v, act(q, drv.v))
+@pytest.mark.parametrize("params", sorted(PARAMS))
+def test_euler_map_commutes(params, name):
+    s = system_of(params, name)
+    q, tol, _ = signed_permutation(name)
+    x0, v0, dws, drv = base_run(params, s.d)
+    drv_q = run_euler(s, act(q, x0), act(q, v0), act(q, dws))
+    assert_close(drv_q.x, act(q, drv.x), tol)
+    assert_close(drv_q.v, act(q, drv.v), tol)
     np.testing.assert_array_equal(drv_q.clamped, drv.clamped)
     np.testing.assert_array_equal(drv_q.exploded, drv.exploded)
     np.testing.assert_array_equal(drv_q.failed, drv.failed)
