@@ -4,8 +4,10 @@ estimators, and write reproducible artifacts.
 Every run writes three files into the output directory: config.echo.json
 (the fully resolved config with its canonical hash), result.csv (fixed
 column order, shortest round-trip decimals), and run.log (status,
-elapsed and import seconds, peak memory and page faults; the only file
-allowed to differ between reruns). Exit codes:
+elapsed and import seconds, peak memory and page faults, and the
+RuntimeWarnings the command raised, counted per distinct warning; the only
+file allowed to differ between reruns). A forked worker prints its
+warnings instead of counting them. Exit codes:
 0 success, 1 unexpected error (run.log records it), 2 config/parameter
 validation error, 3 run completed but flagged unreliable: over 0.1% of the
 paths of a gradient, moments, converge, ibp or krylov run failed, exploded
@@ -15,6 +17,7 @@ or were gated. Rows flag nonzero excluded=, failed=, exploded=, gated=.
 from __future__ import annotations
 
 import argparse
+import collections
 import ctypes
 import hashlib
 import json
@@ -23,6 +26,7 @@ import resource
 import sys
 import time
 import traceback
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,7 +52,7 @@ from .coefficients import (
     builtin_parameters,
     check_assumptions,
 )
-from .engine import BatchEuler, IntegratorConfig, whole_steps
+from .engine import BatchEuler, IntegratorConfig, grid_steps
 from .errors import (
     ConfigError,
     FlowlabError,
@@ -78,8 +82,10 @@ class ExperimentConfig:
 
     @property
     def integrator(self) -> IntegratorConfig:
+        """The integrator, with the command's own horizon as T."""
         icfg = self.resolved["integrator"]
-        return IntegratorConfig(h=icfg["h"], T=icfg["T"],
+        section, key = _HORIZONS[self.command]
+        return IntegratorConfig(h=icfg["h"], T=self.resolved[section][key],
                                 guard_radius=icfg["guard_radius"])
 
     @property
@@ -146,7 +152,7 @@ def _params_schema(name: str) -> dict:
             for key, default in builtin_parameters(name).items()}
 
 
-# the horizon each command integrates to, a whole number of steps h to 1e-9
+# the key of the horizon each command integrates to; check integrates nothing
 _HORIZONS = {"gradient": ("gradient", "t"), "moments": ("moments", "t"),
              "ibp": ("ibp", "t"), "converge": ("converge", "T"),
              "krylov": ("krylov", "T"), "simulate": ("integrator", "T")}
@@ -155,8 +161,9 @@ _HORIZONS = {"gradient": ("gradient", "t"), "moments": ("moments", "t"),
 def parse_config(path, command: str | None = None) -> ExperimentConfig:
     """Load, validate and canonicalize a JSON experiment config.
 
-    Unknown keys and values outside their domain in SCHEMA are rejected,
-    defaults (the system's parameters too) are materialized into the
+    Unknown keys, values outside their domain in SCHEMA and a horizon the
+    command integrates to off the grid of integrator.h (`grid_steps`) are
+    rejected, defaults (the system's parameters too) are materialized into the
     resolved document, and the hash is computed over the canonical (sorted,
     compact) form so key order in the file is irrelevant.
     """
@@ -217,10 +224,11 @@ def parse_config(path, command: str | None = None) -> ExperimentConfig:
     }
     if cmd in _HORIZONS:
         section, key = _HORIZONS[cmd]
-        t, h = resolved[section][key], resolved["integrator"]["h"]
-        if not whole_steps(t, h):
-            raise ConfigError(f"{section}.{key} must be a whole number of "
-                              f"steps integrator.h, got {t / h:.6g} steps")
+        try:
+            grid_steps(resolved[section][key], resolved["integrator"]["h"],
+                       f"{section}.{key}")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     return ExperimentConfig(command=cmd, resolved=resolved,
                             params_hash=_hash_config(resolved))
 
@@ -417,40 +425,49 @@ def run(command: str, config_path, seed: int | None = None,
     (out_dir / "config.echo.json").write_text(
         json.dumps(echo, indent=2, sort_keys=True) + "\n")
 
-    try:
-        _check_dimensions(config, system)
-        rows, extra_files, paths = _COMMAND_IMPL[config.command](
-            config, system, int(workers))
-        noted = {} if paths is None else {  # nonzero counts flag each row
-            key: value for key, value in vars(paths).items()
-            if value and key not in ("n_paths", "clamped")}
-        # inside the try: config.integrator checks T >= h
-        csv_text = "".join(
-            est.csv_row(estimator, system.name, config.params_hash, t,
-                        value, std_error, n_paths, config.integrator.h,
-                        {"seed": config.master_seed, **flags, **noted}) + "\n"
-            for estimator, t, value, std_error, n_paths, flags in rows)
-    except (FlowlabError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        _write_log(out_dir, config, t_start, children_start,
-                   status=f"failed: {exc}")
-        return EXIT_CONFIG
-    except Exception as exc:
-        # last resort, so that every failure after the echo ends in run.log
-        # (with the traceback) and a documented exit code
-        message = f"{type(exc).__name__}: {exc}"
-        print(f"error: {message}", file=sys.stderr)
-        _write_log(out_dir, config, t_start, children_start,
-                   status=f"failed: {message}",
-                   detail=traceback.format_exc())
-        return EXIT_UNEXPECTED
-
-    _atomic_write(out_dir / "result.csv", est.CSV_HEADER + "\n" + csv_text)
-    for name, text in extra_files.items():
-        _atomic_write(out_dir / name, text)
-    status = "unreliable" if "unreliable" in noted else "ok"
-    _write_log(out_dir, config, t_start, children_start, status=status)
-    return EXIT_UNRELIABLE if "unreliable" in noted else EXIT_OK
+    detail, tally = "", collections.Counter()
+    with warnings.catch_warnings():
+        # every RuntimeWarning is counted, unless a filter the interpreter
+        # was given (-W, PYTHONWARNINGS) matches it first
+        warnings.filterwarnings("always", category=RuntimeWarning,
+                                append=True)
+        warnings.showwarning = _counting(tally, warnings.showwarning)
+        try:
+            _check_dimensions(config, system)
+            rows, extra_files, paths = _COMMAND_IMPL[config.command](
+                config, system, int(workers))
+            noted = {} if paths is None else {  # nonzero counts flag each row
+                key: value for key, value in vars(paths).items()
+                if value and key not in ("n_paths", "clamped")}
+            h = config.resolved["integrator"]["h"]
+            csv_text = "".join(est.csv_row(
+                estimator, system.name, config.params_hash, t, value,
+                std_error, n_paths, h,
+                {"seed": config.master_seed, **flags, **noted}) + "\n"
+                for estimator, t, value, std_error, n_paths, flags in rows)
+        except (FlowlabError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            status, code = f"failed: {exc}", EXIT_CONFIG
+        except Exception as exc:
+            # last resort, so that every failure after the echo ends in
+            # run.log (with the traceback) and a documented exit code
+            message = f"{type(exc).__name__}: {exc}"
+            print(f"error: {message}", file=sys.stderr)
+            status, code = f"failed: {message}", EXIT_UNEXPECTED
+            detail = traceback.format_exc()
+        else:
+            _atomic_write(out_dir / "result.csv",
+                          est.CSV_HEADER + "\n" + csv_text)
+            for name, text in extra_files.items():
+                _atomic_write(out_dir / name, text)
+            status, code = (("unreliable", EXIT_UNRELIABLE)
+                            if "unreliable" in noted else ("ok", EXIT_OK))
+    if tally:
+        print(f"warning: {tally.total()} RuntimeWarnings ({len(tally)} "
+              f"distinct), listed in run.log", file=sys.stderr)
+    _write_log(out_dir, config, t_start, children_start, status, tally,
+               detail)
+    return code
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -459,9 +476,29 @@ def _atomic_write(path: Path, text: str) -> None:
     tmp.replace(path)
 
 
+def _counting(tally: collections.Counter, show):
+    """A warnings.showwarning that counts each RuntimeWarning in tally by
+    "file:line: message" instead of printing it, so that a warning raised
+    at every step takes no more memory than one, and shows others by show.
+    A forked worker's count is lost with the worker, so it shows the first
+    of each distinct warning instead."""
+    pid = os.getpid()
+
+    def showwarning(message, category, filename, lineno, file=None,
+                    line=None):
+        if issubclass(category, RuntimeWarning):
+            text = " ".join(str(message).split())
+            key = f"{filename}:{lineno}: {text}"
+            tally[key] += 1
+            if os.getpid() == pid or tally[key] > 1:
+                return
+        show(message, category, filename, lineno, file, line)
+    return showwarning
+
+
 def _write_log(out_dir: Path, config: ExperimentConfig, t_start: float,
                children_start: resource.struct_rusage, status: str,
-               detail: str = "") -> None:
+               warned: collections.Counter, detail: str = "") -> None:
     elapsed = time.perf_counter() - t_start
     # this process, and its workers once reaped; ru_maxrss is in kilobytes.
     # Children reaped before run() began (children_start) are left out: their
@@ -484,6 +521,8 @@ def _write_log(out_dir: Path, config: ExperimentConfig, t_start: float,
         f"workers_peak_rss_mb: {workers_kb * 1024 / 1e6:.2f}",
         f"minor_page_faults: {own.ru_minflt + worker_faults}",
         f"finished_at: {time.strftime('%Y-%m-%dT%H:%M:%S')}",
+        f"runtime_warnings: {warned.total()}",
+        *(f"runtime_warning: {where} (x{n})" for where, n in warned.items()),
     ]
     (out_dir / "run.log").write_text("\n".join(lines) + "\n" + detail)
 

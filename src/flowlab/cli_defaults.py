@@ -5,8 +5,9 @@ user must supply; every other default is materialized into the echoed
 config, and a default of None means "auto", which the key also accepts when
 given. parse_config checks each given value against its domain before
 anything is written, and that the horizon the command integrates to is a
-whole number of steps h. Only what needs the built system is checked later:
-the length of the points x and v, ibp.i < d, eps < eps0 and T >= h.
+whole number of steps h (`engine.grid_steps`); integrator.T is that horizon
+for simulate alone, and check has none. Only what needs the built system is
+checked later: the length of the points x and v, ibp.i < d and eps < eps0.
 """
 
 import math

@@ -232,8 +232,20 @@ def sym_eig_range(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         det = det_spd(a)
         disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
         return 0.5 * (tr - disc), 0.5 * (tr + disc)
-    w = np.linalg.eigvalsh(a)
+    w = _eigvalsh(a)
     return w[..., 0], w[..., -1]
+
+
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """eigvalsh of symmetric matrices (..., d, d), bit for bit on the finite
+    ones and nan for one with a non-finite entry, which LAPACK neither
+    propagates nor reports (I_3 with nan at [0, 0] gives [0, -0, 1])."""
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    if finite.all():
+        return np.linalg.eigvalsh(a)
+    w = np.full(a.shape[:-1], np.nan)
+    w[finite] = np.linalg.eigvalsh(a[finite])
+    return w
 
 
 def det_spd(a: np.ndarray) -> np.ndarray:
@@ -316,7 +328,7 @@ def _kp(jall: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
     for k in range(1, jall.shape[-3]):
         jk = jall[..., k, :, :]
         mat = mat + (2.0 * p - 1.0) * p * np.einsum("...ji,...jk->...ik", jk, jk)
-    return np.linalg.eigvalsh(mat)[..., -1], mat
+    return _eigvalsh(mat)[..., -1], mat
 
 
 def _log_energy_expression(system: CoefficientSystem, lam: float,

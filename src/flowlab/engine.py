@@ -25,10 +25,11 @@ import flowlab, for this one ufunc.
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 import types
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 # by name, so that numpy.random, which numpy 2 loads on first use, loads
@@ -40,7 +41,7 @@ from .errors import ZeroDerivativeStateError
 
 __all__ = [
     "IntegratorConfig",
-    "whole_steps",
+    "grid_steps",
     "increments_block",
     "BatchEuler",
 ]
@@ -76,9 +77,23 @@ def _load_ndtri():
 ndtri = _load_ndtri()
 
 
+def grid_steps(t: float, h: float, name: str = "t") -> int:
+    """round(t / h), the steps that end at the horizon t. ValueError, naming
+    it, unless t is at least one whole step h to 1e-9 relative: a run would
+    end at the nearest grid point and report t."""
+    steps = t / h
+    if not (0.5 <= steps < math.inf
+            and abs(steps - round(steps)) <= 1e-9 * steps):
+        raise ValueError(f"{name} = {t:g} must be a whole number of steps "
+                         f"h = {h:g}, got {steps:.6g} steps")
+    return int(round(steps))
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Step size, horizon and guards for the explicit Euler-Maruyama scheme."""
+    """Step size, horizon and guards for the explicit Euler-Maruyama scheme.
+    BatchEuler reads h and guard_radius; only n_steps reads T, and a path
+    estimator integrates to its own horizon argument instead."""
 
     h: float = 1e-3
     T: float = 1.0
@@ -94,20 +109,8 @@ class IntegratorConfig:
 
     @property
     def n_steps(self) -> int:
-        """round(T / h). The CLI and every path estimator check
-        whole_steps(T, h) first (`estimators._on_grid`), so the steps they
-        integrate end at T."""
-        return int(round(self.T / self.h))
-
-    def with_horizon(self, t: float) -> "IntegratorConfig":
-        return replace(self, T=t)
-
-
-def whole_steps(t: float, h: float) -> bool:
-    """Whether t is a whole number of steps h, to 1e-9 relative: a t
-    between two grid points would be rounded to one of them."""
-    steps = t / h
-    return abs(steps - round(steps)) <= 1e-9 * steps
+        """grid_steps(T, h, "T"): ValueError when T is off the grid."""
+        return grid_steps(self.T, self.h, "T")
 
 
 # bytes of raw Philox words held at once while a block is transformed

@@ -22,10 +22,10 @@ is evaluated at most once per step; the estimators that start from `v = 0`
 (`fd_gradient`, `holder_modulus`, `flow_moment_bound_check`, `krylov_check`)
 make no Jacobian call.
 
-Every path estimator takes its horizon through `_on_grid`, which raises
-ValueError, naming the argument, on a horizon that is not a whole number of
-steps h: the integrator would step to the nearest grid point and the report
-would carry the horizon it was given.
+Every path estimator integrates to its horizon argument, not cfg.T, in
+`engine.grid_steps` steps, which raises ValueError, naming the argument, on
+a horizon that is not a whole number of steps h: the integrator would step
+to the nearest grid point and the report would carry the horizon given.
 
 Results are deterministic functions of (inputs, master_seed): paths are
 keyed by path index, range boundaries are fixed, every driver steps to the
@@ -68,8 +68,8 @@ from .engine import (
     BatchEuler,
     IntegratorConfig,
     exp_representation_terms,
+    grid_steps,
     increments_block,
-    whole_steps,
 )
 from .quadrature import ball_volume, box_grid
 
@@ -166,13 +166,13 @@ PAYOFFS = {
 }
 
 
-def _map_paths(run, n_paths: int, cfg: IntegratorConfig, m: int,
+def _map_paths(run, n_paths: int, n_steps: int, h: float, m: int,
                master_seed: int, workers: int = 1) -> tuple:
     """Map run(dws) over fixed path ranges and join its outputs.
 
-    dws is the (n, n_steps, m) increment block of one range; run returns
-    the PathRecord of the drivers it stepped and then per-path arrays with
-    leading axis n. A range holds at most CHUNK_PATHS paths and, above one
+    dws is the (n, n_steps, m) N(0, h) increment block of one range; run
+    returns the PathRecord of the drivers it stepped and then per-path
+    arrays with leading axis n. A range holds at most CHUNK_PATHS paths and, above one
     path, no more than fit in MAX_BLOCK_BYTES of increments. When workers > 1
     and there is more than one range, the ranges are mapped on a pool of
     min(workers, ranges, usable CPUs) forked processes (`_fork_map`); the
@@ -180,13 +180,12 @@ def _map_paths(run, n_paths: int, cfg: IntegratorConfig, m: int,
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be at least 1, got {n_paths!r}")
-    size = max(1, min(CHUNK_PATHS, MAX_BLOCK_BYTES // (cfg.n_steps * m * 8)))
+    size = max(1, min(CHUNK_PATHS, MAX_BLOCK_BYTES // (n_steps * m * 8)))
     ranges = [(a, min(a + size, n_paths)) for a in range(0, n_paths, size)]
 
     def chunk(ab):
         a, b = ab
-        return run(increments_block(master_seed, a, b - a, cfg.n_steps, cfg.h,
-                                    m))
+        return run(increments_block(master_seed, a, b - a, n_steps, h, m))
 
     procs = min(workers, len(ranges), len(os.sched_getaffinity(0)))
     if procs > 1:
@@ -229,16 +228,6 @@ def _call_adopted(item):
     return _adopted(item)
 
 
-def _on_grid(cfg: IntegratorConfig, t: float,
-             name: str = "t") -> IntegratorConfig:
-    """cfg with horizon t; raises ValueError, naming the argument, when t
-    is not a whole number of steps cfg.h, which with_horizon would round."""
-    if not whole_steps(t, cfg.h):
-        raise ValueError(f"{name} = {t:g} must be a whole number of steps "
-                         f"h = {cfg.h:g}, got {t / cfg.h:.6g} steps")
-    return cfg.with_horizon(t)
-
-
 def _mean_se(samples: np.ndarray, ok: np.ndarray) -> tuple[float, float]:
     """Mean and standard error of the kept samples; the mean is nan with no
     kept path and the standard error is nan with fewer than two."""
@@ -263,14 +252,14 @@ def derivative_moment(system: CoefficientSystem, x, v, p: float, t: float,
     """
     if p <= 0:
         raise ValueError(f"moment order p must be positive, got {p!r}")
-    cfg_t = _on_grid(cfg, t)
+    n_steps = grid_steps(t, cfg.h)
 
     def run(dws):
-        drv = BatchEuler(system, x, v, dws, cfg_t).run()
+        drv = BatchEuler(system, x, v, dws, cfg).run()
         return PathRecord.of(drv), np.sum(drv.v**2, axis=-1) ** (p / 2.0)
 
-    paths, samples = _map_paths(run, n_paths, cfg_t, system.m, master_seed,
-                                workers)
+    paths, samples = _map_paths(run, n_paths, n_steps, cfg.h, system.m,
+                                master_seed, workers)
     return EstimateReport(*_mean_se(samples, paths.kept), paths.counts())
 
 
@@ -302,13 +291,12 @@ def flow_moment_bound_check(system: CoefficientSystem, x, lam: float, T: float,
     checkpoint passes when the empirical mean does not exceed the bound by
     more than three standard errors.
     """
-    cfg_t = _on_grid(cfg, T, "T")
-    n_steps = cfg_t.n_steps
+    n_steps = grid_steps(T, cfg.h, "T")
     check_steps = [max(1, round((j + 1) * n_steps / n_checkpoints))
                    for j in range(n_checkpoints)]
 
     def run(dws):
-        drv = BatchEuler(system, x, 0.0, dws, cfg_t)
+        drv = BatchEuler(system, x, 0.0, dws, cfg)
         vals = np.empty((drv.n, n_checkpoints))
         for s in range(n_steps):
             drv.advance()
@@ -318,13 +306,13 @@ def flow_moment_bound_check(system: CoefficientSystem, x, lam: float, T: float,
                     vals[:, j] = (1.0 + np.sum(drv.x**2, axis=-1)) ** lam
         return PathRecord.of(drv), vals
 
-    paths, vals = _map_paths(run, n_paths, cfg_t, system.m, master_seed,
-                             workers)
+    paths, vals = _map_paths(run, n_paths, n_steps, cfg.h, system.m,
+                             master_seed, workers)
     theta = theta_g(system, lam, box=theta_box, n_points=theta_points)
     base = (1.0 + float(np.sum(np.asarray(x, dtype=float) ** 2))) ** lam
     rows = []
     for j, cs in enumerate(check_steps):
-        t_j = cs * cfg_t.h
+        t_j = cs * cfg.h
         lhs, se = _mean_se(vals[:, j], paths.kept)
         rhs = base * math.exp(lam * theta.value * t_j)
         rows.append(BoundCheckpoint(t=t_j, lhs=lhs, std_error=se, rhs=rhs,
@@ -348,12 +336,10 @@ def bel_gradient(system: CoefficientSystem, x, v, f, t: float, n_paths: int,
     gate at any step are excluded and counted as gated. t must be a whole
     number of steps cfg.h, since the weight is divided by t.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
-    cfg_t = _on_grid(cfg, t)
+    n_steps = grid_steps(t, cfg.h)
 
     def run(dws):
-        drv = BatchEuler(system, x, v, dws, cfg_t)
+        drv = BatchEuler(system, x, v, dws, cfg)
         s_acc = np.zeros(drv.n)
         gated = np.zeros(drv.n, dtype=bool)
         for _, _, vs, dw, active in drv.steps():
@@ -366,8 +352,8 @@ def bel_gradient(system: CoefficientSystem, x, v, f, t: float, n_paths: int,
             samples = f(drv.x) * s_acc / t
         return PathRecord.of(drv, gated=gated), samples
 
-    paths, samples = _map_paths(run, n_paths, cfg_t, system.m, master_seed,
-                                workers)
+    paths, samples = _map_paths(run, n_paths, n_steps, cfg.h, system.m,
+                                master_seed, workers)
     return EstimateReport(*_mean_se(samples, paths.kept), paths.counts())
 
 
@@ -379,17 +365,17 @@ def fd_gradient(system: CoefficientSystem, x, v, f, t: float, n_paths: int,
     consume identical increments."""
     if delta <= 0:
         raise ValueError("bump size delta must be positive")
-    cfg_t = _on_grid(cfg, t)
+    n_steps = grid_steps(t, cfg.h)
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
 
     def run(dws):
-        up = BatchEuler(system, x + delta * v, 0.0, dws, cfg_t).run()
-        dn = BatchEuler(system, x - delta * v, 0.0, dws, cfg_t).run()
+        up = BatchEuler(system, x + delta * v, 0.0, dws, cfg).run()
+        dn = BatchEuler(system, x - delta * v, 0.0, dws, cfg).run()
         return PathRecord.of(up, dn), (f(up.x) - f(dn.x)) / (2.0 * delta)
 
-    paths, samples = _map_paths(run, n_paths, cfg_t, system.m, master_seed,
-                                workers)
+    paths, samples = _map_paths(run, n_paths, n_steps, cfg.h, system.m,
+                                master_seed, workers)
     return EstimateReport(*_mean_se(samples, paths.kept), paths.counts())
 
 
@@ -421,12 +407,11 @@ def family_convergence(fam: MollifiedFamily, eps_list, x, v, T: float,
     if sorted(eps_list, reverse=True) != eps_list:
         raise ValueError("eps_list must be sorted descending")
     members = [fam.member(e) for e in eps_list]
-    cfg_t = _on_grid(cfg, T, "T")
-    n_steps = cfg_t.n_steps
+    n_steps = grid_steps(T, cfg.h, "T")
     n_pairs = len(members) - 1
 
     def run(dws):
-        drivers = [BatchEuler(mem, x, v, dws, cfg_t) for mem in members]
+        drivers = [BatchEuler(mem, x, v, dws, cfg) for mem in members]
         sup_f = np.zeros((len(dws), n_pairs))
         sup_v = np.zeros((len(dws), n_pairs))
         for _ in range(n_steps):
@@ -439,8 +424,8 @@ def family_convergence(fam: MollifiedFamily, eps_list, x, v, T: float,
                 sup_v[:, j] = np.maximum(sup_v[:, j], gap_v)
         return PathRecord.of(*drivers), sup_f, sup_v
 
-    paths, sup_f, sup_v = _map_paths(run, n_paths, cfg_t, fam.base.m,
-                                     master_seed, workers)
+    paths, sup_f, sup_v = _map_paths(run, n_paths, n_steps, cfg.h,
+                                     fam.base.m, master_seed, workers)
     ok = paths.kept
     return [ConvergenceRow(eps_list[j], eps_list[j + 1],
                            *_mean_se(sup_f[:, j], ok),
@@ -499,8 +484,7 @@ def ibp_residual(system: CoefficientSystem, t: float, box: float, n_grid: int,
         if not (isinstance(value, numbers.Integral) and value >= least):
             raise ValueError(f"{name} must be an integer of at least "
                              f"{least}, got {value!r}")
-    cfg_t = _on_grid(cfg, t)
-    n_steps = cfg_t.n_steps
+    n_steps = grid_steps(t, cfg.h)
     d = system.d
     starts, spacing = box_grid(d, box, n_grid)
     weight = spacing**d
@@ -510,9 +494,9 @@ def ibp_residual(system: CoefficientSystem, t: float, box: float, n_grid: int,
     e_i[i_coord] = 1.0
     residuals, drivers = [], []
     for omega in range(n_omega):
-        dws = increments_block(master_seed, omega, 1, n_steps, cfg_t.h,
+        dws = increments_block(master_seed, omega, 1, n_steps, cfg.h,
                                system.m)
-        drv = BatchEuler(system, starts, e_i, dws, cfg_t).run()
+        drv = BatchEuler(system, starts, e_i, dws, cfg).run()
         drivers.append(drv)
         worst = 0.0
         for j in range(d):
@@ -565,12 +549,12 @@ def krylov_check(system: CoefficientSystem, x, T: float, R: float,
             f_norm = (T * ball_volume(d, R)) ** (1.0 / (d + 1))
     if f_norm is None:
         raise ValueError("custom f requires its cylinder L^{d+1} norm f_norm")
-    cfg_t = _on_grid(cfg, T, "T")
+    n_steps = grid_steps(T, cfg.h, "T")
     x_arr = np.asarray(x, dtype=float)
     power = 1.0 / (d + 1)
 
     def run(dws):
-        drv = BatchEuler(system, x_arr, 0.0, dws, cfg_t)
+        drv = BatchEuler(system, x_arr, 0.0, dws, cfg)
         lhs_acc = np.zeros(drv.n)
         a_acc = np.zeros(drv.n)
         b_acc = np.zeros(drv.n)
@@ -582,15 +566,15 @@ def krylov_check(system: CoefficientSystem, x, T: float, R: float,
             drift, sig = drv.fields()
             a_mat = gram(sig)
             det = det_spd(a_mat)
-            fv = f(s * cfg_t.h, recentered)
-            lhs_acc += np.where(live, fv * det**power * cfg_t.h, 0.0)
+            fv = f(s * cfg.h, recentered)
+            lhs_acc += np.where(live, fv * det**power * cfg.h, 0.0)
             a_acc += np.where(live,
-                              np.trace(a_mat, axis1=-2, axis2=-1) * cfg_t.h, 0.0)
-            b_acc += np.where(live, row_norm(drift) * cfg_t.h, 0.0)
+                              np.trace(a_mat, axis1=-2, axis2=-1) * cfg.h, 0.0)
+            b_acc += np.where(live, row_norm(drift) * cfg.h, 0.0)
         return PathRecord.of(drv), lhs_acc, a_acc, b_acc
 
-    paths, lhs_all, a_all, b_all = _map_paths(run, n_paths, cfg_t, system.m,
-                                              master_seed, workers)
+    paths, lhs_all, a_all, b_all = _map_paths(run, n_paths, n_steps, cfg.h,
+                                              system.m, master_seed, workers)
     ok = ~paths.failed
     lhs, lhs_se = _mean_se(lhs_all, ok)
     a_hat = _mean_se(a_all, ok)[0]
@@ -623,7 +607,7 @@ def holder_modulus(system: CoefficientSystem, pairs, p: float, t: float,
     pairs so that ratio comparisons are low-noise. Every pair reduces over
     the paths that none of the pairs' flows dropped; the counts come last.
     """
-    cfg_t = _on_grid(cfg, t)
+    n_steps = grid_steps(t, cfg.h)
     pairs = [(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
              for x, y in pairs]
     seps = [float(np.linalg.norm(x - y)) for x, y in pairs]
@@ -633,14 +617,14 @@ def holder_modulus(system: CoefficientSystem, pairs, p: float, t: float,
     def run(dws):
         gaps, drivers = [], []
         for x, y in pairs:
-            fx = BatchEuler(system, x, 0.0, dws, cfg_t).run()
-            fy = BatchEuler(system, y, 0.0, dws, cfg_t).run()
+            fx = BatchEuler(system, x, 0.0, dws, cfg).run()
+            fy = BatchEuler(system, y, 0.0, dws, cfg).run()
             gaps.append(row_norm(fx.x - fy.x) ** p)
             drivers += [fx, fy]
         return PathRecord.of(*drivers), np.stack(gaps, axis=-1)
 
-    paths, gaps = _map_paths(run, n_paths, cfg_t, system.m, master_seed,
-                             workers)
+    paths, gaps = _map_paths(run, n_paths, n_steps, cfg.h, system.m,
+                             master_seed, workers)
     rows = [HolderRow(tuple(map(float, x)), tuple(map(float, y)),
                       *_mean_se(gaps[:, j] / sep**p, paths.kept))
             for j, ((x, y), sep) in enumerate(zip(pairs, seps))]
@@ -660,17 +644,17 @@ def exp_representation_gaps(system: CoefficientSystem, x, v, p: float,
     in path order, and the counts of all paths."""
     if p < 2:
         raise ValueError(f"representation check requires p >= 2, got {p!r}")
-    cfg_t = _on_grid(cfg, T, "T")
+    n_steps = grid_steps(T, cfg.h, "T")
     v0_norm = float(np.linalg.norm(v))
 
     def run(dws):
-        drv = BatchEuler(system, x, v, dws, cfg_t)
+        drv = BatchEuler(system, x, v, dws, cfg)
         m_acc = np.zeros(drv.n)
         q_acc = np.zeros(drv.n)
         a_acc = np.zeros(drv.n)
         for _, _, vs, dw, _ in drv.steps():
             dm, dq, da = exp_representation_terms(drv.jacobians(), vs, dw,
-                                                  cfg_t.h, p)
+                                                  cfg.h, p)
             m_acc += dm
             q_acc += dq
             a_acc += da
@@ -680,8 +664,8 @@ def exp_representation_gaps(system: CoefficientSystem, x, v, p: float,
             rel = np.abs(direct - recon) / np.abs(direct)
         return PathRecord.of(drv), rel
 
-    paths, rel = _map_paths(run, n_paths, cfg_t, system.m, master_seed,
-                            workers)
+    paths, rel = _map_paths(run, n_paths, n_steps, cfg.h, system.m,
+                            master_seed, workers)
     return rel[paths.kept], paths.counts()
 
 

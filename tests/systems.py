@@ -90,11 +90,11 @@ def nan_ring_system(radius):
     return make_system("nan_ring", 2, 2, value, jacobian)
 
 
-def nan_sigma_system(radius=5.0):
-    """d = m = 2, X_0(x) = -x and the basis fields X_k(x) = e_k, with the
+def nan_sigma_system(radius=5.0, d=2):
+    """d = m, X_0(x) = -x and the basis fields X_k(x) = e_k, with the
     diffusion fields and their Jacobians nan where |x| >= radius: a
     diffusion matrix that is not finite on the outer probes."""
-    eye = np.eye(2)
+    eye = np.eye(d)
 
     def outside(x):
         return np.linalg.norm(x, axis=-1)[..., None] >= radius
@@ -108,11 +108,11 @@ def nan_sigma_system(radius=5.0):
     def jacobian(k, x):
         x = np.asarray(x, dtype=float)
         if k == 0:
-            return np.broadcast_to(-eye, x.shape + (2,)).copy()
+            return np.broadcast_to(-eye, x.shape + (d,)).copy()
         return np.where(outside(x)[..., None], np.nan,
-                        np.zeros(x.shape + (2,)))
+                        np.zeros(x.shape + (d,)))
 
-    return make_system("nan_sigma", 2, 2, value, jacobian)
+    return make_system("nan_sigma", d, d, value, jacobian)
 
 
 def clamp_to_sphere(x, r_min):

@@ -1,0 +1,114 @@
+"""Table of the library's argument checks: each call must raise its
+exception type with a message that names the problem."""
+
+import math
+
+import numpy as np
+import pytest
+
+from flowlab import (
+    AssumptionConstants,
+    IntegratorConfig,
+    builtin,
+    fd_gradient,
+    holder_modulus,
+    kp_max,
+    krylov_check,
+    lp_distance,
+    mollifier,
+    select_lambda0,
+    theta_g,
+)
+from flowlab.errors import ParameterConstraintError
+from flowlab.estimators import PAYOFFS
+from flowlab.quadrature import annulus_rule, sphere_points, unit_ball_rule
+
+CFG = IntegratorConfig(h=0.05, T=0.25)
+GOOD = dict(p1=0.5, p2=1.0, p3=8.0, p4=4.0, p5=0.5, C1=1.0, C2=2.0, C3=2.0,
+            R1=1.0)
+
+
+def constants(**changed):
+    return AssumptionConstants(**{**GOOD, **changed})
+
+
+def ou(**params):
+    return builtin("ornstein_uhlenbeck", **params)
+
+
+CHECKS = {
+    "constants_p1": (lambda: constants(p1=0.0).validate(2), ValueError,
+                     "constant p1 must be strictly positive"),
+    "constants_delta": (lambda: constants(delta=1.5).validate(2), ValueError,
+                        "delta must lie in (0, 1]"),
+    "constants_p3": (lambda: constants(p3=6.0).validate(2), ValueError,
+                     "p3 must exceed 2(d+1) = 6"),
+    "constants_p4": (lambda: constants(p4=3.0).validate(2), ValueError,
+                     "p4 must exceed d+1 = 3"),
+    "example21_q1": (lambda: builtin("example21", q1=1.0),
+                     ParameterConstraintError, "q1 < 1"),
+    "example21_q3_lower": (lambda: builtin("example21", q1=0.8, q3=0.3),
+                           ParameterConstraintError, "q3 > 2(1-q1) = 0.4"),
+    "example21_q4": (lambda: builtin("example21", q4=-0.5),
+                     ParameterConstraintError, "q3 > 0 and q4 > 0"),
+    "ou_theta": (lambda: ou(theta=0.0), ParameterConstraintError,
+                 "theta > 0 and sigma > 0"),
+    "ou_sigma": (lambda: ou(sigma=-1.0), ParameterConstraintError,
+                 "theta > 0 and sigma > 0"),
+    "gbm_sigma": (lambda: builtin("geometric_bm", sigma=0.0),
+                  ParameterConstraintError, "geometric_bm requires sigma > 0"),
+    "value_k": (lambda: ou().value(2, np.zeros(1)), IndexError,
+                "field index 2 outside 0..1"),
+    "jacobian_k": (lambda: ou().jacobian(-1, np.zeros(1)), IndexError,
+                   "field index -1 outside 0..1"),
+    "kp_max_p": (lambda: kp_max(ou(), np.zeros(1), 0.0), ValueError,
+                 "order p must be positive"),
+    "theta_g_lambda": (lambda: theta_g(ou(), -1.0), ValueError,
+                       "lambda must be positive"),
+    "fd_gradient_delta": (
+        lambda: fd_gradient(ou(), [0.0], [1.0], PAYOFFS["identity"], 0.25, 4,
+                            0.0, CFG),
+        ValueError, "bump size delta must be positive"),
+    "krylov_f_norm": (
+        lambda: krylov_check(ou(), [0.0], 0.25, 1.0, 4, CFG,
+                             f=lambda ts, xs: np.ones(xs.shape[:-1])),
+        ValueError, "custom f requires its cylinder L^{d+1} norm f_norm"),
+    "holder_equal_points": (
+        lambda: holder_modulus(ou(), [([0.5], [0.5])], 2.0, 0.25, 4, CFG),
+        ValueError, "pair points must be distinct"),
+    "mollifier_eps": (lambda: mollifier(2, 0.0), ValueError,
+                      "mollifier radius eps must be positive"),
+    "select_lambda0_p3": (lambda: select_lambda0(constants(p3=2.0), 2),
+                          ValueError, "p3 must exceed d"),
+    "lp_distance_mode": (lambda: lp_distance(ou(), ou(), 0, 1.0, 2.0,
+                                             mode="gradients"),
+                         ValueError, "mode must be 'values' or 'jacobians'"),
+    "sphere_d4": (lambda: sphere_points(4, 8), ValueError,
+                  "sphere rules implemented for d <= 3, got d=4"),
+    "ball_d4": (lambda: unit_ball_rule(4), ValueError,
+                "ball rules implemented for d <= 3, got d=4"),
+    "annulus_empty": (lambda: annulus_rule(2, 1.0, 1.0, 4, 8), ValueError,
+                      "need 0 <= r_inner < r_outer"),
+    "annulus_negative": (lambda: annulus_rule(2, -0.5, 1.0, 4, 8), ValueError,
+                         "need 0 <= r_inner < r_outer"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHECKS))
+def test_argument_check_raises_its_type_and_names_the_problem(case):
+    call, kind, fragment = CHECKS[case]
+    with pytest.raises(kind) as info:
+        call()
+    assert type(info.value) is kind
+    assert fragment in str(info.value)
+
+
+def test_krylov_check_d3_reads_det_from_the_general_branch():
+    # A = sigma^2 I_3, so det(A)^{1/4} = sigma^{3/2} at every step; f = 1
+    # and R = 100 keep every step of every path, and lhs = T sigma^{3/2}
+    T, sigma = 0.25, 2.0
+    rep = krylov_check(builtin("constant", sigma=sigma, d=3), np.zeros(3), T,
+                       100.0, 4, CFG)
+    assert rep.lhs == pytest.approx(T * sigma**1.5, rel=1e-12)
+    assert rep.lhs_std_error == pytest.approx(0.0, abs=1e-12)
+    assert math.isfinite(rep.ratio)

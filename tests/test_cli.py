@@ -251,6 +251,86 @@ def test_run_check_fails_a_diffusion_matrix_that_is_not_finite(
     assert rows["check_c1"][4] == "nan"
 
 
+def test_run_log_counts_the_runtime_warnings_of_a_command(tmp_path, capsys):
+    # example21 at q2 = 400, q4 = 800 overflows on the outer probes; the
+    # suite turns RuntimeWarnings into errors, so the filters are reset here
+    # as in a fresh interpreter
+    path = write(tmp_path, "c.json", {
+        "command": "check",
+        "system": {"name": "example21",
+                   "params": {"q2": 400.0, "q4": 800.0}},
+    })
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.resetwarnings()
+        assert run("check", path, out=str(out)) == 0
+    err = capsys.readouterr().err.splitlines()
+    lines = (out / "run.log").read_text().splitlines()
+    assert all(": " in line for line in lines)
+    (total,) = [int(line.split(": ", 1)[1]) for line in lines
+                if line.startswith("runtime_warnings: ")]
+    counts = [int(line.rsplit("(x", 1)[1].rstrip(")")) for line in lines
+              if line.startswith("runtime_warning: ")]
+    assert total > 0 and sum(counts) == total
+    assert all("encountered in" in line for line in lines
+               if line.startswith("runtime_warning: "))
+    assert err == [f"warning: {total} RuntimeWarnings ({len(counts)} "
+                   f"distinct), listed in run.log"]
+    assert "status=fail" in read_rows(out)["check_c1"][8]
+    # a run with no warning says so and prints nothing
+    path = write(tmp_path, "m.json", minimal_config("moments"))
+    with warnings.catch_warnings():
+        warnings.resetwarnings()
+        assert run("moments", path, out=str(tmp_path / "m")) == 0
+    assert capsys.readouterr().err == ""
+    log = (tmp_path / "m" / "run.log").read_text().splitlines()
+    assert "runtime_warnings: 0" in log
+    assert not any(line.startswith("runtime_warning: ") for line in log)
+
+
+_WARNING_WORKERS = """
+import sys
+import flowlab.estimators as est
+from flowlab.cli import main
+
+est.CHUNK_PATHS = 8
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_runtime_warnings_of_forked_workers_are_shown_not_counted(tmp_path,
+                                                                  workers):
+    # far out on example21 at q2 = 400, q4 = 800 every step overflows; a
+    # worker's count would be lost with it, so it prints the first of each
+    # distinct warning, and run.log counts those of this process alone
+    path = write(tmp_path, "g.json", {
+        "command": "gradient",
+        "system": {"name": "example21",
+                   "params": {"q2": 400.0, "q4": 800.0}},
+        "integrator": {"h": 0.01},
+        "mc": {"n_paths": 40},
+        "gradient": {"x": [3.5, 0.0], "v": [1.0, 0.0], "t": 0.1},
+    })
+    out = tmp_path / "o"
+    proc = subprocess.run(
+        [sys.executable, "-c", _WARNING_WORKERS, "gradient", str(path),
+         "--out", str(out), "--workers", str(workers)],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    log = (out / "run.log").read_text().splitlines()
+    shown = proc.stderr.count("RuntimeWarning: ")
+    # _map_paths forks no more workers than there are usable CPUs
+    if workers == 1 or len(os.sched_getaffinity(0)) == 1:
+        assert shown == 0
+        assert "runtime_warnings: 0" not in log
+        assert "RuntimeWarnings" in proc.stderr
+    else:
+        assert shown > 0
+        assert "runtime_warnings: 0" in log
+
+
 def test_run_simulate_zero_coefficients_constant_rows(tmp_path):
     path = write(tmp_path, "s.json", {
         "command": "simulate",
@@ -563,6 +643,36 @@ def test_run_rejects_unknown_params_and_non_numbers(tmp_path, capsys, case):
     assert not out.exists()
 
 
+# a config that parse_config rejects before anything is read from it: the
+# command the CLI is given (None: parse_config(path) of the set-up probe),
+# the document and a fragment of the message
+MALFORMED = {
+    "root_not_object": ("check", [1, 2], "config root must be a JSON object"),
+    "unknown_schema": ("check", {"schema": "flowlab-config-v0",
+                                 "command": "check"},
+                       "unsupported schema 'flowlab-config-v0'"),
+    "missing_command": (None, {"system": {"name": "constant"}},
+                        "missing required key 'command'"),
+    "unknown_command": ("check", {"command": "plot"},
+                        "unknown command 'plot'"),
+    "missing_system_name": ("check", {"command": "check", "system": {}},
+                            "missing required key 'system.name'"),
+    "unknown_system_key": ("check", {"command": "check",
+                                     "system": {"name": "constant", "p": 1}},
+                           "unknown key system.'p'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_run_rejects_a_malformed_config(tmp_path, capsys, case):
+    command, document, fragment = MALFORMED[case]
+    path = write(tmp_path, "c.json", document)
+    out = tmp_path / "o"
+    assert run(command, path, out=str(out)) == 2
+    assert fragment in capsys.readouterr().err
+    assert not out.exists()
+
+
 # the key of the horizon each command integrates to
 HORIZON_KEYS = {"gradient": "gradient.t", "moments": "moments.t",
                 "ibp": "ibp.t", "converge": "converge.T",
@@ -584,9 +694,31 @@ def test_run_rejects_a_horizon_that_is_not_a_whole_number_of_steps(
     path = write(tmp_path, "c.json", config)
     out = tmp_path / "o"
     assert run(command, path, out=str(out)) == 2
-    assert f"{HORIZON_KEYS[command]} must be a whole number of steps" \
+    assert f"{HORIZON_KEYS[command]} = 1 must be a whole number of steps" \
         in capsys.readouterr().err
     assert not out.exists()
+
+
+# integrator.T is the horizon of simulate alone: another command runs to its
+# own horizon, and check integrates nothing
+UNREAD_HORIZONS = {
+    "gradient": ({"h": 0.5, "T": 0.25}, {"t": 1.0}),
+    "check": ({"h": 2.0}, {}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(UNREAD_HORIZONS))
+def test_run_ignores_an_integrator_T_the_command_does_not_integrate(
+        tmp_path, command):
+    integrator, block = UNREAD_HORIZONS[command]
+    config = minimal_config(command)
+    config["integrator"] = integrator
+    config[command].update(block)
+    out = tmp_path / "o"
+    assert run(command, write(tmp_path, "c.json", config), out=str(out)) == 0
+    rows = read_rows(out)
+    assert rows
+    assert {row[7] for row in rows.values()} == {repr(integrator["h"])}
 
 
 @pytest.mark.parametrize("name", ["nope", ["ornstein_uhlenbeck"]],

@@ -24,6 +24,7 @@ from flowlab import (
 from flowlab import coefficients
 from flowlab.coefficients import (
     _constant_report,
+    _kp,
     _margin_report,
     _smooth_step,
     fd_jacobian,
@@ -420,11 +421,13 @@ def test_check_example21_passes_at_order_one():
         assert reports[name].passed, f"{name}: {reports[name].detail}"
 
 
-def test_check_fails_a_diffusion_matrix_that_is_not_finite():
+@pytest.mark.parametrize("d", [2, 3])
+def test_check_fails_a_diffusion_matrix_that_is_not_finite(d):
     # the diffusion fields are nan on the probes with |x| >= 5: (c1) reads A
     # off the checker's one field pass and fails there with a nan margin,
-    # as (c2aa) and (c2) do, and every other report is still made
-    reports = check_assumptions(nan_sigma_system(radius=5.0))
+    # as (c2aa) and (c2) do, and every other report is still made; in d = 3
+    # the eigenvalues of A come from eigvalsh, which is given no nan matrix
+    reports = check_assumptions(nan_sigma_system(radius=5.0, d=d))
     assert sorted(reports) == ["c1", "c2", "c2aa", "c3", "c4", "c4aa"]
     for name in ("c1", "c2aa", "c2"):
         assert reports[name].status == "fail", name
@@ -434,6 +437,29 @@ def test_check_fails_a_diffusion_matrix_that_is_not_finite():
     radii = np.geomspace(1e-2, 10.0, 24)
     assert np.linalg.norm(reports["c1"].worst_point) == pytest.approx(
         radii[radii >= 5.0][0], rel=1e-12)
+
+
+def test_sym_eig_range_of_a_matrix_with_nan_is_nan():
+    # eigvalsh gives [0, -0, 1] for this matrix, so a nan sample could pass
+    a = np.stack([np.eye(3), np.eye(3)])
+    a[1, 0, 0] = np.nan
+    lo, hi = sym_eig_range(a)
+    assert lo[0] == hi[0] == 1.0
+    assert np.isnan(lo[1]) and np.isnan(hi[1])
+    assert np.isnan(sym_eig_range(a[1])).all()  # one matrix, no batch axis
+
+
+def test_kp_is_nan_at_a_jacobian_with_nan_only():
+    rng = np.random.default_rng(5)
+    jall = rng.normal(size=(6, 3, 3, 3))
+    clean = _kp(jall, 2.0)[0]
+    jall[2, 1, 0, 0] = np.nan
+    kp, mat = _kp(jall, 2.0)
+    assert np.isnan(kp[2])
+    others = np.arange(6) != 2
+    assert kp[others].tobytes() == clean[others].tobytes()
+    assert kp[others].tobytes() == \
+        np.linalg.eigvalsh(mat[others])[..., -1].tobytes()
 
 
 def test_check_a_nan_sample_does_not_hide_a_violation():

@@ -1,6 +1,8 @@
 """Tests for the deterministic increment generator and the Euler integrator."""
 
+import ast
 import json
+import math
 import os
 import subprocess
 import sys
@@ -63,7 +65,9 @@ import flowlab.cli
 loaded = [name for name in {names!r} if name in sys.modules]
 import scipy.special
 import flowlab.engine
-print(json.dumps([loaded, flowlab.engine.ndtri is scipy.special.ndtri]))
+block = flowlab.engine.increments_block(3, 5, 2, 7, 0.01, 2)
+print(json.dumps([loaded, flowlab.engine.ndtri is scipy.special.ndtri,
+                  block.tobytes().hex()]))
 """
 
 
@@ -76,8 +80,12 @@ def test_cli_imports_only_the_ndtri_ufunc(scipy_first):
         env=dict(os.environ, PYTHONPATH=str(SRC)),
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    loaded, same_ndtri = json.loads(proc.stdout)
+    loaded, same_ndtri, block = json.loads(proc.stdout)
     assert same_ndtri
+    # the ndtri of a loaded scipy.special (_load_ndtri's first branch) gives
+    # the bits of the one loaded without its package
+    assert bytes.fromhex(block) == \
+        increments_block(3, 5, 2, 7, 0.01, 2).tobytes()
     if not scipy_first:
         assert loaded == []
 
@@ -378,8 +386,50 @@ def test_integrator_config_validation():
         IntegratorConfig(h=0.1, T=1.0, guard_radius=0.0)
 
 
+# the last five are not at least one step
 @pytest.mark.parametrize("t,h,whole", [
     (1.0, 1e-3, True), (0.1, 0.01, True), (0.9, 0.3, True), (0.25, 0.05, True),
-    (1.0, 0.3, False), (0.1, 8e-3, False), (0.25, 0.1, False)])
-def test_whole_steps_accepts_grid_horizons_only(t, h, whole):
-    assert engine.whole_steps(t, h) is whole
+    (1.0, 0.3, False), (0.1, 8e-3, False), (0.25, 0.1, False),
+    (0.0, 1e-3, False), (-0.1, 1e-3, False), (5e-4, 1e-3, False),
+    (math.nan, 1e-3, False), (math.inf, 1e-3, False)])
+def test_grid_steps_accepts_grid_horizons_only(t, h, whole):
+    if whole:
+        assert engine.grid_steps(t, h) == round(t / h)
+    else:
+        with pytest.raises(ValueError, match=f"horizon = {t:g} must be a "
+                           f"whole number of steps h = {h:g}, got "):
+            engine.grid_steps(t, h, "horizon")
+
+
+def _divisions_by_h(tree):
+    """The enclosing function of every x / h, h a name or an attribute
+    named h, in a module's syntax tree."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+                and (getattr(node.right, "id", None) == "h"
+                     or getattr(node.right, "attr", None) == "h")):
+            found.append(func)
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_grid_steps_is_the_only_horizon_to_step_count():
+    # a horizon becomes a step count, t / h, in engine.grid_steps alone, and
+    # the rules it replaced are gone
+    src = Path(engine.__file__).parent
+    found, names = [], set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found += [(path.stem, func) for func in _divisions_by_h(tree)]
+        names |= {getattr(node, "name", getattr(node, "id", None))
+                  for node in ast.walk(tree)}
+        names |= {getattr(node, "attr", None) for node in ast.walk(tree)}
+    assert set(found) == {("engine", "grid_steps")}
+    assert not names & {"whole_steps", "with_horizon", "_on_grid"}

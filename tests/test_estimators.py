@@ -299,7 +299,7 @@ def test_ibp_residual_gbm():
 def ibp_residual_shifted(system, bump, t):
     from flowlab.engine import BatchEuler, increments_block
     from flowlab.estimators import IbpReport, PathRecord
-    c = cfg(h=1e-3).with_horizon(t)
+    c = cfg(h=1e-3, T=t)
     axis = np.linspace(0.5, 1.5, 201)
     starts = axis[:, None]
     weight = axis[1] - axis[0]
@@ -481,8 +481,8 @@ def test_map_paths_bounds_the_increment_block(h, m, n_paths, sizes,
                 np.full(len(dws), 1))
 
     monkeypatch.setattr(est_module, "increments_block", recording)
-    record, lengths = est_module._map_paths(run, n_paths, cfg(h=h), m,
-                                            master_seed=0)
+    record, lengths = est_module._map_paths(run, n_paths, round(1 / h), h,
+                                            m, master_seed=0)
     assert [n for _, n, _ in blocks] == sizes
     assert [a for a, _, _ in blocks] == list(np.cumsum([0] + sizes[:-1]))
     assert len(lengths) == len(record.kept) == n_paths
@@ -528,8 +528,8 @@ def test_map_paths_bounds_the_process_count(monkeypatch, workers, n_paths,
     monkeypatch.setattr(est_module, "_fork_map", recording)
     monkeypatch.setattr(est_module, "increments_block", _stub_increments)
     monkeypatch.setattr(est_module, "CHUNK_PATHS", 8)
-    record, first = est_module._map_paths(_range_record, n_paths, cfg(h=0.5),
-                                          1, master_seed=0, workers=workers)
+    record, first = est_module._map_paths(_range_record, n_paths, 2, 0.5, 1,
+                                          master_seed=0, workers=workers)
     assert calls == ([] if procs is None else [procs])
     assert first.tolist() == list(range(n_paths))
 
@@ -537,7 +537,7 @@ def test_map_paths_bounds_the_process_count(monkeypatch, workers, n_paths,
 def test_fork_map_joins_in_order_and_leaves_no_worker(monkeypatch):
     monkeypatch.setattr(est_module, "increments_block", _stub_increments)
     monkeypatch.setattr(est_module, "CHUNK_PATHS", 3)
-    record, first = est_module._map_paths(_range_record, 20, cfg(h=0.5), 1,
+    record, first = est_module._map_paths(_range_record, 20, 2, 0.5, 1,
                                           master_seed=0, workers=2)
     assert first.tolist() == list(range(20))
     assert len(record.kept) == 20
@@ -560,7 +560,7 @@ def test_fork_map_raises_the_serial_error_with_its_type(monkeypatch):
     monkeypatch.setattr(est_module, "increments_block", _stub_increments)
     monkeypatch.setattr(est_module, "CHUNK_PATHS", 3)
     with pytest.raises(errors.IntegrationError) as info:
-        est_module._map_paths(failing, 20, cfg(h=0.5), 1, master_seed=0,
+        est_module._map_paths(failing, 20, 2, 0.5, 1, master_seed=0,
                               workers=2)
     assert str(info.value) != f"in {os.getpid()}"  # raised in a worker
     assert info.value.step == 4
@@ -585,7 +585,7 @@ def test_fork_map_stops_at_the_first_error(monkeypatch, tmp_path):
     monkeypatch.setattr(est_module, "CHUNK_PATHS", 1)
     threads = threading.active_count()
     with pytest.raises(ValueError, match="range 0"):
-        est_module._map_paths(slow, 40, cfg(h=0.5), 1, master_seed=0,
+        est_module._map_paths(slow, 40, 2, 0.5, 1, master_seed=0,
                               workers=2)
     assert len(list(tmp_path.iterdir())) < 10
     assert multiprocessing.active_children() == []
@@ -595,7 +595,6 @@ def test_fork_map_stops_at_the_first_error(monkeypatch, tmp_path):
 _KILLED_WORKER = """
 import multiprocessing, os, signal, time
 import flowlab.estimators as est
-from flowlab import IntegratorConfig
 
 def increments(master_seed, first_path, n, n_steps, h, m):
     if first_path == 0:
@@ -610,7 +609,7 @@ est.increments_block = increments
 est.CHUNK_PATHS = 4
 start = time.perf_counter()
 try:
-    est._map_paths(run, 8, IntegratorConfig(h=0.5, T=1.0), 1, 0, workers=2)
+    est._map_paths(run, 8, 2, 0.5, 1, 0, workers=2)
 except Exception as exc:
     print(type(exc).__name__, time.perf_counter() - start,
           multiprocessing.active_children() == [])
