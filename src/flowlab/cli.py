@@ -7,7 +7,11 @@ column order, shortest round-trip decimals), and run.log (status,
 elapsed and import seconds, peak memory and page faults, and the
 RuntimeWarnings the command raised, counted per distinct warning; the only
 file allowed to differ between reruns). A forked worker prints its
-warnings instead of counting them. Exit codes:
+warnings instead of counting them. A config that parse_config rejects, a
+system that cannot be built and an output directory that cannot be made
+write nothing; after the echo only the library's checks on the built
+mollified family (converge's lambda0 and eps < eps0) can reject a value.
+Exit codes:
 0 success, 1 unexpected error (run.log records it), 2 config/parameter
 validation error, 3 run completed but flagged unreliable: over 0.1% of the
 paths of a gradient, moments, converge, ibp or krylov run failed, exploded
@@ -82,11 +86,9 @@ class ExperimentConfig:
 
     @property
     def integrator(self) -> IntegratorConfig:
-        """The integrator, with the command's own horizon as T."""
-        icfg = self.resolved["integrator"]
-        section, key = _HORIZONS[self.command]
-        return IntegratorConfig(h=icfg["h"], T=self.resolved[section][key],
-                                guard_radius=icfg["guard_radius"])
+        """The integrator section as it is. Its T is the horizon of simulate
+        alone: a path estimator integrates to the horizon of its command."""
+        return IntegratorConfig(**self.resolved["integrator"])
 
     @property
     def n_paths(self) -> int:
@@ -161,9 +163,11 @@ _HORIZONS = {"gradient": ("gradient", "t"), "moments": ("moments", "t"),
 def parse_config(path, command: str | None = None) -> ExperimentConfig:
     """Load, validate and canonicalize a JSON experiment config.
 
-    Unknown keys, values outside their domain in SCHEMA and a horizon the
-    command integrates to off the grid of integrator.h (`grid_steps`) are
-    rejected, defaults (the system's parameters too) are materialized into the
+    Unknown keys, values outside their domain in SCHEMA, a point (a list in
+    system.params, the command's x and v) without one entry per dimension d
+    of the system, an ibp.i that is not below d and a horizon the command
+    integrates to off the grid of integrator.h (`grid_steps`) are rejected,
+    defaults (the system's parameters too) are materialized into the
     resolved document, and the hash is computed over the canonical (sorted,
     compact) form so key order in the file is irrelevant.
     """
@@ -205,12 +209,6 @@ def parse_config(path, command: str | None = None) -> ExperimentConfig:
     name = system_raw["name"]
     params = _validate_section("system.params", system_raw.get("params", {}),
                                _params_schema(name))
-    for key, value in params.items():
-        if isinstance(value, list) and len(value) != params["d"]:
-            raise ConfigError(
-                f"system.params.{key} must be null or a list of "
-                f"{params['d']} finite numbers, one per dimension of "
-                f"{name!r}, got {value!r}")
 
     resolved = {
         "schema": SCHEMA_VERSION,
@@ -222,6 +220,16 @@ def parse_config(path, command: str | None = None) -> ExperimentConfig:
                                       SCHEMA[section])
            for section in ("integrator", "mc", "output", cmd)},
     }
+    d = params["d"]
+    points = [(f"system.params.{key}", value) for key, value in params.items()]
+    points += [(f"{cmd}.{key}", resolved[cmd].get(key)) for key in ("x", "v")]
+    for key, value in points:
+        if isinstance(value, list) and len(value) != d:
+            raise ConfigError(f"{key} must be a list of {d} numbers, one per "
+                              f"dimension of {name!r}, got {value!r}")
+    if cmd == "ibp" and resolved["ibp"]["i"] >= d:
+        raise ConfigError(f"ibp.i must be a coordinate index in 0..{d - 1} "
+                          f"of {name!r}, got {resolved['ibp']['i']!r}")
     if cmd in _HORIZONS:
         section, key = _HORIZONS[cmd]
         try:
@@ -248,23 +256,6 @@ def _apply_overrides(config: ExperimentConfig, seed: int | None,
 # ---------------------------------------------------------------------------
 # command implementations; each returns (rows, extra_files, PathCounts or
 # None) with rows as (estimator, t, value, std_error, n_paths, flags)
-
-def _check_dimensions(config: ExperimentConfig, system) -> None:
-    """A command's start point x and direction v have one entry per
-    dimension of the system, and ibp's coordinate i is one of them."""
-    for key in ("x", "v"):
-        given = config.block.get(key)
-        if given is not None and len(given) != system.d:
-            raise ConfigError(
-                f"{config.command}.{key} must be a list of {system.d} numbers, "
-                f"one per dimension of {system.name}, got {given!r}")
-    if config.command == "ibp":
-        i = config.block["i"]
-        if i >= system.d:
-            raise ConfigError(
-                f"ibp.i must be a coordinate index in 0..{system.d - 1} of "
-                f"{system.name}, got {i!r}")
-
 
 def _cmd_gradient(config, system, workers):
     blk = config.block
@@ -412,13 +403,12 @@ def run(command: str, config_path, seed: int | None = None,
         config = _apply_overrides(config, seed, out)
         system = builtin(config.system_spec["name"],
                          **config.system_spec["params"])
+        out_dir = Path(config.resolved["output"]["directory"]
+                       or os.environ.get("FLOWLAB_OUT", "."))
+        out_dir.mkdir(parents=True, exist_ok=True)
     except (ConfigError, ParameterConstraintError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-
-    out_dir = Path(config.resolved["output"]["directory"]
-                   or os.environ.get("FLOWLAB_OUT", "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     echo = dict(config.resolved)
     echo["params_hash"] = config.params_hash
@@ -433,7 +423,6 @@ def run(command: str, config_path, seed: int | None = None,
                                 append=True)
         warnings.showwarning = _counting(tally, warnings.showwarning)
         try:
-            _check_dimensions(config, system)
             rows, extra_files, paths = _COMMAND_IMPL[config.command](
                 config, system, int(workers))
             noted = {} if paths is None else {  # nonzero counts flag each row

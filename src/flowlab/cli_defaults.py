@@ -4,10 +4,12 @@ Every key maps to (default, domain). A default of REQUIRED marks a key the
 user must supply; every other default is materialized into the echoed
 config, and a default of None means "auto", which the key also accepts when
 given. parse_config checks each given value against its domain before
-anything is written, and that the horizon the command integrates to is a
-whole number of steps h (`engine.grid_steps`); integrator.T is that horizon
-for simulate alone, and check has none. Only what needs the built system is
-checked later: the length of the points x and v, ibp.i < d and eps < eps0.
+anything is written, that every point (a list in system.params, the
+command's x and v) has system.params.d entries and ibp.i < d, and that the
+horizon the command integrates to is a whole number of steps h
+(`engine.grid_steps`); integrator.T is that horizon for simulate alone, and
+check has none. Only what needs the built family is checked later:
+converge's lambda0 and eps < eps0.
 """
 
 import math

@@ -92,8 +92,9 @@ def grid_steps(t: float, h: float, name: str = "t") -> int:
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Step size, horizon and guards for the explicit Euler-Maruyama scheme.
-    BatchEuler reads h and guard_radius; only n_steps reads T, and a path
-    estimator integrates to its own horizon argument instead."""
+    BatchEuler reads h and guard_radius; only n_steps reads T and checks it
+    (`grid_steps`), and a path estimator integrates to its own horizon
+    argument instead."""
 
     h: float = 1e-3
     T: float = 1.0
@@ -102,8 +103,6 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.h <= 0:
             raise ValueError("step size h must be positive")
-        if self.T < self.h:
-            raise ValueError("horizon T must be at least one step")
         if self.guard_radius <= 0:
             raise ValueError("guard_radius must be positive")
 
@@ -157,8 +156,10 @@ class BatchEuler:
 
     The starts x0 (n, d), directions v0 (n, d) and increments dws
     (n, n_steps, m) broadcast along the path axis: one start, one direction
-    (or v0 = 0.0) or one (n_steps, m) noise path serves the whole batch, and
-    sizes that do not broadcast raise ValueError.
+    (or v0 = 0.0) or one (n_steps, m) noise path serves the whole batch.
+    Sizes that do not broadcast, and an x0 or a non-scalar v0 that does not
+    end in the system's d coordinates, raise ValueError: a short point is
+    never spread over the coordinates it lacks.
 
     Exploded paths freeze at their exit state; paths hitting non-finite
     coefficients are marked failed and freeze likewise. The fields and the
@@ -179,9 +180,15 @@ class BatchEuler:
 
     def __init__(self, system: CoefficientSystem, x0: np.ndarray,
                  v0: np.ndarray, dws: np.ndarray, cfg: IntegratorConfig):
-        x0 = np.atleast_2d(np.asarray(x0, dtype=float))
-        v0 = np.atleast_2d(np.asarray(v0, dtype=float))
-        (n,) = np.broadcast_shapes(x0.shape[:-1], v0.shape[:-1],
+        x0 = np.asarray(x0, dtype=float)
+        v0 = np.asarray(v0, dtype=float)
+        if x0.shape[-1:] != (system.d,) or v0.shape[-1:] not in (
+                (system.d,), ()):
+            raise ValueError(
+                f"x0 and v0 must end in the d = {system.d} coordinates of "
+                f"{system.name} (v0 may be a scalar), got shapes {x0.shape} "
+                f"and {v0.shape}")
+        (n,) = np.broadcast_shapes((1,), x0.shape[:-1], v0.shape[:-1],
                                    dws.shape[:-2])
         x0 = np.broadcast_to(x0, (n, system.d))
         v0 = np.broadcast_to(v0, (n, system.d))

@@ -291,6 +291,9 @@ def flow_moment_bound_check(system: CoefficientSystem, x, lam: float, T: float,
     checkpoint passes when the empirical mean does not exceed the bound by
     more than three standard errors.
     """
+    if n_checkpoints < 1:
+        raise ValueError(f"n_checkpoints must be at least 1, got "
+                         f"{n_checkpoints!r}")
     n_steps = grid_steps(T, cfg.h, "T")
     check_steps = [max(1, round((j + 1) * n_steps / n_checkpoints))
                    for j in range(n_checkpoints)]
@@ -362,12 +365,17 @@ def fd_gradient(system: CoefficientSystem, x, v, f, t: float, n_paths: int,
                 workers: int = 1) -> EstimateReport:
     """Central-difference gradient (P_t f(x + delta v) - P_t f(x - delta v))
     / (2 delta) with common random numbers: both endpoints of each path index
-    consume identical increments."""
+    consume identical increments. x and v end in the system's d
+    coordinates: x +- delta v would broadcast a shorter one."""
     if delta <= 0:
         raise ValueError("bump size delta must be positive")
     n_steps = grid_steps(t, cfg.h)
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
+    if x.shape[-1:] != (system.d,) or v.shape[-1:] != (system.d,):
+        raise ValueError(f"x and v must end in the d = {system.d} "
+                         f"coordinates of {system.name}, got shapes "
+                         f"{x.shape} and {v.shape}")
 
     def run(dws):
         up = BatchEuler(system, x + delta * v, 0.0, dws, cfg).run()
@@ -398,12 +406,16 @@ def family_convergence(fam: MollifiedFamily, eps_list, x, v, T: float,
                        workers: int = 1) -> tuple[list, PathCounts]:
     """Common-noise sup-norm gaps between consecutive family members.
 
-    eps_list must be sorted descending and lie inside (0, eps0); the finest
-    member acts as the limit proxy. For each consecutive pair the mean over
-    the paths kept by every member of sup_t |F^eps - F^eps'| and
-    sup_t |V^eps - V^eps'| on the step grid is reported, with the counts.
+    eps_list must hold at least two radii, sorted descending, inside
+    (0, eps0); the finest member acts as the limit proxy. For each
+    consecutive pair the mean over the paths kept by every member of
+    sup_t |F^eps - F^eps'| and sup_t |V^eps - V^eps'| on the step grid is
+    reported, with the counts.
     """
     eps_list = [float(e) for e in eps_list]
+    if len(eps_list) < 2:
+        raise ValueError(f"eps_list must hold at least two radii, got "
+                         f"{eps_list!r}")
     if sorted(eps_list, reverse=True) != eps_list:
         raise ValueError("eps_list must be sorted descending")
     members = [fam.member(e) for e in eps_list]
@@ -611,6 +623,8 @@ def holder_modulus(system: CoefficientSystem, pairs, p: float, t: float,
     pairs = [(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
              for x, y in pairs]
     seps = [float(np.linalg.norm(x - y)) for x, y in pairs]
+    if not pairs:
+        raise ValueError("pairs must hold at least one pair of points")
     if 0.0 in seps:
         raise ValueError("pair points must be distinct")
 

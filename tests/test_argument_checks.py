@@ -9,18 +9,23 @@ import pytest
 from flowlab import (
     AssumptionConstants,
     IntegratorConfig,
+    bel_gradient,
     builtin,
+    derivative_moment,
+    family_convergence,
     fd_gradient,
+    flow_moment_bound_check,
     holder_modulus,
     kp_max,
     krylov_check,
     lp_distance,
+    mollified_family,
     mollifier,
     select_lambda0,
     theta_g,
 )
 from flowlab.errors import ParameterConstraintError
-from flowlab.estimators import PAYOFFS
+from flowlab.estimators import PAYOFFS, exp_representation_gaps
 from flowlab.quadrature import annulus_rule, sphere_points, unit_ball_rule
 
 CFG = IntegratorConfig(h=0.05, T=0.25)
@@ -34,6 +39,16 @@ def constants(**changed):
 
 def ou(**params):
     return builtin("ornstein_uhlenbeck", **params)
+
+
+# a point of the 2-d example21 with one coordinate: the drivers would spread
+# it over both
+EX21 = builtin("example21")
+SHORT = [0.3]
+X, V = [0.3, 0.0], [1.0, 0.0]
+SHORT_POINT = "x0 and v0 must end in the d = 2 coordinates of example21"
+IDENTITY = PAYOFFS["identity"]
+FAMILY = mollified_family(EX21, eps0=0.25)
 
 
 CHECKS = {
@@ -76,6 +91,43 @@ CHECKS = {
     "holder_equal_points": (
         lambda: holder_modulus(ou(), [([0.5], [0.5])], 2.0, 0.25, 4, CFG),
         ValueError, "pair points must be distinct"),
+    "derivative_moment_short_x": (
+        lambda: derivative_moment(EX21, SHORT, V, 2.0, 0.25, 4, CFG),
+        ValueError, SHORT_POINT),
+    "bel_gradient_short_v": (
+        lambda: bel_gradient(EX21, X, SHORT, IDENTITY, 0.25, 4, CFG),
+        ValueError, SHORT_POINT),
+    "fd_gradient_short_x": (
+        lambda: fd_gradient(EX21, SHORT, V, IDENTITY, 0.25, 4, 1e-3, CFG),
+        ValueError, "x and v must end in the d = 2 coordinates of example21"),
+    "fd_gradient_short_v": (
+        lambda: fd_gradient(EX21, X, SHORT, IDENTITY, 0.25, 4, 1e-3, CFG),
+        ValueError, "x and v must end in the d = 2 coordinates of example21"),
+    "krylov_short_x": (lambda: krylov_check(EX21, SHORT, 0.25, 1.0, 4, CFG),
+                       ValueError, SHORT_POINT),
+    "holder_short_point": (
+        lambda: holder_modulus(EX21, [(SHORT, X)], 2.0, 0.25, 4, CFG),
+        ValueError, SHORT_POINT),
+    "holder_no_pairs": (lambda: holder_modulus(EX21, [], 2.0, 0.25, 4, CFG),
+                        ValueError, "pairs must hold at least one pair"),
+    "flow_bound_short_x": (
+        lambda: flow_moment_bound_check(EX21, SHORT, 1.0, 0.25, 4, CFG,
+                                        theta_points=8),
+        ValueError, SHORT_POINT),
+    "flow_bound_no_checkpoint": (
+        lambda: flow_moment_bound_check(EX21, X, 1.0, 0.25, 4, CFG,
+                                        n_checkpoints=0, theta_points=8),
+        ValueError, "n_checkpoints must be at least 1, got 0"),
+    "family_short_v": (
+        lambda: family_convergence(FAMILY, [0.2, 0.1], X, SHORT, 0.25, 4,
+                                   CFG),
+        ValueError, SHORT_POINT),
+    "family_one_eps": (
+        lambda: family_convergence(FAMILY, [0.2], X, V, 0.25, 4, CFG),
+        ValueError, "eps_list must hold at least two radii, got [0.2]"),
+    "exp_representation_short_x": (
+        lambda: exp_representation_gaps(EX21, SHORT, V, 2.0, 0.25, 4, CFG),
+        ValueError, SHORT_POINT),
     "mollifier_eps": (lambda: mollifier(2, 0.0), ValueError,
                       "mollifier radius eps must be positive"),
     "select_lambda0_p3": (lambda: select_lambda0(constants(p3=2.0), 2),

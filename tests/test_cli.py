@@ -1,5 +1,6 @@
 """Tests for config parsing, artifact writing, exit codes and determinism."""
 
+import ast
 import contextlib
 import importlib
 import io
@@ -21,7 +22,8 @@ from hypothesis import strategies as st
 
 import flowlab
 import flowlab.estimators as est_module
-from flowlab import CheckSpec, builtin, check_assumptions, cli
+from flowlab import (CheckSpec, IntegratorConfig, builtin,
+                     check_assumptions, cli)
 from flowlab.cli import main, parse_config, run
 from flowlab.cli_defaults import SCHEMA
 from flowlab.errors import ConfigError, IntegrationError
@@ -506,8 +508,8 @@ def test_run_rejects_points_of_the_wrong_dimension(tmp_path, capsys, key):
     out = tmp_path / "o"
     assert run(command, path, out=str(out)) == 2
     assert key in capsys.readouterr().err
-    assert f"status: failed: {key}" in (out / "run.log").read_text()
-    assert not (out / "result.csv").exists()
+    # rejected before the echo is written, so nothing is left behind
+    assert not out.exists()
 
 
 # a point with an entry that is not a finite number (JSON strings,
@@ -579,8 +581,8 @@ def test_run_rejects_ibp_coordinate_out_of_range(tmp_path, capsys):
     out = tmp_path / "o"
     assert run("ibp", path, out=str(out)) == 2
     assert "ibp.i" in capsys.readouterr().err
-    assert "status: failed: ibp.i" in (out / "run.log").read_text()
-    assert not (out / "result.csv").exists()
+    # rejected before the echo is written, so nothing is left behind
+    assert not out.exists()
 
 
 # keys that name no parameter of the builtin, values of the wrong type, and
@@ -697,6 +699,50 @@ def test_run_rejects_a_horizon_that_is_not_a_whole_number_of_steps(
     assert f"{HORIZON_KEYS[command]} = 1 must be a whole number of steps" \
         in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_run_accepts_a_horizon_within_the_grid_tolerance_of_one_step(
+        tmp_path):
+    # grid_steps takes t within 1e-9 relative of a whole step as that step,
+    # and no second horizon rule rejects it after the echo
+    config = minimal_config("gradient")
+    config["integrator"] = {"h": 0.1}
+    config["gradient"]["t"] = 0.09999999995
+    out = tmp_path / "o"
+    assert run("gradient", write(tmp_path, "g.json", config),
+               out=str(out)) == 0
+    assert "status: ok" in (out / "run.log").read_text()
+    assert (out / "result.csv").exists()
+
+
+@pytest.mark.parametrize("command", sorted(MINIMAL_BLOCKS))
+def test_experiment_config_integrator_is_the_integrator_section(tmp_path,
+                                                                command):
+    config = minimal_config(command)
+    config["integrator"]["guard_radius"] = 50.0
+    parsed = parse_config(write(tmp_path, "c.json", config))
+    assert parsed.integrator == IntegratorConfig(h=1e-2, T=0.1,
+                                                 guard_radius=50.0)
+
+
+def test_config_errors_are_raised_before_the_echo_alone():
+    # every ConfigError of the CLI comes from parsing the config or from
+    # run()'s --workers check, so a command handler, which runs after the
+    # echo, never rejects a config value
+    tree = ast.parse(Path(cli.__file__).read_text())
+    raised = []
+    for func in tree.body:
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for node in ast.walk(func):
+            if (isinstance(node, ast.Raise)
+                    and isinstance(node.exc, ast.Call)
+                    and getattr(node.exc.func, "id", None) == "ConfigError"):
+                raised.append((func.name, ast.unparse(node.exc.args[0])))
+    assert {name for name, _ in raised} == {
+        "_no_duplicates", "_validate_section", "parse_config", "run"}
+    assert [message for name, message in raised if name == "run"] == [
+        "f'--workers must be at least 1, got {workers}'"]
 
 
 # integrator.T is the horizon of simulate alone: another command runs to its
@@ -939,6 +985,33 @@ def test_env_output_fallback(tmp_path, monkeypatch):
     path = write(tmp_path, "g.json", gradient_config())
     assert run("gradient", path) == 0
     assert (tmp_path / "envout" / "result.csv").exists()
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below_file"])
+@pytest.mark.parametrize("given", ["--out", "output.directory",
+                                   "FLOWLAB_OUT"])
+def test_run_rejects_an_output_directory_it_cannot_make(tmp_path, capsys,
+                                                        monkeypatch, below,
+                                                        given):
+    # an existing file, or a path below one: exit 2 naming the path, before
+    # anything is written, and the file is left as it was
+    afile = tmp_path / "afile"
+    afile.write_text("keep\n")
+    out = str(afile / below) if below else str(afile)
+    config = minimal_config("moments")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("FLOWLAB_OUT", raising=False)
+    if given == "output.directory":
+        config["output"]["directory"] = out
+    elif given == "FLOWLAB_OUT":
+        monkeypatch.setenv("FLOWLAB_OUT", out)
+    args = ["--out", out] if given == "--out" else []
+    path = write(tmp_path, "m.json", config)
+    assert main(["moments", str(path), *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(afile) in err
+    assert afile.read_text() == "keep\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "m.json"]
 
 
 def test_main_entry_point(tmp_path):

@@ -381,9 +381,11 @@ def test_integrator_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(h=0.0, T=1.0)
     with pytest.raises(ValueError):
-        IntegratorConfig(h=0.1, T=0.05)
-    with pytest.raises(ValueError):
         IntegratorConfig(h=0.1, T=1.0, guard_radius=0.0)
+    # T is checked where it is read, by grid_steps
+    with pytest.raises(ValueError, match="T = 0.05 must be a whole number "
+                       "of steps h = 0.1"):
+        IntegratorConfig(h=0.1, T=0.05).n_steps
 
 
 # the last five are not at least one step
