@@ -32,7 +32,6 @@ from .approximation import (
     LpDistance,
     Mollifier,
     MollifiedFamily,
-    TruncatedSystem,
     lp_distance,
     mollified_family,
     mollifier,
@@ -43,7 +42,6 @@ from .approximation import (
 from .engine import BatchEuler, IntegratorConfig, increments_block
 from .estimators import (
     EstimateReport,
-    MomentWindow,
     PAYOFFS,
     SmoothBump,
     bel_gradient,
@@ -54,6 +52,7 @@ from .estimators import (
     holder_modulus,
     ibp_residual,
     krylov_check,
+    moment_window,
 )
 from .errors import (
     ConfigError,

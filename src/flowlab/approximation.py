@@ -1,6 +1,7 @@
 """Smoothing pipeline: spherical truncation, mollification, and the
 eps-indexed family of smooth coefficient systems, plus L^p distance
-diagnostics between systems.
+diagnostics between systems. A truncation and a member are plain
+CoefficientSystems that carry their radius and eps in params.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .quadrature import (
 )
 
 __all__ = [
-    "TruncatedSystem",
     "Mollifier",
     "MollifiedFamily",
     "truncate",
@@ -40,17 +40,9 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # spherical truncation
 
-@dataclass(frozen=True, kw_only=True)
-class TruncatedSystem(CoefficientSystem):
-    """A coefficient system frozen at its sphere values outside radius R:
-    the field at x with |x| > R equals the base field at R x/|x|."""
-
-    base: CoefficientSystem
-    R: float
-
-
-def truncate(base: CoefficientSystem, R: float) -> TruncatedSystem:
-    """Freeze the fields of `base` along rays outside the sphere of radius R.
+def truncate(base: CoefficientSystem, R: float) -> CoefficientSystem:
+    """Freeze the fields of `base` along rays outside the sphere of radius R:
+    the field at |x| > R is the base field at R x/|x|, and params["R"] = R.
 
     Requires R >= R1 + 1 so that the sphere lies in the region where the base
     Jacobians have the declared polynomial growth.
@@ -98,16 +90,16 @@ def truncate(base: CoefficientSystem, R: float) -> TruncatedSystem:
         np.copyto(out, jall, where=inside[..., None, None, None])
         return out
 
-    return TruncatedSystem(
+    return CoefficientSystem(
         name=f"{base.name}_trunc{R:g}", d=base.d, m=base.m, fields_fn=fields,
         jacobians_fn=jacobians, constants=base.constants,
-        r_min=base.r_min,
-        params={**dict(base.params), "R": R}, base=base, R=R)
+        r_min=base.r_min, params={**dict(base.params), "R": R})
 
 
 def radial_tangential_derivative_check(
-        ts: TruncatedSystem, x: np.ndarray) -> tuple[float, float]:
-    """Finite-difference check of the truncated-field derivative structure.
+        base: CoefficientSystem, R: float,
+        x: np.ndarray) -> tuple[float, float]:
+    """Finite-difference check of the derivatives of truncate(base, R).
 
     Outside the truncation sphere the field is constant along rays and scales
     tangentially by R/|x|. Returns the largest finite-difference radial
@@ -115,26 +107,28 @@ def radial_tangential_derivative_check(
     from (R/|x|) DX_k(pi_R x)(xi), over all fields k and tangent directions.
 
     Requires |x| > R + 10 h for the stencil step h = 1e-5: stencils
-    straddling the truncation sphere are meaningless.
+    straddling the truncation sphere are meaningless. base's Jacobians are
+    read at R x/|x|, where truncate's may round onto the chain-rule branch.
     """
+    ts = truncate(base, R)
     h = 1e-5
     x = np.asarray(x, dtype=float)
     r = float(row_norm(x))
-    if r <= ts.R + 10.0 * h:
+    if r <= R + 10.0 * h:
         raise ValueError(f"probe point must satisfy |x| > R + 10h = "
-                         f"{ts.R + 10 * h:g}, got |x| = {r:g}")
+                         f"{R + 10 * h:g}, got |x| = {r:g}")
     unit = x / r
-    proj = ts.R * unit
+    proj = R * unit
     tangents = tangent_basis(unit)
     # central differences along the ray (row 0) and the tangents, all
     # fields from one evaluation at the 2d stencil points
     dirs = np.concatenate([unit[None, :], tangents])        # (d, d)
     vals = stack_fields(*ts.fields(x + h * np.concatenate([dirs, -dirs])))
     fd = (vals[:len(dirs)] - vals[len(dirs):]) / (2 * h)   # (d, m+1, d)
-    ts.base._check_regular(proj)
-    jac_proj = ts.base.jacobians_stacked(proj)              # (m+1, d, d)
+    base._check_regular(proj)
+    jac_proj = base.jacobians_stacked(proj)                 # (m+1, d, d)
     # DX_k(pi_R x) t for each tangent t as a batch of matrix-vector products
-    expected = (ts.R / r) * (jac_proj @ tangents[:, None, :, None])[..., 0]
+    expected = (R / r) * (jac_proj @ tangents[:, None, :, None])[..., 0]
     radial_norm = float(np.max(row_norm(fd[0])))
     tangential_error = float(np.max(row_norm(fd[1:] - expected),
                                     initial=0.0))
@@ -273,10 +267,6 @@ class MollifiedFamily:
     the base's r_min ball, whose Jacobians the base takes on that ball's
     sphere, so there is no finite difference, also where the mollifier
     straddles the truncation kink.
-
-    member(eps) builds its member on every call, in about half a
-    millisecond for example21; a member is a pure function of the family
-    and eps.
     """
 
     base: CoefficientSystem
@@ -289,10 +279,23 @@ class MollifiedFamily:
         return max(eps ** (-self.lambda0), self.base.constants.R1 + 1.0)
 
     def member(self, eps: float) -> CoefficientSystem:
+        """The member of radius eps, with eps, lambda0 and its truncation
+        radius in params; built on every call, in about half a millisecond
+        for example21, as a pure function of the family and eps."""
         if not 0.0 < eps < self.eps0:
             raise ValueError(
                 f"eps must lie in (0, eps0) = (0, {self.eps0:g}), got {eps:g}")
-        return _build_member(self, eps)
+        base = self.base
+        radius = self.truncation_radius(eps)
+        ts = truncate(base, radius)
+        mol = mollifier(base.d, eps, self.n_radial, self.n_angular)
+        return CoefficientSystem(
+            name=f"{base.name}_eps{eps:g}", d=base.d, m=base.m,
+            fields_fn=lambda x: mol.convolve(ts.fields, x),
+            jacobians_fn=lambda x: mol.convolve(ts.jacobians_stacked, x),
+            constants=base.constants,
+            params={**dict(base.params), "eps": eps,
+                    "lambda0": self.lambda0, "truncation_radius": radius})
 
 
 def mollified_family(base: CoefficientSystem, lambda0: float | None = None,
@@ -317,20 +320,6 @@ def mollified_family(base: CoefficientSystem, lambda0: float | None = None,
     return MollifiedFamily(base=base, lambda0=lam,
                            eps0=eps_default if eps0 is None else eps0,
                            n_radial=n_radial, n_angular=n_angular)
-
-
-def _build_member(fam: MollifiedFamily, eps: float) -> CoefficientSystem:
-    base = fam.base
-    radius = fam.truncation_radius(eps)
-    ts = truncate(base, radius)
-    mol = mollifier(base.d, eps, fam.n_radial, fam.n_angular)
-    return CoefficientSystem(
-        name=f"{base.name}_eps{eps:g}", d=base.d, m=base.m,
-        fields_fn=lambda x: mol.convolve(ts.fields, x),
-        jacobians_fn=lambda x: mol.convolve(ts.jacobians_stacked, x),
-        constants=base.constants,
-        params={**dict(base.params), "eps": eps, "lambda0": fam.lambda0,
-                "truncation_radius": radius})
 
 
 # ---------------------------------------------------------------------------

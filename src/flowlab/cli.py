@@ -160,7 +160,8 @@ _HORIZONS = {"gradient": ("gradient", "t"), "moments": ("moments", "t"),
              "krylov": ("krylov", "T"), "simulate": ("integrator", "T")}
 
 
-def parse_config(path, command: str | None = None) -> ExperimentConfig:
+def parse_config(path, command: str | None = None, seed: int | None = None,
+                 out: str | None = None) -> ExperimentConfig:
     """Load, validate and canonicalize a JSON experiment config.
 
     Unknown keys, values outside their domain in SCHEMA, a point (a list in
@@ -169,7 +170,9 @@ def parse_config(path, command: str | None = None) -> ExperimentConfig:
     integrates to off the grid of integrator.h (`grid_steps`) are rejected,
     defaults (the system's parameters too) are materialized into the
     resolved document, and the hash is computed over the canonical (sorted,
-    compact) form so key order in the file is irrelevant.
+    compact) form so key order in the file is irrelevant. A seed (--seed)
+    replaces mc.master_seed and is checked with the mc section; an out
+    (--out) replaces output.directory, which the hash leaves out.
     """
     text = Path(path).read_text()
     try:
@@ -210,6 +213,8 @@ def parse_config(path, command: str | None = None) -> ExperimentConfig:
     params = _validate_section("system.params", system_raw.get("params", {}),
                                _params_schema(name))
 
+    if seed is not None and isinstance(raw.get("mc", {}), dict):
+        raw["mc"] = {**raw.get("mc", {}), "master_seed": seed}
     resolved = {
         "schema": SCHEMA_VERSION,
         "command": cmd,
@@ -220,6 +225,8 @@ def parse_config(path, command: str | None = None) -> ExperimentConfig:
                                       SCHEMA[section])
            for section in ("integrator", "mc", "output", cmd)},
     }
+    if out is not None:
+        resolved["output"]["directory"] = out
     d = params["d"]
     points = [(f"system.params.{key}", value) for key, value in params.items()]
     points += [(f"{cmd}.{key}", resolved[cmd].get(key)) for key in ("x", "v")]
@@ -238,18 +245,6 @@ def parse_config(path, command: str | None = None) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
     return ExperimentConfig(command=cmd, resolved=resolved,
-                            params_hash=_hash_config(resolved))
-
-
-def _apply_overrides(config: ExperimentConfig, seed: int | None,
-                     out: str | None) -> ExperimentConfig:
-    resolved = json.loads(_canonical(config.resolved))
-    if seed is not None:
-        resolved["mc"] = _validate_section(
-            "mc", {**resolved["mc"], "master_seed": seed}, SCHEMA["mc"])
-    if out is not None:
-        resolved["output"]["directory"] = out
-    return ExperimentConfig(command=config.command, resolved=resolved,
                             params_hash=_hash_config(resolved))
 
 
@@ -277,7 +272,7 @@ def _cmd_moments(config, system, workers):
     report = est.derivative_moment(
         system, blk["x"], blk["v"], blk["p"], blk["t"], config.n_paths,
         config.integrator, master_seed=config.master_seed, workers=workers)
-    t0 = est.MomentWindow.for_system(system, blk["p"]).T0
+    t0 = est.moment_window(system, blk["p"])
     row = ("derivative_moment", blk["t"], report.value, report.std_error,
            config.n_paths,
            {"p": blk["p"], "window_exceeded": blk["t"] > t0 + 1e-12})
@@ -399,8 +394,7 @@ def run(command: str, config_path, seed: int | None = None,
     try:
         if workers < 1:
             raise ConfigError(f"--workers must be at least 1, got {workers}")
-        config = parse_config(config_path, command)
-        config = _apply_overrides(config, seed, out)
+        config = parse_config(config_path, command, seed, out)
         system = builtin(config.system_spec["name"],
                          **config.system_spec["params"])
         out_dir = Path(config.resolved["output"]["directory"]

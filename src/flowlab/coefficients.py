@@ -299,8 +299,6 @@ def gated_right_inverse(sig: np.ndarray, xi: np.ndarray,
 class SpectralReport:
     """K_p(x) as the top eigenvalue of the symmetrized quadratic-form matrix."""
 
-    x: np.ndarray
-    p: float
     kp: float
     matrix: np.ndarray
 
@@ -314,8 +312,7 @@ def kp_max(system: CoefficientSystem, x: np.ndarray, p: float) -> SpectralReport
     x = np.asarray(x, dtype=float)
     system._check_regular(x)
     kp, mat = _kp(system.jacobians_stacked(x), p)
-    return SpectralReport(x=x, p=p, kp=float(kp) if np.ndim(kp) == 0 else kp,
-                          matrix=mat)
+    return SpectralReport(float(kp) if np.ndim(kp) == 0 else kp, mat)
 
 
 def _kp(jall: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
@@ -394,6 +391,13 @@ class CheckSpec:
     radius: float = 10.0
     p_list: tuple[float, ...] = (2.0,)
     quad_budget: float = 1e9
+
+    def __post_init__(self):
+        if not self.radius > 0:
+            raise ValueError(f"probe radius must be positive, got "
+                             f"{self.radius!r}")
+        if len(self.p_list) == 0:
+            raise ValueError("p_list must hold at least one moment order")
 
 
 @dataclass(frozen=True)

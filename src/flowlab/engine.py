@@ -123,8 +123,12 @@ def increments_block(master_seed: int, first_path: int, n_paths: int,
     Path i's n_steps*m draws, in (step, component) order, are the raw uint64
     stream of Philox keyed by (master_seed, i) from counter 0; a raw word r
     becomes ndtri(((r >> 11) + 1/2) 2^-53) sqrt(h). The uniform never is 0
-    or 1, so the output is finite and platform-stable.
+    or 1, so the output is finite and platform-stable. ValueError unless
+    0 <= master_seed < 2**64, the range of a Philox key word.
     """
+    if not 0 <= master_seed < 2**64:
+        raise ValueError(f"master_seed must be an integer in [0, 2**64), got "
+                         f"{master_seed!r}")
     n_draws = n_steps * m
     out = np.empty((n_paths, n_steps, m))
     flat = out.reshape(n_paths, n_draws)
@@ -256,7 +260,7 @@ class BatchEuler:
             # same term order as the x update (diffusion sum, then drift) so
             # the two components of a scalar linear system share the exact
             # factor
-            v_new = v.copy()
+            v_new = v
             for k in range(1, sys_.m + 1):
                 v_new = v_new + np.einsum("nij,nj->ni", jall[:, k], v) \
                     * dw[:, k - 1:k]
@@ -265,7 +269,8 @@ class BatchEuler:
         # valid for the pre-step x only (an observer may have cached them);
         # dropping them now frees them when the step ends
         self._fields = self._jacobians = None
-        out = row_norm(np.where(finite[:, None], x_new, 0.0)) > cfg.guard_radius
+        # a non-finite row's norm is read only through move, which drops it
+        out = row_norm(x_new) > cfg.guard_radius
         move = active & finite
         self.x = np.where(move[:, None], x_new, x)
         self.v = np.where(move[:, None], v_new, v)

@@ -75,10 +75,10 @@ from .quadrature import ball_volume, box_grid
 
 __all__ = [
     "EstimateReport",
-    "MomentWindow",
     "PAYOFFS",
     "SmoothBump",
     "derivative_moment",
+    "moment_window",
     "flow_moment_bound_check",
     "bel_gradient",
     "fd_gradient",
@@ -147,15 +147,10 @@ class EstimateReport:
     paths: PathCounts
 
 
-@dataclass(frozen=True)
-class MomentWindow:
-    """Horizon kappa(p)/(d+2) on which the derivative moment bound is claimed."""
-
-    T0: float
-
-    @classmethod
-    def for_system(cls, system: CoefficientSystem, p: float) -> "MomentWindow":
-        return cls(T0=system.constants.kappa(p) / (system.d + 2))
+def moment_window(system: CoefficientSystem, p: float) -> float:
+    """T0(p) = kappa(p)/(d+2), the horizon on which the derivative moment
+    bound is claimed."""
+    return system.constants.kappa(p) / (system.d + 2)
 
 
 PAYOFFS = {
@@ -248,7 +243,7 @@ def derivative_moment(system: CoefficientSystem, x, v, p: float, t: float,
     """Mean of |v_t|^p across paths.
 
     The moment bound is only claimed for t inside the window T0(p)
-    (`MomentWindow`); outside it the estimate is still returned.
+    (`moment_window`); outside it the estimate is still returned.
     """
     if p <= 0:
         raise ValueError(f"moment order p must be positive, got {p!r}")
@@ -297,6 +292,8 @@ def flow_moment_bound_check(system: CoefficientSystem, x, lam: float, T: float,
     n_steps = grid_steps(T, cfg.h, "T")
     check_steps = [max(1, round((j + 1) * n_steps / n_checkpoints))
                    for j in range(n_checkpoints)]
+    # before any path is stepped: it checks lam and theta_points
+    theta = theta_g(system, lam, box=theta_box, n_points=theta_points)
 
     def run(dws):
         drv = BatchEuler(system, x, 0.0, dws, cfg)
@@ -311,7 +308,6 @@ def flow_moment_bound_check(system: CoefficientSystem, x, lam: float, T: float,
 
     paths, vals = _map_paths(run, n_paths, n_steps, cfg.h, system.m,
                              master_seed, workers)
-    theta = theta_g(system, lam, box=theta_box, n_points=theta_points)
     base = (1.0 + float(np.sum(np.asarray(x, dtype=float) ** 2))) ** lam
     rows = []
     for j, cs in enumerate(check_steps):
@@ -496,8 +492,11 @@ def ibp_residual(system: CoefficientSystem, t: float, box: float, n_grid: int,
         if not (isinstance(value, numbers.Integral) and value >= least):
             raise ValueError(f"{name} must be an integer of at least "
                              f"{least}, got {value!r}")
-    n_steps = grid_steps(t, cfg.h)
     d = system.d
+    if not (isinstance(i_coord, numbers.Integral) and 0 <= i_coord < d):
+        raise ValueError(f"coordinate i_coord must be an integer in "
+                         f"0..{d - 1}, got {i_coord!r}")
+    n_steps = grid_steps(t, cfg.h)
     starts, spacing = box_grid(d, box, n_grid)
     weight = spacing**d
     phi_vals = phi.value(starts)
@@ -619,6 +618,8 @@ def holder_modulus(system: CoefficientSystem, pairs, p: float, t: float,
     pairs so that ratio comparisons are low-noise. Every pair reduces over
     the paths that none of the pairs' flows dropped; the counts come last.
     """
+    if p <= 0:
+        raise ValueError(f"moment order p must be positive, got {p!r}")
     n_steps = grid_steps(t, cfg.h)
     pairs = [(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
              for x, y in pairs]

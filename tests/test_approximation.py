@@ -120,7 +120,7 @@ def test_radial_derivative_vanishes_and_tangential_scales():
     s = linear_system(d=2)
     ts = truncate(s, 2.0)
     x = np.array([4.0, 0.0])
-    radial, tangential = radial_tangential_derivative_check(ts, x)
+    radial, tangential = radial_tangential_derivative_check(s, 2.0, x)
     assert radial < 1e-6
     assert tangential < 1e-4
     # tangent direction e_2 explicitly: (R/|x|) DX(pi_R x) e_2 = 0.5 e_2
@@ -132,9 +132,8 @@ def test_radial_derivative_vanishes_and_tangential_scales():
 
 def test_radial_tangential_constant_base():
     s = builtin("constant", sigma=2.0, d=2)
-    ts = truncate(s, 3.0)
     radial, tangential = radial_tangential_derivative_check(
-        ts, np.array([5.0, 1.0]))
+        s, 3.0, np.array([5.0, 1.0]))
     assert radial < 1e-10
     assert tangential < 1e-10
 
@@ -194,9 +193,9 @@ def test_truncation_matches_two_norm_projection_bitwise(name, R, case):
 
 
 def test_radial_tangential_kink_exclusion():
-    ts = truncate(linear_system(d=2), 2.0)
     with pytest.raises(ValueError):
-        radial_tangential_derivative_check(ts, np.array([2.00001, 0.0]))
+        radial_tangential_derivative_check(linear_system(d=2), 2.0,
+                                           np.array([2.00001, 0.0]))
 
 
 # ---------------------------------------------------------------------------

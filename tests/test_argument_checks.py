@@ -8,14 +8,19 @@ import pytest
 
 from flowlab import (
     AssumptionConstants,
+    CheckSpec,
     IntegratorConfig,
+    SmoothBump,
     bel_gradient,
     builtin,
+    check_assumptions,
     derivative_moment,
     family_convergence,
     fd_gradient,
     flow_moment_bound_check,
     holder_modulus,
+    ibp_residual,
+    increments_block,
     kp_max,
     krylov_check,
     lp_distance,
@@ -49,6 +54,13 @@ X, V = [0.3, 0.0], [1.0, 0.0]
 SHORT_POINT = "x0 and v0 must end in the d = 2 coordinates of example21"
 IDENTITY = PAYOFFS["identity"]
 FAMILY = mollified_family(EX21, eps0=0.25)
+SEED_RANGE = "master_seed must be an integer in [0, 2**64)"
+
+
+def ibp(i_coord):
+    """ibp_residual on the 2-d OU, with coordinate i_coord."""
+    return ibp_residual(ou(d=2), 0.25, 1.0, 5, SmoothBump(0.8, d=2), i_coord,
+                        1, CFG)
 
 
 CHECKS = {
@@ -125,6 +137,37 @@ CHECKS = {
     "family_one_eps": (
         lambda: family_convergence(FAMILY, [0.2], X, V, 0.25, 4, CFG),
         ValueError, "eps_list must hold at least two radii, got [0.2]"),
+    "ibp_negative_coordinate": (lambda: ibp(-1), ValueError,
+                                "i_coord must be an integer in 0..1, got -1"),
+    "ibp_coordinate_d": (lambda: ibp(2), ValueError,
+                         "i_coord must be an integer in 0..1, got 2"),
+    "holder_p_zero": (
+        lambda: holder_modulus(ou(), [([0.0], [0.5])], 0.0, 0.25, 4, CFG),
+        ValueError, "moment order p must be positive, got 0.0"),
+    "holder_p_negative": (
+        lambda: holder_modulus(ou(), [([0.0], [0.5])], -1.0, 0.25, 4, CFG),
+        ValueError, "moment order p must be positive, got -1.0"),
+    # the start is short too: lam is checked before any path is stepped
+    "flow_bound_lam_zero": (
+        lambda: flow_moment_bound_check(EX21, SHORT, 0.0, 0.25, 4, CFG,
+                                        theta_points=8),
+        ValueError, "lambda must be positive"),
+    "flow_bound_theta_points": (
+        lambda: flow_moment_bound_check(EX21, X, 1.0, 0.25, 4, CFG,
+                                        theta_points=1),
+        ValueError, "a box grid needs at least 2 points per axis, got 1"),
+    "check_no_orders": (
+        lambda: check_assumptions(ou(), CheckSpec(p_list=())), ValueError,
+        "p_list must hold at least one moment order"),
+    "check_negative_radius": (
+        lambda: check_assumptions(ou(), CheckSpec(radius=-10.0)), ValueError,
+        "probe radius must be positive, got -10.0"),
+    "increments_negative_seed": (
+        lambda: increments_block(-1, 0, 1, 4, 0.05, 1), ValueError,
+        f"{SEED_RANGE}, got -1"),
+    "increments_seed_2_64": (
+        lambda: increments_block(2**64, 0, 1, 4, 0.05, 1), ValueError,
+        f"{SEED_RANGE}, got {2**64}"),
     "exp_representation_short_x": (
         lambda: exp_representation_gaps(EX21, SHORT, V, 2.0, 0.25, 4, CFG),
         ValueError, SHORT_POINT),

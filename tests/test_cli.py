@@ -979,6 +979,19 @@ def test_seed_override_changes_hash_and_results(tmp_path):
     assert "seed=1" in r1[8] and "seed=2" in r2[8]
 
 
+def test_seed_override_replaces_the_file_seed_before_it_is_checked(
+        tmp_path):
+    # --seed takes the place of the file's master_seed in the mc section's
+    # one check, so a file value it replaces is never read
+    path = write(tmp_path, "g.json", gradient_config(
+        mc={"n_paths": 8, "master_seed": -4}))
+    out = tmp_path / "o"
+    assert run("gradient", path, seed=3, out=str(out)) == 0
+    echo = json.loads((out / "config.echo.json").read_text())
+    assert echo["mc"]["master_seed"] == 3
+    assert echo["output"]["directory"] == str(out)
+
+
 def test_env_output_fallback(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("FLOWLAB_OUT", str(tmp_path / "envout"))

@@ -18,7 +18,6 @@ import pytest
 from flowlab import (
     CoefficientSystem,
     IntegratorConfig,
-    MomentWindow,
     bel_gradient,
     builtin,
     derivative_moment,
@@ -30,6 +29,7 @@ from flowlab import (
     krylov_check,
     make_system,
     mollified_family,
+    moment_window,
 )
 import flowlab.errors as errors
 import flowlab.estimators as est_module
@@ -58,8 +58,7 @@ def zero_system(d=1):
 
 def test_moment_window_formula():
     s = builtin("ornstein_uhlenbeck", d=1)  # kappa(p) = 1/p, d = 1
-    w = MomentWindow.for_system(s, 2.0)
-    assert w.T0 == pytest.approx((1.0 / 2.0) / 3.0)
+    assert moment_window(s, 2.0) == pytest.approx((1.0 / 2.0) / 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +70,7 @@ def test_derivative_moment_zero_jacobians_exact():
                             n_paths=500, cfg=cfg(h=1e-2))
     assert rep.value == pytest.approx(1.0, abs=1e-14)
     assert rep.std_error < 1e-14
-    assert 0.05 <= MomentWindow.for_system(s, 3.0).T0  # inside the window
+    assert 0.05 <= moment_window(s, 3.0)  # inside the window
 
 
 def test_derivative_moment_ou_deterministic_decay():
@@ -79,7 +78,7 @@ def test_derivative_moment_ou_deterministic_decay():
     rep = derivative_moment(s, [0.0], [1.0], p=2.0, t=1.0, n_paths=200,
                             cfg=cfg(h=1e-3))
     assert abs(rep.value - math.exp(-2.0)) < 3e-4
-    assert 1.0 > MomentWindow.for_system(s, 2.0).T0  # T0(2) = 1/6
+    assert 1.0 > moment_window(s, 2.0)  # T0(2) = 1/6
 
 
 def test_derivative_moment_gbm_lognormal_oracle():

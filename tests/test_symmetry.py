@@ -35,8 +35,14 @@ from functools import cache
 import numpy as np
 import pytest
 
-from flowlab import IntegratorConfig, builtin
-from flowlab.coefficients import _kp, row_norm
+from flowlab import (
+    IntegratorConfig,
+    builtin,
+    kp_max,
+    mollified_family,
+    truncate,
+)
+from flowlab.coefficients import row_norm
 from flowlab.engine import BatchEuler
 
 # the tolerances of the entries and of K_p's value: 0 compares with ==
@@ -63,6 +69,16 @@ PARAMS = {
 }
 
 N_PATHS, N_STEPS, H = 512, 500, 2e-3
+
+# truncate(s, R_TRUNCATE) and the member of radius EPS on N_SMOOTH starts in
+# d = 2; R_TRUNCATE, also the member's truncation radius, lies in the shell,
+# so about a fifth of the starts are projected onto its sphere. A member
+# sums its convolution nodes in their own order, which Q does not keep, so
+# it commutes within MEMBER_TOL (measured: 3.4e-16 of the largest entry on
+# the fields, 2.2e-16 on the Jacobians)
+PLANAR = sorted(name for name in SIGNED_PERMUTATIONS if name.startswith("d2"))
+R_TRUNCATE, EPS, N_SMOOTH = 4.0, 0.1, 120
+MEMBER_TOL = 1e-14
 
 
 def signed_permutation(name):
@@ -132,12 +148,8 @@ def test_starts_cover_the_three_regions(params, d):
         assert np.sum((r > lo) & (r < hi)) > N_PATHS // 4
 
 
-@pytest.mark.parametrize("name", sorted(SIGNED_PERMUTATIONS))
-@pytest.mark.parametrize("params", sorted(PARAMS))
-def test_fields_and_jacobians_commute(params, name):
-    s = system_of(params, name)
-    q, tol, _ = signed_permutation(name)
-    x = starts(s.r_min, s.d)
+def assert_commutes(s, q, tol, x):
+    """The fields and Jacobians of s at Q x are those at x, moved by Q."""
     drift, sigma = s.fields(x)
     drift_q, sigma_q = s.fields(act(q, x))
     assert_close(drift_q, act(q, drift), tol)
@@ -147,16 +159,44 @@ def test_fields_and_jacobians_commute(params, name):
 
 
 @pytest.mark.parametrize("name", sorted(SIGNED_PERMUTATIONS))
+@pytest.mark.parametrize("params", sorted(PARAMS))
+def test_fields_and_jacobians_commute(params, name):
+    s = system_of(params, name)
+    q, tol, _ = signed_permutation(name)
+    assert_commutes(s, q, tol, starts(s.r_min, s.d))
+
+
+@pytest.mark.parametrize("name", PLANAR)
+@pytest.mark.parametrize("params", sorted(PARAMS))
+def test_truncation_commutes(params, name):
+    s = system(params, 2)
+    q, tol, _ = signed_permutation(name)
+    x = starts(s.r_min, 2, N_SMOOTH)
+    assert np.sum(row_norm(x) > R_TRUNCATE) > N_SMOOTH // 10
+    assert_commutes(truncate(s, R_TRUNCATE), q, tol, x)
+
+
+@pytest.mark.parametrize("name", PLANAR)
+@pytest.mark.parametrize("params", sorted(PARAMS))
+def test_member_commutes(params, name):
+    s = system(params, 2)
+    q, _, _ = signed_permutation(name)
+    fam = mollified_family(s, eps0=0.25, n_radial=6, n_angular=8)
+    assert fam.truncation_radius(EPS) == R_TRUNCATE
+    assert_commutes(fam.member(EPS), q, MEMBER_TOL,
+                    starts(s.r_min, 2, N_SMOOTH))
+
+
+@pytest.mark.parametrize("name", sorted(SIGNED_PERMUTATIONS))
 @pytest.mark.parametrize("p", [0.5, 1.0, 3.0])
 @pytest.mark.parametrize("params", sorted(PARAMS))
 def test_kp_is_invariant(params, name, p):
     s = system_of(params, name)
     q, tol, kp_tol = signed_permutation(name)
     x = starts(s.r_min, s.d)
-    kp, mat = _kp(s.jacobians_stacked(x), p)
-    kp_q, mat_q = _kp(s.jacobians_stacked(act(q, x)), p)
-    assert_close(mat_q, act_matrix(q, mat), tol)
-    assert_close(kp_q, kp, kp_tol)
+    rep, rep_q = kp_max(s, x, p), kp_max(s, act(q, x), p)
+    assert_close(rep_q.matrix, act_matrix(q, rep.matrix), tol)
+    assert_close(rep_q.kp, rep.kp, kp_tol)
 
 
 def run_euler(s, x0, v0, dws):
