@@ -6,6 +6,7 @@ CoefficientSystems that carry their radius and eps in params.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -226,8 +227,9 @@ class Mollifier:
 def mollifier(d: int, eps: float, n_radial: int | None = None,
               n_angular: int | None = None) -> Mollifier:
     """Build a mollifier of radius eps with the dimension's default ball rule."""
-    if eps <= 0:
-        raise ValueError("mollifier radius eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"mollifier radius eps must be positive and finite, "
+                         f"got {eps!r}")
     nodes, weights = unit_ball_rule(d, n_radial, n_angular)
     eta = _bump_kernel(np.sum(nodes**2, axis=-1))
     norm = 1.0 / float(np.sum(weights * eta))
@@ -304,9 +306,14 @@ def mollified_family(base: CoefficientSystem, lambda0: float | None = None,
                      n_angular: int | None = None) -> MollifiedFamily:
     """Family with exponent/ceiling defaulting to select_lambda0 of the base.
 
-    A caller-supplied lambda0 must still satisfy the admissibility
-    inequalities lambda0 p1 < min(iota - lambda0 p2, 1 - lambda0 (p2 + p5)).
+    A caller-supplied lambda0 or eps0 must be positive and finite, and
+    lambda0 must still satisfy the admissibility inequalities
+    lambda0 p1 < min(iota - lambda0 p2, 1 - lambda0 (p2 + p5)).
     """
+    for name, value in (("lambda0", lambda0), ("eps0", eps0)):
+        if value is not None and not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got "
+                             f"{value!r}")
     lam_default, eps_default = select_lambda0(base.constants, base.d)
     lam = lam_default if lambda0 is None else lambda0
     if lambda0 is not None:

@@ -341,7 +341,7 @@ def _cmd_check(config, system, workers):
 
 def _cmd_ibp(config, system, workers):
     blk = config.block
-    bump = est.SmoothBump(radius=blk["bump_radius"], d=system.d)
+    bump = est.SmoothBump(radius=blk["bump_radius"])
     report = est.ibp_residual(
         system, blk["t"], blk["box"], blk["n_grid"], bump, blk["i"],
         blk["n_omega"], config.integrator, master_seed=config.master_seed)

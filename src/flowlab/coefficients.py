@@ -38,7 +38,7 @@ __all__ = [
     "BUILTIN_NAMES",
 ]
 
-DEFAULT_COND_MAX = 1e12
+COND_MAX = 1e12
 DEFAULT_H_FD = 1e-5
 DEFAULT_R_MIN = 1e-6
 
@@ -282,14 +282,13 @@ def gram(sig: np.ndarray) -> np.ndarray:
     return np.einsum("...ik,...jk->...ij", sig, sig)
 
 
-def gated_right_inverse(sig: np.ndarray, xi: np.ndarray,
-                        cond_max: float = DEFAULT_COND_MAX) -> tuple:
+def gated_right_inverse(sig: np.ndarray, xi: np.ndarray) -> tuple:
     """(Sigma^T A^{-1} xi, gated, smallest eigenvalue of A) for A = Sigma
     Sigma^T, batched; gated marks where A is not positive definite or
-    cond(A) exceeds cond_max, and the right inverse there is meaningless."""
+    cond(A) exceeds COND_MAX, and the right inverse there is meaningless."""
     a = gram(sig)
     lo, hi = sym_eig_range(a)
-    gated = ~(lo > 0.0) | (hi > cond_max * lo)
+    gated = ~(lo > 0.0) | (hi > COND_MAX * lo)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         y = np.einsum("...ik,...i->...k", sig, solve_spd(a, xi))
     return y, gated, lo
@@ -371,17 +370,18 @@ def theta_g(system: CoefficientSystem, lam: float, box: float = 50.0,
 
 # the sampling plan: probe radii and directions, offsets |y| <= delta per
 # direction in (c2), and the refinement levels of the (c3) quadrature on the
-# unit ball, whose radial count doubles from the first
+# unit ball, whose radial count doubles from the first, and its budget
 _N_RADIAL = 24
 _N_ANGULAR = 16
 _DELTA_SAMPLES = 6
 _QUAD_LEVELS = 3
 _QUAD_N0 = 16
+_QUAD_BUDGET = 1e9
 
 
 @dataclass(frozen=True)
 class CheckSpec:
-    """Probe radius, moment orders and (c3) budget for the condition checker.
+    """Probe radius and moment orders for the condition checker.
 
     (c2) and (c4aa) leave their constant non-constructive: the checker
     reports the largest empirical constant over p_list as the worst margin,
@@ -390,7 +390,6 @@ class CheckSpec:
 
     radius: float = 10.0
     p_list: tuple[float, ...] = (2.0,)
-    quad_budget: float = 1e9
 
     def __post_init__(self):
         if not self.radius > 0:
@@ -429,9 +428,10 @@ def check_assumptions(system: CoefficientSystem,
     at the sampled points, fail carries the worst violating point, and a nan
     sample fails its condition. (c1), (c2aa) and (c2) read one field pass
     over the probes shifted by every (c2) offset; (c1) and (c2aa) read its
-    y = 0 slice, and (c1) forms A there with gram. (c3) is skipped when every
-    quadrature node is singular, and (c4) and (c4aa) when any probe outside
-    R1 is.
+    y = 0 slice, and (c1) forms A there with gram. (c3) fails a quadrature
+    of exp(kappa K_p) over the unit ball above 1e9 or still growing; it is
+    skipped when every quadrature node is singular, and (c4) and (c4aa)
+    when any probe outside R1 is.
     """
     c = system.constants
     d = system.d
@@ -521,11 +521,10 @@ def _check_c3(system: CoefficientSystem, spec: CheckSpec) -> ConditionReport:
     worst_final = max(v[-1] for v in estimates.values())
     growing = any(len(v) >= 2 and v[-1] > 1.5 * v[-2] and v[-1] > 10.0
                   for v in estimates.values())
-    ok = worst_final <= spec.quad_budget and not growing
+    ok = worst_final <= _QUAD_BUDGET and not growing
     return ConditionReport(
-        "c3", "pass" if ok else "fail", None,
-        spec.quad_budget - worst_final,
-        {"levels": estimates, "budget": spec.quad_budget,
+        "c3", "pass" if ok else "fail", None, _QUAD_BUDGET - worst_final,
+        {"levels": estimates, "budget": _QUAD_BUDGET,
          "diverging": growing},
         # a node skipped at one level is skipped once for each order p
         skipped_points=skipped * len(spec.p_list))

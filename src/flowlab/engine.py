@@ -124,11 +124,16 @@ def increments_block(master_seed: int, first_path: int, n_paths: int,
     stream of Philox keyed by (master_seed, i) from counter 0; a raw word r
     becomes ndtri(((r >> 11) + 1/2) 2^-53) sqrt(h). The uniform never is 0
     or 1, so the output is finite and platform-stable. ValueError unless
-    0 <= master_seed < 2**64, the range of a Philox key word.
+    0 <= master_seed < 2**64 and 0 <= first_path <= 2**64 - n_paths, so that
+    every key word is in the range of a Philox key word.
     """
     if not 0 <= master_seed < 2**64:
         raise ValueError(f"master_seed must be an integer in [0, 2**64), got "
                          f"{master_seed!r}")
+    if not 0 <= first_path <= 2**64 - n_paths:
+        raise ValueError(f"first_path must be an integer in [0, 2**64 - "
+                         f"n_paths] for n_paths = {n_paths}, got "
+                         f"{first_path!r}")
     n_draws = n_steps * m
     out = np.empty((n_paths, n_steps, m))
     flat = out.reshape(n_paths, n_draws)

@@ -55,7 +55,6 @@ import numpy as np
 
 from .approximation import MollifiedFamily, _bump_kernel
 from .coefficients import (
-    DEFAULT_COND_MAX,
     CoefficientSystem,
     det_spd,
     gated_right_inverse,
@@ -325,15 +324,15 @@ def flow_moment_bound_check(system: CoefficientSystem, x, lam: float, T: float,
 # gradients
 
 def bel_gradient(system: CoefficientSystem, x, v, f, t: float, n_paths: int,
-                 cfg: IntegratorConfig, master_seed: int = 0, workers: int = 1,
-                 cond_max: float = DEFAULT_COND_MAX) -> EstimateReport:
+                 cfg: IntegratorConfig, master_seed: int = 0,
+                 workers: int = 1) -> EstimateReport:
     """Gradient of E f(F_t(x)) along v via the stochastic-integral weight.
 
     Per path accumulates S = sum_s <Y(x_s)(v_s), dW_s> with the left-point
     Ito discretization and Y = Sigma^T A^{-1}, and returns the mean of
-    f(x_t) S / t. Paths whose diffusion matrix fails the condition-number
-    gate at any step are excluded and counted as gated. t must be a whole
-    number of steps cfg.h, since the weight is divided by t.
+    f(x_t) S / t. Paths whose A is gated (cond(A) > 1e12 or not positive
+    definite) at any step are excluded and counted as gated. t must be a
+    whole number of steps cfg.h, since the weight is divided by t.
     """
     n_steps = grid_steps(t, cfg.h)
 
@@ -342,7 +341,7 @@ def bel_gradient(system: CoefficientSystem, x, v, f, t: float, n_paths: int,
         s_acc = np.zeros(drv.n)
         gated = np.zeros(drv.n, dtype=bool)
         for _, _, vs, dw, active in drv.steps():
-            y, bad, _ = gated_right_inverse(drv.fields()[1], vs, cond_max)
+            y, bad, _ = gated_right_inverse(drv.fields()[1], vs)
             gated |= bad & active
             with np.errstate(invalid="ignore", over="ignore"):
                 contrib = np.einsum("nk,nk->n", y, dw)
@@ -445,25 +444,24 @@ def family_convergence(fam: MollifiedFamily, eps_list, x, v, T: float,
 # integration by parts
 
 class SmoothBump:
-    """Compactly supported test function exp(1/((|x|/radius)^2 - 1)) with
-    analytic partial derivatives; vanishes with all derivatives at |x|=radius."""
+    """Test function exp(1/((|x|/radius)^2 - 1)) on the radius ball about
+    the origin, in the dimension of its points, with analytic partial
+    derivatives; vanishes with all derivatives at |x|=radius."""
 
-    def __init__(self, radius: float, center=None, d: int = 2):
+    def __init__(self, radius: float):
+        if not 0 < radius < math.inf:
+            raise ValueError(f"bump radius must be positive and finite, got "
+                             f"{radius!r}")
         self.radius = float(radius)
-        self.center = np.zeros(d) if center is None else np.asarray(center,
-                                                                    dtype=float)
-        self.d = d
 
     def value(self, x: np.ndarray) -> np.ndarray:
-        return _bump_kernel(np.sum((x - self.center) ** 2, axis=-1)
-                            / self.radius**2)
+        return _bump_kernel(np.sum(x**2, axis=-1) / self.radius**2)
 
     def partial(self, x: np.ndarray, i: int) -> np.ndarray:
-        z = x - self.center
-        u2 = np.sum(z * z, axis=-1) / self.radius**2
+        u2 = np.sum(x * x, axis=-1) / self.radius**2
         denom = np.where(u2 < 1.0, u2 - 1.0, -1.0)
         return _bump_kernel(u2) * (-1.0 / denom**2) \
-            * (2.0 * z[..., i] / self.radius**2)
+            * (2.0 * x[..., i] / self.radius**2)
 
 
 @dataclass(frozen=True)
@@ -485,8 +483,11 @@ def ibp_residual(system: CoefficientSystem, t: float, box: float, n_grid: int,
     over the uniform grid on [-box, box]^d; the report carries the mean and
     max over omega of the worst component. A start that fails or explodes in
     any draw is counted, not excluded: the grid quadrature keeps its exit.
-    t must be a whole number of steps cfg.h.
+    t must be a whole number of steps cfg.h, and box positive and finite.
     """
+    if not 0 < box < math.inf:
+        raise ValueError(f"grid half-width box must be positive and finite, "
+                         f"got {box!r}")
     for name, value, least in (("grid size n_grid", n_grid, 2),
                                ("draw count n_omega", n_omega, 1)):
         if not (isinstance(value, numbers.Integral) and value >= least):
@@ -537,29 +538,25 @@ class KrylovReport:
 
 
 def krylov_check(system: CoefficientSystem, x, T: float, R: float,
-                 n_paths: int, cfg: IntegratorConfig, f=None,
-                 f_norm: float | None = None, master_seed: int = 0,
+                 n_paths: int, cfg: IntegratorConfig, master_seed: int = 0,
                  workers: int = 1) -> KrylovReport:
     """Occupation-measure estimate against its growth-shaped majorant.
 
-    lhs estimates E int_0^{T ^ tau_R} f(t, F_t - x) det(A(F_t))^{1/(d+1)} dt
-    where tau_R is the exit time of the recentered flow from the R-ball; the
-    majorant shape is e^T (A_hat + B_hat^2)^{d/(2(d+1))} ||f||_{d+1} with
-    A_hat, B_hat the mean occupation integrals of tr A and |X_0|. The
-    dimensional constant is not constructive, so the report carries the ratio
-    lhs / shape from which any constant can be read off. Failed paths are
-    excluded; exploded paths are counted and kept, since their occupation
-    integral ended at the R-ball exit when |x| + R <= guard_radius.
+    lhs estimates E int_0^{T ^ tau_R} det(A(F_t))^{1/(d+1)} dt, the
+    occupation integral of f = 1, where tau_R is the exit time of the
+    recentered flow from the R-ball; the majorant shape is e^T (A_hat +
+    B_hat^2)^{d/(2(d+1))} ||f||_{d+1} with A_hat, B_hat the mean occupation
+    integrals of tr A and |X_0| and ||f||_{d+1} = (T vol(B_R))^{1/(d+1)}.
+    The dimensional constant is not constructive, so the report carries the
+    ratio lhs / shape from which any constant can be read off. Failed paths
+    are excluded; exploded paths are counted and kept, since their
+    occupation integral ended at the R-ball exit when |x| + R <= guard_radius.
     """
-    if R <= 0:
-        raise ValueError(f"ball radius R must be positive, got {R!r}")
+    if not 0 < R < math.inf:
+        raise ValueError(f"ball radius R must be positive and finite, got "
+                         f"{R!r}")
     d = system.d
-    if f is None:
-        f = lambda ts, xs: np.ones(xs.shape[:-1])
-        if f_norm is None:
-            f_norm = (T * ball_volume(d, R)) ** (1.0 / (d + 1))
-    if f_norm is None:
-        raise ValueError("custom f requires its cylinder L^{d+1} norm f_norm")
+    f_norm = (T * ball_volume(d, R)) ** (1.0 / (d + 1))
     n_steps = grid_steps(T, cfg.h, "T")
     x_arr = np.asarray(x, dtype=float)
     power = 1.0 / (d + 1)
@@ -570,15 +567,13 @@ def krylov_check(system: CoefficientSystem, x, T: float, R: float,
         a_acc = np.zeros(drv.n)
         b_acc = np.zeros(drv.n)
         inside = np.ones(drv.n, dtype=bool)
-        for s, xs, _, _, active in drv.steps():
-            recentered = xs - x_arr
-            inside &= row_norm(recentered) <= R
+        for _, xs, _, _, active in drv.steps():
+            inside &= row_norm(xs - x_arr) <= R
             live = inside & active
             drift, sig = drv.fields()
             a_mat = gram(sig)
             det = det_spd(a_mat)
-            fv = f(s * cfg.h, recentered)
-            lhs_acc += np.where(live, fv * det**power * cfg.h, 0.0)
+            lhs_acc += np.where(live, det**power * cfg.h, 0.0)
             a_acc += np.where(live,
                               np.trace(a_mat, axis1=-2, axis2=-1) * cfg.h, 0.0)
             b_acc += np.where(live, row_norm(drift) * cfg.h, 0.0)

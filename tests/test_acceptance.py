@@ -172,12 +172,12 @@ def test_c06_family_flow_convergence():
 def test_c07_integration_by_parts():
     affine = builtin("additive_noise", sigma=1.0, d=1)
     rep = ibp_residual(affine, t=0.1, box=1.0, n_grid=201,
-                       phi=SmoothBump(radius=0.8, d=1), i_coord=0, n_omega=4,
+                       phi=SmoothBump(radius=0.8), i_coord=0, n_omega=4,
                        cfg=cfg(h=1e-2), master_seed=700)
     affine_ok = rep.max_residual < 1e-6
 
     s = builtin("example21")
-    bump = SmoothBump(radius=0.4, d=2)
+    bump = SmoothBump(radius=0.4)
     # t = 0.096 is a whole number of steps on every level: 12, 24 and 48
     levels = [(33, 8e-3), (65, 4e-3), (129, 2e-3)]
     residuals = []

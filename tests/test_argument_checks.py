@@ -55,12 +55,16 @@ SHORT_POINT = "x0 and v0 must end in the d = 2 coordinates of example21"
 IDENTITY = PAYOFFS["identity"]
 FAMILY = mollified_family(EX21, eps0=0.25)
 SEED_RANGE = "master_seed must be an integer in [0, 2**64)"
+FIRST_PATH_RANGE = "first_path must be an integer in [0, 2**64 - n_paths]"
+BOX_DOMAIN = "grid half-width box must be positive and finite"
+RADIUS_DOMAIN = "bump radius must be positive and finite"
 
 
-def ibp(i_coord):
-    """ibp_residual on the 2-d OU, with coordinate i_coord."""
-    return ibp_residual(ou(d=2), 0.25, 1.0, 5, SmoothBump(0.8, d=2), i_coord,
-                        1, CFG)
+def ibp(i_coord=0, box=1.0):
+    """ibp_residual on the 2-d OU, with coordinate i_coord and grid
+    half-width box."""
+    return ibp_residual(ou(d=2), 0.25, box, 5, SmoothBump(0.8), i_coord, 1,
+                        CFG)
 
 
 CHECKS = {
@@ -96,10 +100,6 @@ CHECKS = {
         lambda: fd_gradient(ou(), [0.0], [1.0], PAYOFFS["identity"], 0.25, 4,
                             0.0, CFG),
         ValueError, "bump size delta must be positive"),
-    "krylov_f_norm": (
-        lambda: krylov_check(ou(), [0.0], 0.25, 1.0, 4, CFG,
-                             f=lambda ts, xs: np.ones(xs.shape[:-1])),
-        ValueError, "custom f requires its cylinder L^{d+1} norm f_norm"),
     "holder_equal_points": (
         lambda: holder_modulus(ou(), [([0.5], [0.5])], 2.0, 0.25, 4, CFG),
         ValueError, "pair points must be distinct"),
@@ -115,6 +115,13 @@ CHECKS = {
     "fd_gradient_short_v": (
         lambda: fd_gradient(EX21, X, SHORT, IDENTITY, 0.25, 4, 1e-3, CFG),
         ValueError, "x and v must end in the d = 2 coordinates of example21"),
+    # the majorant was inf and the ratio 0.0
+    "krylov_R_inf": (
+        lambda: krylov_check(ou(), [0.0], 0.25, math.inf, 4, CFG), ValueError,
+        "ball radius R must be positive and finite, got inf"),
+    "krylov_R_nan": (
+        lambda: krylov_check(ou(), [0.0], 0.25, math.nan, 4, CFG), ValueError,
+        "ball radius R must be positive and finite, got nan"),
     "krylov_short_x": (lambda: krylov_check(EX21, SHORT, 0.25, 1.0, 4, CFG),
                        ValueError, SHORT_POINT),
     "holder_short_point": (
@@ -173,6 +180,39 @@ CHECKS = {
         ValueError, SHORT_POINT),
     "mollifier_eps": (lambda: mollifier(2, 0.0), ValueError,
                       "mollifier radius eps must be positive"),
+    "mollifier_eps_nan": (lambda: mollifier(2, math.nan), ValueError,
+                          "mollifier radius eps must be positive and finite, got nan"),
+    "family_lambda0_negative": (
+        lambda: mollified_family(ou(d=2), lambda0=-1.0), ValueError,
+        "lambda0 must be positive and finite, got -1.0"),
+    "family_lambda0_zero": (
+        lambda: mollified_family(ou(d=2), lambda0=0.0), ValueError,
+        "lambda0 must be positive and finite, got 0.0"),
+    "family_eps0_negative": (
+        lambda: mollified_family(ou(d=2), eps0=-1.0), ValueError,
+        "eps0 must be positive and finite, got -1.0"),
+    "increments_negative_first_path": (
+        lambda: increments_block(0, -1, 1, 4, 0.05, 1), ValueError,
+        f"{FIRST_PATH_RANGE} for n_paths = 1, got -1"),
+    "increments_last_path_2_64": (
+        lambda: increments_block(0, 2**64 - 1, 2, 4, 0.05, 1), ValueError,
+        f"{FIRST_PATH_RANGE} for n_paths = 2, got {2**64 - 1}"),
+    "mollifier_eps_inf": (lambda: mollifier(2, math.inf), ValueError,
+                          "mollifier radius eps must be positive and finite, "
+                          "got inf"),
+    "ibp_box_zero": (lambda: ibp(box=0.0), ValueError,
+                     f"{BOX_DOMAIN}, got 0.0"),
+    "ibp_box_negative": (lambda: ibp(box=-1.0), ValueError,
+                         f"{BOX_DOMAIN}, got -1.0"),
+    # every start fails, and the residual read 0.0
+    "ibp_box_inf": (lambda: ibp(box=math.inf), ValueError,
+                    f"{BOX_DOMAIN}, got inf"),
+    "bump_radius_zero": (lambda: SmoothBump(0.0), ValueError,
+                         f"{RADIUS_DOMAIN}, got 0.0"),
+    "bump_radius_negative": (lambda: SmoothBump(-1.0), ValueError,
+                             f"{RADIUS_DOMAIN}, got -1.0"),
+    "bump_radius_inf": (lambda: SmoothBump(math.inf), ValueError,
+                        f"{RADIUS_DOMAIN}, got inf"),
     "select_lambda0_p3": (lambda: select_lambda0(constants(p3=2.0), 2),
                           ValueError, "p3 must exceed d"),
     "lp_distance_mode": (lambda: lp_distance(ou(), ou(), 0, 1.0, 2.0,

@@ -183,6 +183,22 @@ def test_run_gradient_writes_artifacts_and_estimates(tmp_path):
     assert echo["params_hash"] == fields[2]
 
 
+def test_run_gradient_fd_writes_the_report_of_fd_gradient(tmp_path):
+    config = gradient_config(mc={"n_paths": 200, "master_seed": 9})
+    config["gradient"].update(method="fd", delta=1e-2, t=0.5)
+    path = write(tmp_path, "g.json", config)
+    out = tmp_path / "out"
+    assert run("gradient", path, out=str(out)) == 0
+    fields = read_rows(out)["gradient_fd"]
+    report = est_module.fd_gradient(
+        builtin("ornstein_uhlenbeck", theta=1.0, sigma=1.0, d=1), [0.0],
+        [1.0], est_module.PAYOFFS["identity"], 0.5, 200, 1e-2,
+        IntegratorConfig(h=5e-3, T=1.0), master_seed=9)
+    assert (float(fields[4]), float(fields[5])) == (report.value,
+                                                    report.std_error)
+    assert fields[6] == "200"
+
+
 @pytest.mark.parametrize("command", sorted(MINIMAL_BLOCKS))
 def test_run_writes_the_row_context_on_every_row(tmp_path, command):
     # one writer adds the system, hash, step and seed to each command's rows
@@ -285,6 +301,35 @@ def test_run_log_counts_the_runtime_warnings_of_a_command(tmp_path, capsys):
         warnings.resetwarnings()
         assert run("moments", path, out=str(tmp_path / "m")) == 0
     assert capsys.readouterr().err == ""
+    log = (tmp_path / "m" / "run.log").read_text().splitlines()
+    assert "runtime_warnings: 0" in log
+    assert not any(line.startswith("runtime_warning: ") for line in log)
+
+
+def test_run_shows_a_warning_that_is_not_a_runtime_warning(tmp_path, capsys,
+                                                           monkeypatch):
+    # only RuntimeWarnings are counted in run.log; any other warning reaches
+    # the interpreter's showwarning, here one that writes to stderr as the
+    # default one does
+    window = est_module.moment_window
+
+    def warning_window(system, p):
+        warnings.warn("a warning of the moments command", UserWarning)
+        return window(system, p)
+
+    def to_stderr(message, category, filename, lineno, file=None, line=None):
+        sys.stderr.write(warnings.formatwarning(message, category, filename,
+                                                lineno, line))
+
+    monkeypatch.setattr(est_module, "moment_window", warning_window)
+    path = write(tmp_path, "m.json", minimal_config("moments"))
+    with warnings.catch_warnings():
+        warnings.resetwarnings()
+        monkeypatch.setattr(warnings, "showwarning", to_stderr)
+        assert run("moments", path, out=str(tmp_path / "m")) == 0
+    err = capsys.readouterr().err
+    assert "UserWarning: a warning of the moments command" in err
+    assert "RuntimeWarnings" not in err
     log = (tmp_path / "m" / "run.log").read_text().splitlines()
     assert "runtime_warnings: 0" in log
     assert not any(line.startswith("runtime_warning: ") for line in log)

@@ -408,7 +408,7 @@ def test_check_sqrt_field_exponential_integrability_fails():
     # K_p ~ (2p-1)p/(4|x|) near 0 makes exp(kappa K_p) non-integrable; the
     # refinement study must see the quadrature diverge
     s = sqrt_field_system()
-    reports = check_assumptions(s, CheckSpec(p_list=(2.0,), quad_budget=1e6))
+    reports = check_assumptions(s, CheckSpec(p_list=(2.0,)))
     assert reports["c3"].status == "fail"
     assert reports["c3"].detail["diverging"] or \
         min(reports["c3"].detail["levels"][2.0]) > 1e6
@@ -416,7 +416,7 @@ def test_check_sqrt_field_exponential_integrability_fails():
 
 def test_check_example21_passes_at_order_one():
     s = builtin("example21")
-    reports = check_assumptions(s, CheckSpec(p_list=(1.0,), quad_budget=1e3))
+    reports = check_assumptions(s, CheckSpec(p_list=(1.0,)))
     for name in ("c1", "c2aa", "c2", "c3", "c4"):
         assert reports[name].passed, f"{name}: {reports[name].detail}"
 

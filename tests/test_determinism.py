@@ -76,7 +76,7 @@ CASES = {
     "exp_representation_gaps": lambda w: exp_representation_gaps(
         GBM, [0.9], [1.0], p=2.0, T=0.25, workers=w, **RUN),
     "ibp_residual": lambda w: ibp_residual(
-        GBM, t=0.25, box=1.0, n_grid=11, phi=SmoothBump(0.8, d=1), i_coord=0,
+        GBM, t=0.25, box=1.0, n_grid=11, phi=SmoothBump(0.8), i_coord=0,
         n_omega=2, cfg=CFG, master_seed=11),
 }
 

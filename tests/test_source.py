@@ -1,14 +1,18 @@
-"""Source guards over src/flowlab, read with the standard library's ast: no
-module imports a name it does not use, every module-level private function
-and class is referenced, and the single-caller layers that were folded into
-their callers stay gone."""
+"""Source guards over src/flowlab, read with the standard library's ast and
+inspect: no module imports a name it does not use, every module-level
+private function and class is referenced, the single-caller layers that were
+folded into their callers stay gone, and so do the arguments no caller
+varied."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
 
 import flowlab
+from flowlab import CheckSpec, SmoothBump, bel_gradient, krylov_check
+from flowlab.coefficients import gated_right_inverse
 
 SRC = Path(flowlab.__file__).parent
 MODULES = {path.stem: path for path in sorted(SRC.glob("*.py"))}
@@ -22,6 +26,19 @@ KEPT_IMPORTS = {("estimators", "ThreadPoolExecutor")}
 # and --seed and --out applied by parse_config
 DELETED = ("TruncatedSystem", "MomentWindow", "_build_member",
            "_apply_overrides")
+
+# arguments that took one value in every caller, now fixed: the BEL gate is
+# the constant coefficients.COND_MAX, the Krylov ratio is taken with f = 1
+# and its cylinder norm, the IBP bump is centred at the origin in the
+# dimension of its points, and the (c3) budget is coefficients._QUAD_BUDGET
+# (bel_gradient's f is its payoff)
+REMOVED_ARGUMENTS = {
+    bel_gradient: ("cond_max",),
+    gated_right_inverse: ("cond_max",),
+    krylov_check: ("f", "f_norm"),
+    SmoothBump: ("center", "d"),
+    CheckSpec: ("quad_budget",),
+}
 
 
 def parse(stem):
@@ -95,3 +112,11 @@ def test_folded_layers_stay_gone(stem):
                   and any(getattr(base, "id", getattr(base, "attr", None))
                           == "CoefficientSystem" for base in node.bases)]
     assert subclasses == [], "a CoefficientSystem is built, not subclassed"
+
+
+@pytest.mark.parametrize("fn", list(REMOVED_ARGUMENTS),
+                         ids=lambda fn: fn.__name__)
+def test_fixed_arguments_stay_gone(fn):
+    parameters = inspect.signature(fn).parameters
+    assert [name for name in REMOVED_ARGUMENTS[fn] if name in parameters] \
+        == []
