@@ -6,7 +6,6 @@ CoefficientSystems that carry their radius and eps in params.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +16,7 @@ from .coefficients import (
     row_norm,
     stack_fields,
 )
-from .errors import RadiusTooSmallError
+from .errors import RadiusTooSmallError, require
 from .quadrature import (
     annulus_rule,
     ball_volume,
@@ -49,7 +48,7 @@ def truncate(base: CoefficientSystem, R: float) -> CoefficientSystem:
     Jacobians have the declared polynomial growth.
     """
     r1 = base.constants.R1
-    if R < r1 + 1.0:
+    if not R >= r1 + 1.0:
         raise RadiusTooSmallError(
             f"truncation radius {R:g} below admissible minimum R1+1 = {r1 + 1:g}")
 
@@ -227,9 +226,7 @@ class Mollifier:
 def mollifier(d: int, eps: float, n_radial: int | None = None,
               n_angular: int | None = None) -> Mollifier:
     """Build a mollifier of radius eps with the dimension's default ball rule."""
-    if not 0 < eps < math.inf:
-        raise ValueError(f"mollifier radius eps must be positive and finite, "
-                         f"got {eps!r}")
+    require("mollifier radius eps", eps)
     nodes, weights = unit_ball_rule(d, n_radial, n_angular)
     eta = _bump_kernel(np.sum(nodes**2, axis=-1))
     norm = 1.0 / float(np.sum(weights * eta))
@@ -311,9 +308,8 @@ def mollified_family(base: CoefficientSystem, lambda0: float | None = None,
     lambda0 p1 < min(iota - lambda0 p2, 1 - lambda0 (p2 + p5)).
     """
     for name, value in (("lambda0", lambda0), ("eps0", eps0)):
-        if value is not None and not 0 < value < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got "
-                             f"{value!r}")
+        if value is not None:
+            require(name, value)
     lam_default, eps_default = select_lambda0(base.constants, base.d)
     lam = lam_default if lambda0 is None else lambda0
     if lambda0 is not None:

@@ -48,7 +48,6 @@ from .cli_defaults import (
     SCHEMA,
     SCHEMA_VERSION,
     VECTOR,
-    is_number,
 )
 from .coefficients import (
     CheckSpec,
@@ -62,6 +61,8 @@ from .errors import (
     FlowlabError,
     IntegrationError,
     ParameterConstraintError,
+    is_integer,
+    is_number,
 )
 
 __all__ = ["ExperimentConfig", "parse_config", "run", "main"]
@@ -392,8 +393,9 @@ def run(command: str, config_path, seed: int | None = None,
     # that exec'd this interpreter: _write_log reports what the run adds
     children_start = resource.getrusage(resource.RUSAGE_CHILDREN)
     try:
-        if workers < 1:
-            raise ConfigError(f"--workers must be at least 1, got {workers}")
+        if not is_integer(workers, 1):
+            raise ConfigError(f"--workers must be an integer of at least 1, "
+                              f"got {workers!r}")
         config = parse_config(config_path, command, seed, out)
         system = builtin(config.system_spec["name"],
                          **config.system_spec["params"])
@@ -418,7 +420,7 @@ def run(command: str, config_path, seed: int | None = None,
         warnings.showwarning = _counting(tally, warnings.showwarning)
         try:
             rows, extra_files, paths = _COMMAND_IMPL[config.command](
-                config, system, int(workers))
+                config, system, workers)
             noted = {} if paths is None else {  # nonzero counts flag each row
                 key: value for key, value in vars(paths).items()
                 if value and key not in ("n_paths", "clamped")}

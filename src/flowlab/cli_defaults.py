@@ -14,8 +14,10 @@ converge's lambda0 and eps < eps0.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
+from .errors import is_integer, is_number, is_positive
 from .estimators import PAYOFFS
 
 SCHEMA_VERSION = "flowlab-config-v1"
@@ -34,21 +36,9 @@ class Domain:
     accepts: Callable[[object], bool]
 
 
-def is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _positive(value) -> bool:
-    return is_number(value) and 0 < value < math.inf
-
-
 def _positives(value, least: int) -> bool:
     return (isinstance(value, list) and len(value) >= least
-            and all(map(_positive, value)))
-
-
-def _integer(least: int, bound: float = math.inf) -> Callable:
-    return lambda value: type(value) is int and least <= value < bound
+            and all(map(is_positive, value)))
 
 
 def choice(*options: str) -> Domain:
@@ -58,11 +48,12 @@ def choice(*options: str) -> Domain:
 
 NUMBER = Domain("a finite number",
                 lambda value: is_number(value) and math.isfinite(value))
-POSITIVE = Domain("a positive number", _positive)
-COUNT = Domain("an integer of at least 1", _integer(1))
-GRID = Domain("an integer of at least 2", _integer(2))
-INDEX = Domain("an integer of at least 0", _integer(0))
-PHILOX_KEY = Domain("an integer in [0, 2**64)", _integer(0, 2**64))
+POSITIVE = Domain("a positive number", is_positive)
+COUNT = Domain("an integer of at least 1", partial(is_integer, least=1))
+GRID = Domain("an integer of at least 2", partial(is_integer, least=2))
+INDEX = Domain("an integer of at least 0", partial(is_integer, least=0))
+PHILOX_KEY = Domain("an integer in [0, 2**64)",
+                    partial(is_integer, least=0, bound=2**64))
 STRING = Domain("a string", lambda value: isinstance(value, str))
 POSITIVES = Domain("a non-empty list of positive numbers",
                    lambda value: _positives(value, 1))

@@ -15,7 +15,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import ParameterConstraintError, SingularPointError
+from .errors import ParameterConstraintError, SingularPointError, require
 from .quadrature import box_grid, midpoint_ball_rule, spherical_product
 
 __all__ = [
@@ -70,8 +70,7 @@ class AssumptionConstants:
 
     def validate(self, d: int) -> None:
         for name in ("p1", "p2", "p3", "p4", "p5", "C1", "C2", "C3", "R1"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"constant {name} must be strictly positive")
+            require(f"constant {name}", getattr(self, name))
         if not 0.0 < self.delta <= 1.0:
             raise ValueError("delta must lie in (0, 1]")
         if self.p3 <= 2 * (d + 1):
@@ -317,8 +316,7 @@ def kp_max(system: CoefficientSystem, x: np.ndarray, p: float) -> SpectralReport
 def _kp(jall: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
     """(K_p, its matrix) from the Jacobians jall (..., m+1, d, d) of one
     evaluation, so that every order p reads the same pass."""
-    if p <= 0:
-        raise ValueError("order p must be positive")
+    require("order p", p)
     j0 = jall[..., 0, :, :]
     mat = p * (j0 + np.swapaxes(j0, -1, -2))
     for k in range(1, jall.shape[-3]):
@@ -354,8 +352,7 @@ class ThetaBound:
 def theta_g(system: CoefficientSystem, lam: float, box: float = 50.0,
             n_points: int | None = None) -> ThetaBound:
     """Maximize the Lyapunov drift expression for g = log(1+|x|^2) on a grid."""
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    require("lambda", lam)
     d = system.d
     if n_points is None:
         n_points = 401 if d <= 2 else 101
@@ -392,11 +389,11 @@ class CheckSpec:
     p_list: tuple[float, ...] = (2.0,)
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError(f"probe radius must be positive, got "
-                             f"{self.radius!r}")
+        require("probe radius", self.radius)
         if len(self.p_list) == 0:
             raise ValueError("p_list must hold at least one moment order")
+        for p in self.p_list:
+            require("moment order p in p_list", p)
 
 
 @dataclass(frozen=True)
@@ -738,7 +735,7 @@ def _example21(d: int = 2, q1: float = 0.8, q2: float = 0.5, q3: float = 0.5,
 
 def _ornstein_uhlenbeck(theta: float = 1.0, sigma: float = 1.0,
                         d: int = 1) -> CoefficientSystem:
-    if sigma <= 0 or theta <= 0:
+    if not (theta > 0 and sigma > 0):
         raise ParameterConstraintError(
             "ornstein_uhlenbeck requires theta > 0 and sigma > 0",
             "theta > 0, sigma > 0")
@@ -760,7 +757,7 @@ def _ornstein_uhlenbeck(theta: float = 1.0, sigma: float = 1.0,
 
 def _geometric_bm(mu: float = 0.1, sigma: float = 0.2,
                   d: int = 1) -> CoefficientSystem:
-    if sigma <= 0:
+    if not sigma > 0:
         raise ParameterConstraintError("geometric_bm requires sigma > 0",
                                        "sigma > 0")
     eye = np.eye(d)

@@ -37,7 +37,7 @@ import numpy as np
 from numpy.random import Philox
 
 from .coefficients import CoefficientSystem, row_norm
-from .errors import ZeroDerivativeStateError
+from .errors import ZeroDerivativeStateError, is_integer, require
 
 __all__ = [
     "IntegratorConfig",
@@ -101,10 +101,8 @@ class IntegratorConfig:
     guard_radius: float = 1e6
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise ValueError("step size h must be positive")
-        if self.guard_radius <= 0:
-            raise ValueError("guard_radius must be positive")
+        require("step size h", self.h)
+        require("guard_radius", self.guard_radius)
 
     @property
     def n_steps(self) -> int:
@@ -123,14 +121,14 @@ def increments_block(master_seed: int, first_path: int, n_paths: int,
     Path i's n_steps*m draws, in (step, component) order, are the raw uint64
     stream of Philox keyed by (master_seed, i) from counter 0; a raw word r
     becomes ndtri(((r >> 11) + 1/2) 2^-53) sqrt(h). The uniform never is 0
-    or 1, so the output is finite and platform-stable. ValueError unless
-    0 <= master_seed < 2**64 and 0 <= first_path <= 2**64 - n_paths, so that
-    every key word is in the range of a Philox key word.
+    or 1, so the output is finite and platform-stable. ValueError unless the
+    integers 0 <= master_seed < 2**64 and 0 <= first_path <= 2**64 - n_paths
+    key every path with words in the range of a Philox key word.
     """
-    if not 0 <= master_seed < 2**64:
+    if not is_integer(master_seed, 0, 2**64):
         raise ValueError(f"master_seed must be an integer in [0, 2**64), got "
                          f"{master_seed!r}")
-    if not 0 <= first_path <= 2**64 - n_paths:
+    if not is_integer(first_path, 0, 2**64 - n_paths + 1):
         raise ValueError(f"first_path must be an integer in [0, 2**64 - "
                          f"n_paths] for n_paths = {n_paths}, got "
                          f"{first_path!r}")
@@ -233,9 +231,9 @@ class BatchEuler:
         return self._jacobians
 
     def steps(self):
-        """Yield (s, x_s, v_s, dw_s, active) before each step is applied."""
+        """Yield (x_s, v_s, dw_s, active) before each step is applied."""
         for s in range(self.n_steps):
-            yield (s, self.x, self.v, self.dws[:, s, :],
+            yield (self.x, self.v, self.dws[:, s, :],
                    ~(self.failed | self.exploded))
             self.advance()
 

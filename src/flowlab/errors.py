@@ -1,6 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the two argument rules
+that the config schema and every library check share (a positive, finite
+real; an integer of at least some value): a predicate each, one raiser."""
 
 import copyreg
+import math
+import numbers
 
 
 class FlowlabError(Exception):
@@ -44,3 +48,29 @@ class ZeroDerivativeStateError(FlowlabError):
 
 class ConfigError(FlowlabError):
     """Experiment configuration failed to parse or validate."""
+
+
+def is_number(value) -> bool:
+    """A real scalar: numbers.Real, bool excluded."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def is_positive(value) -> bool:
+    """A real scalar with 0 < value < inf (so nan fails)."""
+    return is_number(value) and 0 < value < math.inf
+
+
+def is_integer(value, least: int, bound: float = math.inf) -> bool:
+    """numbers.Integral, bool excluded, with least <= value < bound."""
+    return (isinstance(value, numbers.Integral)
+            and not isinstance(value, bool) and least <= value < bound)
+
+
+def require(name: str, value, least: int | None = None) -> None:
+    """ValueError naming the argument unless is_positive(value) or, when
+    least is given, is_integer(value, least)."""
+    if least is None and not is_positive(value):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    if least is not None and not is_integer(value, least):
+        raise ValueError(f"{name} must be an integer of at least {least}, "
+                         f"got {value!r}")

@@ -44,7 +44,6 @@ and kept only because the tracer subclasses it when it installs.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 # unused: kept because perfbench/traced_cli.py subclasses it when it installs
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
@@ -70,6 +69,7 @@ from .engine import (
     grid_steps,
     increments_block,
 )
+from .errors import is_integer, require
 from .quadrature import ball_volume, box_grid
 
 __all__ = [
@@ -172,8 +172,7 @@ def _map_paths(run, n_paths: int, n_steps: int, h: float, m: int,
     min(workers, ranges, usable CPUs) forked processes (`_fork_map`); the
     records and the arrays are joined in path-index order.
     """
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be at least 1, got {n_paths!r}")
+    require("n_paths", n_paths, least=1)
     size = max(1, min(CHUNK_PATHS, MAX_BLOCK_BYTES // (n_steps * m * 8)))
     ranges = [(a, min(a + size, n_paths)) for a in range(0, n_paths, size)]
 
@@ -244,8 +243,7 @@ def derivative_moment(system: CoefficientSystem, x, v, p: float, t: float,
     The moment bound is only claimed for t inside the window T0(p)
     (`moment_window`); outside it the estimate is still returned.
     """
-    if p <= 0:
-        raise ValueError(f"moment order p must be positive, got {p!r}")
+    require("moment order p", p)
     n_steps = grid_steps(t, cfg.h)
 
     def run(dws):
@@ -285,9 +283,7 @@ def flow_moment_bound_check(system: CoefficientSystem, x, lam: float, T: float,
     checkpoint passes when the empirical mean does not exceed the bound by
     more than three standard errors.
     """
-    if n_checkpoints < 1:
-        raise ValueError(f"n_checkpoints must be at least 1, got "
-                         f"{n_checkpoints!r}")
+    require("n_checkpoints", n_checkpoints, least=1)
     n_steps = grid_steps(T, cfg.h, "T")
     check_steps = [max(1, round((j + 1) * n_steps / n_checkpoints))
                    for j in range(n_checkpoints)]
@@ -340,7 +336,7 @@ def bel_gradient(system: CoefficientSystem, x, v, f, t: float, n_paths: int,
         drv = BatchEuler(system, x, v, dws, cfg)
         s_acc = np.zeros(drv.n)
         gated = np.zeros(drv.n, dtype=bool)
-        for _, _, vs, dw, active in drv.steps():
+        for _, vs, dw, active in drv.steps():
             y, bad, _ = gated_right_inverse(drv.fields()[1], vs)
             gated |= bad & active
             with np.errstate(invalid="ignore", over="ignore"):
@@ -362,8 +358,7 @@ def fd_gradient(system: CoefficientSystem, x, v, f, t: float, n_paths: int,
     / (2 delta) with common random numbers: both endpoints of each path index
     consume identical increments. x and v end in the system's d
     coordinates: x +- delta v would broadcast a shorter one."""
-    if delta <= 0:
-        raise ValueError("bump size delta must be positive")
+    require("bump size delta", delta)
     n_steps = grid_steps(t, cfg.h)
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -449,9 +444,7 @@ class SmoothBump:
     derivatives; vanishes with all derivatives at |x|=radius."""
 
     def __init__(self, radius: float):
-        if not 0 < radius < math.inf:
-            raise ValueError(f"bump radius must be positive and finite, got "
-                             f"{radius!r}")
+        require("bump radius", radius)
         self.radius = float(radius)
 
     def value(self, x: np.ndarray) -> np.ndarray:
@@ -485,16 +478,11 @@ def ibp_residual(system: CoefficientSystem, t: float, box: float, n_grid: int,
     any draw is counted, not excluded: the grid quadrature keeps its exit.
     t must be a whole number of steps cfg.h, and box positive and finite.
     """
-    if not 0 < box < math.inf:
-        raise ValueError(f"grid half-width box must be positive and finite, "
-                         f"got {box!r}")
-    for name, value, least in (("grid size n_grid", n_grid, 2),
-                               ("draw count n_omega", n_omega, 1)):
-        if not (isinstance(value, numbers.Integral) and value >= least):
-            raise ValueError(f"{name} must be an integer of at least "
-                             f"{least}, got {value!r}")
+    require("grid half-width box", box)
+    require("grid size n_grid", n_grid, least=2)
+    require("draw count n_omega", n_omega, least=1)
     d = system.d
-    if not (isinstance(i_coord, numbers.Integral) and 0 <= i_coord < d):
+    if not is_integer(i_coord, 0, d):
         raise ValueError(f"coordinate i_coord must be an integer in "
                          f"0..{d - 1}, got {i_coord!r}")
     n_steps = grid_steps(t, cfg.h)
@@ -552,9 +540,7 @@ def krylov_check(system: CoefficientSystem, x, T: float, R: float,
     are excluded; exploded paths are counted and kept, since their
     occupation integral ended at the R-ball exit when |x| + R <= guard_radius.
     """
-    if not 0 < R < math.inf:
-        raise ValueError(f"ball radius R must be positive and finite, got "
-                         f"{R!r}")
+    require("ball radius R", R)
     d = system.d
     f_norm = (T * ball_volume(d, R)) ** (1.0 / (d + 1))
     n_steps = grid_steps(T, cfg.h, "T")
@@ -567,7 +553,7 @@ def krylov_check(system: CoefficientSystem, x, T: float, R: float,
         a_acc = np.zeros(drv.n)
         b_acc = np.zeros(drv.n)
         inside = np.ones(drv.n, dtype=bool)
-        for _, xs, _, _, active in drv.steps():
+        for xs, _, _, active in drv.steps():
             inside &= row_norm(xs - x_arr) <= R
             live = inside & active
             drift, sig = drv.fields()
@@ -613,8 +599,7 @@ def holder_modulus(system: CoefficientSystem, pairs, p: float, t: float,
     pairs so that ratio comparisons are low-noise. Every pair reduces over
     the paths that none of the pairs' flows dropped; the counts come last.
     """
-    if p <= 0:
-        raise ValueError(f"moment order p must be positive, got {p!r}")
+    require("moment order p", p)
     n_steps = grid_steps(t, cfg.h)
     pairs = [(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
              for x, y in pairs]
@@ -662,7 +647,7 @@ def exp_representation_gaps(system: CoefficientSystem, x, v, p: float,
         m_acc = np.zeros(drv.n)
         q_acc = np.zeros(drv.n)
         a_acc = np.zeros(drv.n)
-        for _, _, vs, dw, _ in drv.steps():
+        for _, vs, dw, _ in drv.steps():
             dm, dq, da = exp_representation_terms(drv.jacobians(), vs, dw,
                                                   cfg.h, p)
             m_acc += dm

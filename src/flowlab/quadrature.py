@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 
+from .errors import require
+
 __all__ = [
     "spherical_product",
     "box_grid",
@@ -96,10 +98,8 @@ def spherical_product(r: np.ndarray, wr: np.ndarray | float, d: int,
 
 def box_grid(d: int, box: float, n_points: int) -> tuple[np.ndarray, float]:
     """The n_points^d nodes of the uniform grid on [-box, box]^d, first
-    coordinate slowest, and the grid spacing; ValueError below 2 points."""
-    if n_points < 2:
-        raise ValueError(f"a box grid needs at least 2 points per axis, got "
-                         f"{n_points!r}")
+    coordinate slowest, and the grid spacing; n_points an integer >= 2."""
+    require("box grid n_points", n_points, least=2)
     axis = np.linspace(-box, box, n_points)
     mesh = np.meshgrid(*([axis] * d), indexing="ij")
     return np.stack([g.reshape(-1) for g in mesh], axis=-1), axis[1] - axis[0]

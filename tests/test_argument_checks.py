@@ -28,10 +28,16 @@ from flowlab import (
     mollifier,
     select_lambda0,
     theta_g,
+    truncate,
 )
-from flowlab.errors import ParameterConstraintError
+from flowlab.errors import ParameterConstraintError, RadiusTooSmallError
 from flowlab.estimators import PAYOFFS, exp_representation_gaps
-from flowlab.quadrature import annulus_rule, sphere_points, unit_ball_rule
+from flowlab.quadrature import (
+    annulus_rule,
+    box_grid,
+    sphere_points,
+    unit_ball_rule,
+)
 
 CFG = IntegratorConfig(h=0.05, T=0.25)
 GOOD = dict(p1=0.5, p2=1.0, p3=8.0, p4=4.0, p5=0.5, C1=1.0, C2=2.0, C3=2.0,
@@ -58,6 +64,19 @@ SEED_RANGE = "master_seed must be an integer in [0, 2**64)"
 FIRST_PATH_RANGE = "first_path must be an integer in [0, 2**64 - n_paths]"
 BOX_DOMAIN = "grid half-width box must be positive and finite"
 RADIUS_DOMAIN = "bump radius must be positive and finite"
+ORDER_DOMAIN = "moment order p must be positive and finite"
+DELTA_DOMAIN = "bump size delta must be positive and finite"
+PATHS_DOMAIN = "n_paths must be an integer of at least 1"
+
+
+def moment(p=2.0, n_paths=4):
+    """derivative_moment on the 1-d OU with order p and n_paths paths."""
+    return derivative_moment(ou(), [0.0], [1.0], p, 0.25, n_paths, CFG)
+
+
+def fd(delta):
+    """fd_gradient on the 1-d OU with bump size delta."""
+    return fd_gradient(ou(), [0.0], [1.0], IDENTITY, 0.25, 4, delta, CFG)
 
 
 def ibp(i_coord=0, box=1.0):
@@ -69,7 +88,7 @@ def ibp(i_coord=0, box=1.0):
 
 CHECKS = {
     "constants_p1": (lambda: constants(p1=0.0).validate(2), ValueError,
-                     "constant p1 must be strictly positive"),
+                     "constant p1 must be positive and finite, got 0.0"),
     "constants_delta": (lambda: constants(delta=1.5).validate(2), ValueError,
                         "delta must lie in (0, 1]"),
     "constants_p3": (lambda: constants(p3=6.0).validate(2), ValueError,
@@ -136,7 +155,7 @@ CHECKS = {
     "flow_bound_no_checkpoint": (
         lambda: flow_moment_bound_check(EX21, X, 1.0, 0.25, 4, CFG,
                                         n_checkpoints=0, theta_points=8),
-        ValueError, "n_checkpoints must be at least 1, got 0"),
+        ValueError, "n_checkpoints must be an integer of at least 1, got 0"),
     "family_short_v": (
         lambda: family_convergence(FAMILY, [0.2, 0.1], X, SHORT, 0.25, 4,
                                    CFG),
@@ -150,10 +169,10 @@ CHECKS = {
                          "i_coord must be an integer in 0..1, got 2"),
     "holder_p_zero": (
         lambda: holder_modulus(ou(), [([0.0], [0.5])], 0.0, 0.25, 4, CFG),
-        ValueError, "moment order p must be positive, got 0.0"),
+        ValueError, f"{ORDER_DOMAIN}, got 0.0"),
     "holder_p_negative": (
         lambda: holder_modulus(ou(), [([0.0], [0.5])], -1.0, 0.25, 4, CFG),
-        ValueError, "moment order p must be positive, got -1.0"),
+        ValueError, f"{ORDER_DOMAIN}, got -1.0"),
     # the start is short too: lam is checked before any path is stepped
     "flow_bound_lam_zero": (
         lambda: flow_moment_bound_check(EX21, SHORT, 0.0, 0.25, 4, CFG,
@@ -162,13 +181,14 @@ CHECKS = {
     "flow_bound_theta_points": (
         lambda: flow_moment_bound_check(EX21, X, 1.0, 0.25, 4, CFG,
                                         theta_points=1),
-        ValueError, "a box grid needs at least 2 points per axis, got 1"),
+        ValueError,
+        "box grid n_points must be an integer of at least 2, got 1"),
     "check_no_orders": (
         lambda: check_assumptions(ou(), CheckSpec(p_list=())), ValueError,
         "p_list must hold at least one moment order"),
     "check_negative_radius": (
         lambda: check_assumptions(ou(), CheckSpec(radius=-10.0)), ValueError,
-        "probe radius must be positive, got -10.0"),
+        "probe radius must be positive and finite, got -10.0"),
     "increments_negative_seed": (
         lambda: increments_block(-1, 0, 1, 4, 0.05, 1), ValueError,
         f"{SEED_RANGE}, got -1"),
@@ -226,6 +246,62 @@ CHECKS = {
                       "need 0 <= r_inner < r_outer"),
     "annulus_negative": (lambda: annulus_rule(2, -0.5, 1.0, 4, 8), ValueError,
                          "need 0 <= r_inner < r_outer"),
+    # values the checks once let through (nan past `x <= 0`, inf past
+    # `not x > 0`, a fraction past `x < 1`); a comment says what a call did
+    # the explosion guard was off: no path ever exploded
+    "guard_radius_nan": (lambda: IntegratorConfig(guard_radius=math.nan),
+                         ValueError,
+                         "guard_radius must be positive and finite, got nan"),
+    "h_nan": (lambda: IntegratorConfig(h=math.nan), ValueError,
+              "step size h must be positive and finite, got nan"),
+    # every path was reported failed
+    "fd_gradient_delta_nan": (lambda: fd(math.nan), ValueError,
+                              f"{DELTA_DOMAIN}, got nan"),
+    "fd_gradient_delta_inf": (lambda: fd(math.inf), ValueError,
+                              f"{DELTA_DOMAIN}, got inf"),
+    # p = inf returned 0.0 +- 0.0
+    "derivative_moment_p_nan": (lambda: moment(p=math.nan), ValueError,
+                                f"{ORDER_DOMAIN}, got nan"),
+    "derivative_moment_p_inf": (lambda: moment(p=math.inf), ValueError,
+                                f"{ORDER_DOMAIN}, got inf"),
+    # these returned nan
+    "holder_p_nan": (
+        lambda: holder_modulus(ou(), [([0.0], [0.5])], math.nan, 0.25, 4,
+                               CFG),
+        ValueError, f"{ORDER_DOMAIN}, got nan"),
+    "theta_g_lambda_nan": (lambda: theta_g(ou(), math.nan), ValueError,
+                           "lambda must be positive and finite, got nan"),
+    "kp_max_p_nan": (lambda: kp_max(ou(), np.zeros(1), math.nan), ValueError,
+                     "order p must be positive and finite, got nan"),
+    "truncate_R_nan": (lambda: truncate(ou(), math.nan), RadiusTooSmallError,
+                       "truncation radius nan below admissible minimum"),
+    "check_radius_inf": (lambda: CheckSpec(radius=math.inf), ValueError,
+                         "probe radius must be positive and finite, got inf"),
+    # (nan,) ran and failed (c2); (-1.0,) failed late, inside the checks
+    "check_p_list_nan": (lambda: CheckSpec(p_list=(math.nan,)), ValueError,
+                         "moment order p in p_list must be positive and "
+                         "finite, got nan"),
+    "check_p_list_negative": (lambda: CheckSpec(p_list=(-1.0,)), ValueError,
+                              "moment order p in p_list must be positive "
+                              "and finite, got -1.0"),
+    "constants_p1_nan": (lambda: constants(p1=math.nan).validate(2),
+                         ValueError,
+                         "constant p1 must be positive and finite, got nan"),
+    # a fraction raised a TypeError out of range() or linspace(), and True
+    # ran one path
+    "n_paths_fraction": (lambda: moment(n_paths=2.5), ValueError,
+                         f"{PATHS_DOMAIN}, got 2.5"),
+    "n_paths_bool": (lambda: moment(n_paths=True), ValueError,
+                     f"{PATHS_DOMAIN}, got True"),
+    "box_grid_fraction": (lambda: box_grid(2, 1.0, 2.5), ValueError,
+                          "box grid n_points must be an integer of at least "
+                          "2, got 2.5"),
+    # these built systems whose fields were nan
+    "ou_theta_nan": (lambda: ou(theta=math.nan), ParameterConstraintError,
+                     "theta > 0 and sigma > 0"),
+    "gbm_sigma_nan": (lambda: builtin("geometric_bm", sigma=math.nan),
+                      ParameterConstraintError,
+                      "geometric_bm requires sigma > 0"),
 }
 
 

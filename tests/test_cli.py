@@ -516,6 +516,10 @@ def test_run_command_value_error_exits_config_and_logs(tmp_path, capsys):
     (-4, 1, "mc.n_paths"),
     (2000, 0, "--workers"),
     (2000, -3, "--workers"),
+    # from a Python caller of run(), which argparse does not convert: 2.5
+    # ran on int(2.5) = 2 workers, and "2" raised a TypeError out of run()
+    (2000, 2.5, "--workers must be an integer of at least 1, got 2.5"),
+    (2000, "2", "--workers must be an integer of at least 1, got '2'"),
 ])
 def test_run_rejects_nonpositive_paths_and_workers(tmp_path, capsys, n_paths,
                                                    workers, named):
@@ -523,11 +527,14 @@ def test_run_rejects_nonpositive_paths_and_workers(tmp_path, capsys, n_paths,
     cfg["mc"]["n_paths"] = n_paths
     path = write(tmp_path, "g.json", cfg)
     out = tmp_path / "o"
-    code = main(["gradient", str(path), "--out", str(out),
-                 "--workers", str(workers)])
+    if isinstance(workers, int):
+        code = main(["gradient", str(path), "--out", str(out),
+                     "--workers", str(workers)])
+    else:
+        code = run("gradient", path, workers=workers, out=str(out))
     assert code == 2
     assert named in capsys.readouterr().err
-    assert not (out / "result.csv").exists()
+    assert not out.exists(), "nothing is written: no echo, no run.log"
 
 
 # a command block on the 2-d example21 whose named key has another length
@@ -787,7 +794,7 @@ def test_config_errors_are_raised_before_the_echo_alone():
     assert {name for name, _ in raised} == {
         "_no_duplicates", "_validate_section", "parse_config", "run"}
     assert [message for name, message in raised if name == "run"] == [
-        "f'--workers must be at least 1, got {workers}'"]
+        "f'--workers must be an integer of at least 1, got {workers!r}'"]
 
 
 # integrator.T is the horizon of simulate alone: another command runs to its

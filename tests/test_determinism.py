@@ -165,5 +165,6 @@ def test_harness_covers_every_map_paths_caller():
 def test_every_map_paths_caller_rejects_fewer_than_one_path(monkeypatch, name,
                                                             n_paths):
     monkeypatch.setitem(RUN, "n_paths", n_paths)
-    with pytest.raises(ValueError, match="n_paths must be at least 1"):
+    with pytest.raises(ValueError,
+                       match="n_paths must be an integer of at least 1"):
         CASES[name](1)

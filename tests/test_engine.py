@@ -358,7 +358,7 @@ def test_multi_start_additive_offsets_constant():
     dws = increments_block(8, 0, 1, c.n_steps, c.h, 2)
     starts = np.array([[0.0, 0.0], [0.7, -0.3]])
     drv = BatchEuler(s, starts, 0.0, dws, c)
-    for _, xs, _, _, _ in drv.steps():
+    for xs, _, _, _ in drv.steps():
         np.testing.assert_allclose(xs[1] - xs[0], starts[1] - starts[0],
                                    atol=1e-12)
     np.testing.assert_allclose(drv.x[1] - drv.x[0], starts[1] - starts[0],

@@ -2,7 +2,7 @@
 inspect: no module imports a name it does not use, every module-level
 private function and class is referenced, the single-caller layers that were
 folded into their callers stay gone, and so do the arguments no caller
-varied."""
+varied, and the two argument rules are spelled by one raiser."""
 
 import ast
 import inspect
@@ -39,6 +39,13 @@ REMOVED_ARGUMENTS = {
     SmoothBump: ("center", "d"),
     CheckSpec: ("quad_budget",),
 }
+
+
+# a positive, finite real and an integer of at least some value are spelled
+# only by errors.require, the raiser every library check calls, and by
+# run()'s --workers ConfigError
+RULE_PHRASES = ("must be positive", "must be an integer of at least")
+RULE_SPELLERS = {("errors", "require"), ("cli", "run")}
 
 
 def parse(stem):
@@ -120,3 +127,37 @@ def test_fixed_arguments_stay_gone(fn):
     parameters = inspect.signature(fn).parameters
     assert [name for name in REMOVED_ARGUMENTS[fn] if name in parameters] \
         == []
+
+
+def spelled_rules(stem):
+    """'module.function: string' for every string literal of the module,
+    f-string parts included and docstrings not, that spells an argument
+    rule outside RULE_SPELLERS."""
+    tree = parse(stem)
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef,
+                                       ast.FunctionDef))
+                  and ast.get_docstring(node, clean=False) is not None}
+    found = []
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        if (stem, owner) in RULE_SPELLERS:
+            continue
+        found += [f"{stem}.{owner}: {node.value!r}" for node in ast.walk(top)
+                  if isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)
+                  and id(node) not in docstrings
+                  and any(phrase in node.value for phrase in RULE_PHRASES)]
+    return found
+
+
+@pytest.mark.parametrize("stem", sorted(MODULES))
+def test_argument_rules_are_spelled_by_the_shared_raiser_alone(stem):
+    assert spelled_rules(stem) == []
+
+
+def test_the_rule_pin_reports_each_speller_it_exempts(monkeypatch):
+    monkeypatch.setitem(globals(), "RULE_SPELLERS", set())
+    reported = {line.split(":")[0] for stem in ("errors", "cli")
+                for line in spelled_rules(stem)}
+    assert reported == {"errors.require", "cli.run"}
